@@ -26,7 +26,7 @@ from .growth import (GainLaw, GrowthError, GrowthLaw, constant_gain,
                      tabulated_growth)
 from .kernels import (CapInequalityReport, ConvolutionStencil,
                       FrontKernelProfile, Kernel, KernelError, QuadratureError,
-                      ball_convolution_on_ray, build_kernel,
+                      add_to_mask_convolution, ball_convolution_on_ray, build_kernel,
                       check_cap_inequality, convolve_field, convolve_mask,
                       front_profile)
 from .waves import (MinimalSpeedResult, WaveProfile, export_wave, find_c_star,

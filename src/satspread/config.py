@@ -268,8 +268,7 @@ def build_initial_field(cfg: RunConfig, spec: dict | None = None,
     if kind == "wave_envelope":
         if wave_sampler is None:
             raise ConfigError("wave_envelope initial data needs a wave sampler")
-        out = grid_field(cfg.box_radius, cfg.stencil.grid_spacing, cfg.kernel.dim)
-        out.values = np.clip(np.asarray(wave_sampler(out.coords()), dtype=float),
-                             0.0, 1.0)
-        return out
+        grid = grid_field(cfg.box_radius, cfg.stencil.grid_spacing, cfg.kernel.dim)
+        return GridField(np.clip(np.asarray(wave_sampler(grid.coords()), dtype=float),
+                                 0.0, 1.0), grid.spacing, grid.origin)
     raise ConfigError(f"unknown initial kind {kind!r}")

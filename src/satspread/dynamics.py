@@ -9,7 +9,7 @@ import numpy as np
 
 from .errors import InvariantViolation
 from .growth import GrowthLaw
-from .kernels import ConvolutionStencil, convolve_field
+from .kernels import ConvolutionStencil, add_to_mask_convolution, convolve_field
 
 MODEL_KINDS = ("gamma", "singular", "generalized_singular")
 
@@ -33,8 +33,10 @@ class GridField:
             raise ValueError("fields must be 1-d or 2-d")
         if len(self.origin) != self.values.ndim:
             raise ValueError("origin length must match field dimension")
-        if self.values.size and (self.values.min() < 0.0 or self.values.max() > 1.0):
-            raise ValueError("field values must lie in [0, 1]")
+        # Written so that NaN fails the test: every comparison with NaN is False.
+        if self.values.size and not (self.values.min() >= 0.0
+                                     and self.values.max() <= 1.0):
+            raise ValueError("field values must be finite and lie in [0, 1]")
 
     @property
     def dim(self) -> int:
@@ -72,9 +74,10 @@ def grid_field(box_radius: float, spacing: float, dim: int,
     origin = np.full(dim, -n * spacing)
     shape = (2 * n + 1,) * dim
     out = GridField(np.zeros(shape), spacing, origin, time)
-    if fn is not None:
-        out.values = np.clip(np.asarray(fn(out.radii()), dtype=float), 0.0, 1.0)
-    return out
+    if fn is None:
+        return out
+    return GridField(np.clip(np.asarray(fn(out.radii()), dtype=float), 0.0, 1.0),
+                     spacing, origin, time)
 
 
 @dataclass(frozen=True)
@@ -134,28 +137,39 @@ def rhs_gamma(u: GridField, stencil: ConvolutionStencil, growth: GrowthLaw,
     return (g * (1.0 - conv_p) + conv_gp) * (1.0 - p)
 
 
-def rhs_singular(u: GridField, stencil: ConvolutionStencil, growth: GrowthLaw,
-                 saturation_eps: float = 0.0,
-                 generalized: bool = False) -> np.ndarray:
-    """Right-hand side of the saturated-dispersal model; zero on the saturated set."""
-    mask = saturated_mask(u.values, saturation_eps)
-    conv = np.clip(convolve_field(stencil, mask.astype(float)), 0.0, 1.0)
-    g = np.asarray(growth(u.values), dtype=float)
+def _saturated_bracket(values: np.ndarray, mask_conv: np.ndarray, growth: GrowthLaw,
+                       generalized: bool) -> np.ndarray:
+    """Evolution bracket of the saturated models, given ``mask_conv = K * 1_S``."""
+    conv = np.clip(mask_conv, 0.0, 1.0)
+    g = np.asarray(growth(values), dtype=float)
     if generalized:
         if growth.gain is None:
             raise ValueError("generalized model requires a gain law")
-        bracket = g + np.asarray(growth.gain(u.values), dtype=float) * conv
-    else:
-        bracket = g * (1.0 - conv) + growth.g1 * conv
-    return bracket * (1.0 - mask)
+        return g + np.asarray(growth.gain(values), dtype=float) * conv
+    return g * (1.0 - conv) + growth.g1 * conv
+
+
+def rhs_singular(u: GridField, stencil: ConvolutionStencil, growth: GrowthLaw,
+                 saturation_eps: float = 0.0, generalized: bool = False,
+                 mask_conv: np.ndarray | None = None) -> np.ndarray:
+    """Right-hand side of the saturated-dispersal model; zero on the saturated set.
+
+    ``mask_conv`` is ``K * 1_S`` for the saturated set of ``u`` when the caller
+    keeps it up to date; without it the mask is convolved directly.
+    """
+    mask = saturated_mask(u.values, saturation_eps)
+    if mask_conv is None:
+        mask_conv = convolve_field(stencil, mask.astype(float))
+    return _saturated_bracket(u.values, mask_conv, growth, generalized) * (1.0 - mask)
 
 
 def model_rhs(u: GridField, params: ModelParams, stencil: ConvolutionStencil,
-              growth: GrowthLaw) -> np.ndarray:
+              growth: GrowthLaw, mask_conv: np.ndarray | None = None) -> np.ndarray:
     if params.model == "gamma":
         return rhs_gamma(u, stencil, growth, params.gamma)
     return rhs_singular(u, stencil, growth, params.saturation_eps,
-                        generalized=params.model == "generalized_singular")
+                        generalized=params.model == "generalized_singular",
+                        mask_conv=mask_conv)
 
 
 def step(u: GridField, params: ModelParams, stencil: ConvolutionStencil,
@@ -207,6 +221,11 @@ def run(u0: GridField, params: ModelParams, stencil: ConvolutionStencil,
     at the final time.  Saturation times use the first-crossing convention:
     the recorded time is the end of the step on which a cell first reaches
     the (eps-adjusted) ceiling.
+
+    For the saturated models the only nonlocal term is ``K * 1_S``, and the
+    saturated set ``S`` only grows.  So ``K * 1_S`` is convolved once and then
+    updated at the cells that join ``S``; a cell leaving ``S`` raises
+    ``InvariantViolation``, and so does a density outside [0, 1] or NaN.
     """
     if stencil.grid_spacing != u0.spacing:
         raise ValueError("stencil and field grid spacing differ")
@@ -218,7 +237,11 @@ def run(u0: GridField, params: ModelParams, stencil: ConvolutionStencil,
     eps = params.saturation_eps
     sat = saturated_mask(u.values, eps)
     sat_time = np.where(sat, 0.0, np.inf)
+    # K * 1_S for the saturated models, brought up to date as cells join S.
+    mask_conv = (None if params.model == "gamma"
+                 else convolve_field(stencil, sat.astype(float)))
 
+    # "mask_monotonicity_violations" stays 0: a shrinking S raises instead.
     monitors = {"min_u": float(u.values.min()), "max_u": float(u.values.max()),
                 "max_rhs": 0.0, "time_monotonicity_gap": 0.0,
                 "mask_monotonicity_violations": 0.0, "max_lipschitz": 0.0}
@@ -240,11 +263,18 @@ def run(u0: GridField, params: ModelParams, stencil: ConvolutionStencil,
     clamped_total = 0
     for k in range(n_full + (1 if remainder else 0)):
         dt_k = params.dt if k < n_full else remainder
-        rhs = model_rhs(u, params, stencil, growth)
+        rhs = model_rhs(u, params, stencil, growth, mask_conv=mask_conv)
         proposed = u.values + dt_k * rhs
         clamped_total += int(np.count_nonzero(proposed > 1.0))
         new_values = np.minimum(proposed, 1.0)
 
+        # min/max propagate NaN, and NaN fails both comparisons.
+        lo, hi = float(new_values.min()), float(new_values.max())
+        if not (lo >= 0.0 and hi <= 1.0):
+            raise InvariantViolation(
+                f"density left [0, 1] at t={u.time + dt_k:.6g} (min {lo}, max {hi})")
+        monitors["min_u"] = min(monitors["min_u"], lo)
+        monitors["max_u"] = max(monitors["max_u"], hi)
         monitors["max_rhs"] = max(monitors["max_rhs"], float(rhs.max(initial=0.0)))
         gap = float((u.values - new_values).max(initial=0.0))
         monitors["time_monotonicity_gap"] = max(monitors["time_monotonicity_gap"], gap)
@@ -252,14 +282,15 @@ def run(u0: GridField, params: ModelParams, stencil: ConvolutionStencil,
         u = GridField(new_values, u.spacing, u.origin, u.time + dt_k)
         new_sat = saturated_mask(u.values, eps)
         if np.any(sat & ~new_sat):
-            monitors["mask_monotonicity_violations"] += float(
-                np.count_nonzero(sat & ~new_sat))
+            raise InvariantViolation(
+                f"{np.count_nonzero(sat & ~new_sat)} cells left the saturated set"
+                f" at t={u.time:.6g}")
         newly = new_sat & ~sat
         sat_time[newly] = u.time
         sat = new_sat
+        if mask_conv is not None:
+            add_to_mask_convolution(stencil, mask_conv, sat, newly)
 
-        monitors["min_u"] = min(monitors["min_u"], float(u.values.min()))
-        monitors["max_u"] = max(monitors["max_u"], float(u.values.max()))
         if record_lipschitz:
             monitors["max_lipschitz"] = max(monitors["max_lipschitz"],
                                             discrete_lipschitz(u))
@@ -274,8 +305,6 @@ def run(u0: GridField, params: ModelParams, stencil: ConvolutionStencil,
             while next_snapshot <= u.time + 1e-12:
                 next_snapshot += snapshot_interval
 
-    if monitors["min_u"] < 0.0 or monitors["max_u"] > 1.0:
-        raise InvariantViolation("density left [0, 1] during the run")
     return RunResult(final=u, saturation_time=sat_time, times=times,
                      snapshots=snapshots, masks=masks,
                      clamped_total=clamped_total, monitors=monitors)
@@ -299,9 +328,9 @@ def obstacle_residual(u_before: GridField, u_after: GridField, dt: float,
         raise ValueError("dt must be positive")
     du = (u_after.values - u_before.values) / dt
     mask = saturated_mask(u_after.values, saturation_eps)
-    conv = np.clip(convolve_field(stencil, mask.astype(float)), 0.0, 1.0)
-    g = np.asarray(growth(u_after.values), dtype=float)
-    bracket = g * (1.0 - conv) + growth.g1 * conv
+    bracket = _saturated_bracket(
+        u_after.values, convolve_field(stencil, mask.astype(float)), growth,
+        generalized=False)
     return np.maximum(u_after.values - 1.0, du - bracket)
 
 

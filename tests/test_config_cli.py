@@ -2,6 +2,8 @@
 from __future__ import annotations
 
 import json
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -171,6 +173,33 @@ class TestSimulateCommand:
         sidecar = json.loads((out / "snapshot_0000.csv.json").read_text())
         assert sidecar["shape"] == [33, 33]
         assert sidecar["order"] == "row-major"
+
+
+class TestArtifactFormat:
+    def test_csv_bytes_pinned(self, tmp_path):
+        path = tmp_path / "t.csv"
+        ss.output.write_csv(path, ["n", "flag", "x"],
+                            [np.array([1, -2, 12345678901234567, 0]),
+                             np.array([True, False, True, False]),
+                             np.array([np.inf, np.nan, -np.inf, 0.1])],
+                            config={"k": 1})
+        assert path.read_bytes() == (
+            b"# schema_version=1\n"
+            b'# config={"k":1}\n'
+            b"n,flag,x\n"
+            b"1.0000000000000000e+00,1.0000000000000000e+00,inf\n"
+            b"-2.0000000000000000e+00,0.0000000000000000e+00,nan\n"
+            b"1.2345678901234568e+16,1.0000000000000000e+00,-inf\n"
+            b"0.0000000000000000e+00,0.0000000000000000e+00,1.0000000000000001e-01\n")
+
+    def test_cli_import_leaves_out_quadrature(self):
+        # no stepping or start-up path integrates, so scipy.integrate stays unloaded
+        src = str(Path(ss.__file__).resolve().parents[1])
+        code = (f"import sys; sys.path.insert(0, {src!r}); import satspread.cli; "
+                "print('scipy.integrate' in sys.modules)")
+        done = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                              text=True, check=True)
+        assert done.stdout.strip() == "False"
 
 
 class TestWaveCommand:

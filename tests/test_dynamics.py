@@ -1,6 +1,8 @@
 """Stepping, invariants and diagnostics of the two models."""
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -31,6 +33,12 @@ class TestGridField:
             field1d(np.full(17, 1.5))
         with pytest.raises(ValueError, match="\\[0, 1\\]"):
             field1d(np.full(17, -0.1))
+
+    def test_nan_rejected(self):
+        with pytest.raises(ValueError, match="finite"):
+            ss.GridField(np.array([0.5, np.nan, 0.2]), 0.1, [0.0])
+        with pytest.raises(ValueError, match="finite"):
+            ss.grid_field(1.0, 0.25, 2, lambda r: np.where(r < 0.5, np.nan, 0.0))
 
     def test_coords_and_radii(self):
         u = ss.grid_field(2.0, 0.5, 2)
@@ -261,6 +269,89 @@ class TestRun:
         res = ss.run(u0, params, st, linear_g, snapshot_interval=1.0)
         for earlier, later in zip(res.snapshots, res.snapshots[1:]):
             assert np.all(later >= earlier)
+
+
+def step_loop(u0, params, stencil, growth):
+    """Direct-convolution oracle for run(): step() to t_end, first-crossing times."""
+    u = u0
+    eps = params.saturation_eps
+    sat_time = np.where(ss.saturated_mask(u.values, eps), 0.0, np.inf)
+    for _ in range(round(params.t_end / params.dt)):
+        u, _ = ss.step(u, params, stencil, growth)
+        sat_time[ss.saturated_mask(u.values, eps) & np.isinf(sat_time)] = u.time
+    return u.values, sat_time
+
+
+GAINED = ss.linear_growth(1.0).with_gain(ss.constant_gain(0.5))
+
+#: (model, dim, box radius, t_end, saturation_eps, growth); the small boxes
+#: saturate up to the box edge.
+RUNNING_FIELD_CASES = {
+    "1d-singular": ("singular", 1, 4.0, 3.0, 0.0, None),
+    "1d-generalized-eps": ("generalized_singular", 1, 4.0, 3.0, 1e-6, GAINED),
+    "1d-to-box-edge": ("singular", 1, 2.0, 6.0, 0.0, None),
+    "2d-singular": ("singular", 2, 2.5, 2.0, 0.0, None),
+    "2d-generalized-eps": ("generalized_singular", 2, 2.5, 2.0, 1e-6, GAINED),
+    "2d-to-box-edge": ("singular", 2, 1.5, 4.0, 0.0, None),
+}
+
+
+class TestRunningMaskConvolution:
+    """run() keeps K * 1_S as a running field; step() convolves directly."""
+
+    @staticmethod
+    def compare(case, kernel_kind, linear_g):
+        model, dim, box, t_end, eps, growth = RUNNING_FIELD_CASES[case]
+        growth = growth or linear_g
+        profile = (lambda r: np.clip(1.0 - r, 0.0, None)
+                   if kernel_kind == "custom_radial" else None)
+        _, st = ss.build_kernel(kernel_kind, 1.0, dim, 0.125, profile=profile)
+        u0 = ss.grid_field(box, 0.125, dim, seed_plateau(0.5, 0.5))
+        params = ss.ModelParams(model=model, dt=0.05, t_end=t_end,
+                                saturation_eps=eps)
+        res = ss.run(u0, params, st, growth)
+        final, sat_time = step_loop(u0, params, st, growth)
+        # the front must have moved, and the edge cases must reach the edge
+        assert np.count_nonzero(np.isfinite(res.saturation_time)) > np.count_nonzero(
+            u0.values >= 1.0)
+        if "edge" in case:
+            assert np.isfinite(res.saturation_time[0]).any()
+        return res, final, sat_time
+
+    @pytest.mark.parametrize("case", sorted(RUNNING_FIELD_CASES))
+    def test_indicator_kernel_exact(self, case, linear_g):
+        res, final, sat_time = self.compare(case, "indicator_ball", linear_g)
+        assert np.array_equal(res.final.values, final)
+        assert np.array_equal(res.saturation_time, sat_time)
+
+    @pytest.mark.parametrize("case", ["1d-singular", "2d-singular",
+                                      "2d-generalized-eps"])
+    def test_custom_kernel_within_rounding(self, case, linear_g):
+        res, final, sat_time = self.compare(case, "custom_radial", linear_g)
+        assert np.max(np.abs(res.final.values - final)) <= 1e-14
+        assert np.array_equal(np.isfinite(res.saturation_time), np.isfinite(sat_time))
+        finite = np.isfinite(sat_time)
+        assert np.max(np.abs(res.saturation_time[finite] - sat_time[finite])) <= 1e-14
+
+    def test_shrinking_saturated_set_raises(self, small1d, linear_g, monkeypatch):
+        _, st = small1d
+        u0 = ss.grid_field(2.0, 0.125, 1, seed_plateau(0.5, 0.25))
+        params = ss.ModelParams(model="singular", dt=0.1, t_end=1.0)
+        # an rhs that pulls saturated cells down
+        monkeypatch.setattr(ss.dynamics, "model_rhs",
+                            lambda u, *a, **k: -1.0 * (u.values >= 1.0))
+        with pytest.raises(ss.InvariantViolation, match="left the saturated set"):
+            ss.run(u0, params, st, linear_g)
+
+    @pytest.mark.parametrize("model", ["singular", "gamma"])
+    def test_nan_in_the_run_raises(self, small1d, linear_g, model):
+        _, st = small1d
+        # NaN weights make every convolution NaN; min(x, nan) used to drop it
+        broken = dataclasses.replace(st, dense=st.dense * np.nan)
+        u0 = ss.grid_field(2.0, 0.125, 1, seed_plateau(0.5, 0.25))
+        params = ss.ModelParams(model=model, dt=0.01, t_end=0.1, gamma=2.0)
+        with pytest.raises(ss.InvariantViolation, match="left \\[0, 1\\]"):
+            ss.run(u0, params, broken, linear_g)
 
 
 class TestMassIdentity:

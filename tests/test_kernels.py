@@ -126,6 +126,51 @@ class TestConvolve:
         assert np.max(np.abs(fast - slow)) <= 1e-13
 
 
+class TestAddToMaskConvolution:
+    """The running K * 1_S update against a fresh direct convolution."""
+
+    @staticmethod
+    def grow(stencil, shape, seed, batches=6):
+        """Grow a random mask in batches; return the running and direct fields."""
+        rng = np.random.default_rng(seed)
+        mask = np.zeros(shape, dtype=bool)
+        conv = ss.convolve_field(stencil, mask.astype(float))
+        for _ in range(batches):
+            added = (rng.uniform(size=shape) < rng.uniform(0.0, 0.2)) & ~mask
+            mask |= added
+            ss.add_to_mask_convolution(stencil, conv, mask, added)
+        return conv, ss.convolve_field(stencil, mask.astype(float))
+
+    @pytest.mark.parametrize("dim,shape", [(1, (301,)), (2, (41, 37))])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_indicator_bit_identical(self, dim, shape, seed):
+        _, stencil = ss.build_kernel("indicator_ball", 1.0, dim, 0.1)
+        running, direct = self.grow(stencil, shape, seed)
+        assert np.array_equal(running, direct)
+
+    @pytest.mark.parametrize("dim,shape", [(1, (301,)), (2, (41, 37))])
+    def test_custom_kernel(self, dim, shape):
+        _, stencil = ss.build_kernel("custom_radial", 1.0, dim, 0.1,
+                                     profile=cone_profile)
+        running, direct = self.grow(stencil, shape, seed=5)
+        if dim == 1:  # recomputed with the dot products of np.convolve
+            assert np.array_equal(running, direct)
+        assert np.max(np.abs(running - direct)) <= 1e-14
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_cells_at_the_box_edge(self, dim):
+        _, stencil = ss.build_kernel("indicator_ball", 1.0, dim, 0.25)
+        shape = (9,) * dim
+        mask = np.zeros(shape, dtype=bool)
+        conv = ss.convolve_field(stencil, mask.astype(float))
+        for cell in [(0,) * dim, (8,) * dim, (4,) * dim, (1,) * dim]:
+            added = np.zeros(shape, dtype=bool)
+            added[cell] = True
+            mask |= added
+            ss.add_to_mask_convolution(stencil, conv, mask, added)
+            assert np.array_equal(conv, ss.convolve_field(stencil, mask.astype(float)))
+
+
 class TestFrontProfile:
     def test_d1_indicator_matches_closed_form(self, front_profile_1d):
         s = front_profile_1d.s
