@@ -18,8 +18,7 @@ from .config import ConfigError, RunConfig, build_initial_field, load_config
 from .dynamics import (GridField, ModelParams, RunResult, discrete_lipschitz,
                        gradient_tv_surrogate, grid_field, local_production,
                        model_rhs, obstacle_residual, rhs_gamma, rhs_singular,
-                       run, saturated_mask, saturation_time_map, stability_cap,
-                       step)
+                       run, saturated_mask, stability_cap, step)
 from .errors import BracketError, InvariantViolation, ScientificError
 from .growth import (GainLaw, GrowthError, GrowthLaw, constant_gain,
                      linear_growth, logistic_growth, tabulated_gain,

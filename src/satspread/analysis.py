@@ -9,8 +9,8 @@ from typing import Sequence
 import numpy as np
 from scipy import ndimage
 
-from .dynamics import (GridField, ModelParams, RunResult, rhs_singular, run,
-                       stability_cap, step)
+from .dynamics import (GridField, ModelParams, RunResult, _euler_steps,
+                       rhs_singular, run, stability_cap)
 from .growth import GrowthLaw
 from .kernels import ConvolutionStencil, Kernel, front_profile
 from .waves import WaveProfile, sample_wave
@@ -114,19 +114,14 @@ def comparison_harness(u0_low: GridField, u0_high: GridField,
     if np.any(u0_low.values > u0_high.values):
         raise ValueError("initial data must satisfy u_low <= u_high pointwise")
 
-    low, high = u0_low.copy(), u0_high.copy()
-    worst = float(np.max(low.values - high.values))
-    n_full = int(math.floor(params.t_end / params.dt + 1e-12))
-    remainder = params.t_end - n_full * params.dt
-    steps = [params.dt] * n_full
-    if remainder > 1e-12 * params.dt:
-        steps.append(remainder)
-    for dt_k in steps:
-        low, _ = step(low, params, stencil, growth, dt=dt_k)
-        high, _ = step(high, params, stencil, growth, dt=dt_k)
+    worst = float(np.max(u0_low.values - u0_high.values))
+    n_steps = 0
+    for (low, *_), (high, *_) in zip(_euler_steps(u0_low, params, stencil, growth),
+                                     _euler_steps(u0_high, params, stencil, growth)):
         worst = max(worst, float(np.max(low.values - high.values)))
+        n_steps += 1
     return ComparisonReport(max_violation=worst, passed=worst <= tolerance,
-                            n_steps=len(steps), tolerance=tolerance)
+                            n_steps=n_steps, tolerance=tolerance)
 
 
 @dataclass(frozen=True)
@@ -187,10 +182,8 @@ def comparison_counterexample(kernel: Kernel, stencil: ConvolutionStencil,
     crossed = False
     first_t = math.nan
     min_gap = float(upper.values[probe_idx] - lower.values[probe_idx])
-    n_steps = int(math.ceil(horizon / dt - 1e-12))
-    for _ in range(n_steps):
-        upper, _ = step(upper, params, stencil, growth)
-        lower, _ = step(lower, params, stencil, growth)
+    for (upper, *_), (lower, *_) in zip(_euler_steps(upper, params, stencil, growth),
+                                        _euler_steps(lower, params, stencil, growth)):
         gap = float(upper.values[probe_idx] - lower.values[probe_idx])
         min_gap = min(min_gap, gap)
         if gap < 0.0 and not crossed:
@@ -231,7 +224,7 @@ def gamma_convergence_study(u0: GridField, gamma_list: Sequence[float],
         raise ValueError("gamma_list must be strictly increasing")
 
     def gamma_final(gamma: float) -> tuple[float, np.ndarray]:
-        dt = stability_cap("gamma", growth, gamma=gamma)
+        dt = stability_cap("gamma", growth, gamma)
         params = ModelParams(model="gamma", gamma=gamma, dt=dt, t_end=horizon)
         res = run(u0, params, stencil, growth)
         return dt, res.final.values

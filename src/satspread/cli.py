@@ -11,7 +11,7 @@ from .analysis import (comparison_harness, estimate_speed,
                        gamma_convergence_study, support_confinement_check,
                        track_fronts)
 from .config import ConfigError, RunConfig, build_initial_field, load_config
-from .dynamics import GridField, run, saturation_time_map
+from .dynamics import GridField, run
 from .errors import ScientificError
 from .kernels import front_profile
 from .output import write_csv, write_field_csv, write_json
@@ -38,8 +38,6 @@ def main(argv=None) -> int:
         cmd.add_argument("--out", default=None, help="output directory override")
         cmd.add_argument("--threads", type=int, default=1,
                          help="worker threads for independent runs")
-        cmd.add_argument("--seed", type=int, default=None,
-                         help="reserved for randomized property suites")
     args = parser.parse_args(argv)
 
     try:
@@ -77,10 +75,6 @@ def main(argv=None) -> int:
         return EXIT_IO
 
 
-def _resolved(cfg: RunConfig) -> dict:
-    return cfg.raw
-
-
 def _initial_field(cfg: RunConfig, spec=None) -> GridField:
     spec = cfg.initial_spec if spec is None else spec
     sampler = None
@@ -110,21 +104,21 @@ def _cmd_simulate(cfg: RunConfig, out_dir: Path, threads: int = 1) -> int:
     for idx, (t, snap) in enumerate(zip(result.times, result.snapshots)):
         field = GridField(snap, grid.spacing, grid.origin, t)
         write_field_csv(out_dir / f"snapshot_{idx:04d}.csv", field,
-                        config=_resolved(cfg))
-    sat = saturation_time_map(result)
+                        config=cfg.raw)
+    sat = result.saturation_time
     if grid.dim == 1:
         write_csv(out_dir / "saturation_time.csv", ["x", "t_saturated"],
-                  [grid.axis_coords(0), sat], config=_resolved(cfg))
+                  [grid.axis_coords(0), sat], config=cfg.raw)
     else:
         write_csv(out_dir / "saturation_time.csv", ["t_saturated"],
-                  [sat.ravel(order="C")], config=_resolved(cfg))
+                  [sat.ravel(order="C")], config=cfg.raw)
     write_json(out_dir / "summary.json",
                {"final_time": result.final.time,
                 "clamped_total": result.clamped_total,
                 "monitors": result.monitors,
                 "snapshot_times": list(result.times),
                 "warnings": cfg.warnings},
-               config=_resolved(cfg))
+               config=cfg.raw)
     if result.monitors["time_monotonicity_gap"] > 0.0:
         print("scientific failure: monotonicity violated during the run",
               file=sys.stderr)
@@ -145,9 +139,9 @@ def _cmd_wave(cfg: RunConfig, out_dir: Path, threads: int = 1) -> int:
                 "tol": result.tol, "analytic_bounds": list(result.analytic_bounds),
                 "phi_ell_lo": result.phi_ell_lo, "phi_ell_hi": result.phi_ell_hi,
                 "interior_min": result.interior_min, "ode_step": result.ode_step},
-               config=_resolved(cfg))
+               config=cfg.raw)
     write_csv(out_dir / "front_profile.csv", ["s", "h"],
-              [profile.s, profile.samples], config=_resolved(cfg))
+              [profile.s, profile.samples], config=cfg.raw)
     s_max = cfg.study.get("s_max", 2.0 * cfg.kernel.radius)
     for tag, factor in (("cstar", 1.0), ("1p5cstar", 1.5), ("2cstar", 2.0)):
         wave = shoot_profile(factor * result.c_star, cfg.growth, profile,
@@ -158,7 +152,7 @@ def _cmd_wave(cfg: RunConfig, out_dir: Path, threads: int = 1) -> int:
             # semi-compact minimal wave those values approximate.
             phi = sample_wave(wave, wave.s, minimal=True)
         write_csv(out_dir / f"profile_{tag}.csv", ["s", "phi"],
-                  [wave.s, phi], config=_resolved(cfg))
+                  [wave.s, phi], config=cfg.raw)
     # scan of the bisection signal across the analytic speed bracket
     lo, hi = result.analytic_bounds
     c_scan = np.linspace(lo, hi, 21)
@@ -167,7 +161,7 @@ def _cmd_wave(cfg: RunConfig, out_dir: Path, threads: int = 1) -> int:
                                       ode_step=cfg.study.get("ode_step"))
                         .phi_at_ell for c in c_scan])
     write_csv(out_dir / "speed_scan.csv", ["c", "phi_at_ell"],
-              [c_scan, phi_ell], config=_resolved(cfg))
+              [c_scan, phi_ell], config=cfg.raw)
     return EXIT_OK
 
 
@@ -189,7 +183,7 @@ def _cmd_speed(cfg: RunConfig, out_dir: Path, threads: int = 1) -> int:
     write_csv(out_dir / "front_track.csv",
               ["t", "radius_saturated", "radius_support"],
               [track.times, track.radius_saturated, track.radius_support],
-              config=_resolved(cfg))
+              config=cfg.raw)
     write_json(out_dir / "speed_report.json",
                {"fitted_speed": estimate.fitted_speed,
                 "reference_c_star": reference, "speed_ratio": ratio,
@@ -198,7 +192,7 @@ def _cmd_speed(cfg: RunConfig, out_dir: Path, threads: int = 1) -> int:
                 "degenerate": estimate.degenerate,
                 "confinement_violations": confinement.total_violations,
                 "passed": passed},
-               config=_resolved(cfg))
+               config=cfg.raw)
     return EXIT_OK if passed else EXIT_SCIENCE
 
 
@@ -211,14 +205,14 @@ def _cmd_converge(cfg: RunConfig, out_dir: Path, threads: int = 1) -> int:
                                     max_workers=max(1, threads))
     write_csv(out_dir / "gamma_distances.csv", ["gamma", "dt", "sup_distance"],
               [np.asarray(study.gammas), np.asarray(study.dts),
-               np.asarray(study.distances)], config=_resolved(cfg))
+               np.asarray(study.distances)], config=cfg.raw)
     write_json(out_dir / "converge_report.json",
                {"gammas": list(study.gammas), "distances": list(study.distances),
                 "reference_dt": study.reference_dt, "horizon": study.horizon,
                 "threshold": study.threshold,
                 "strictly_decreasing": study.strictly_decreasing,
                 "passed": study.passed},
-               config=_resolved(cfg))
+               config=cfg.raw)
     return EXIT_OK if study.passed else EXIT_SCIENCE
 
 
@@ -232,7 +226,7 @@ def _cmd_compare(cfg: RunConfig, out_dir: Path, threads: int = 1) -> int:
     write_json(out_dir / "compare_report.json",
                {"max_violation": report.max_violation, "passed": report.passed,
                 "n_steps": report.n_steps, "tolerance": report.tolerance},
-               config=_resolved(cfg))
+               config=cfg.raw)
     return EXIT_OK if report.passed else EXIT_SCIENCE
 
 

@@ -26,7 +26,7 @@ _SECTION_KEYS = {
                "cutoff", "value", "speed_factor", "offset"},
     "domain_high": {"initial", "height", "radius", "ramp", "sigma", "cutoff",
                     "value", "speed_factor", "offset"},
-    "output": {"directory", "snapshot_interval", "formats"},
+    "output": {"directory", "snapshot_interval"},
     "study": {"window_fraction", "tolerance", "gamma_list", "threshold",
               "wave_tol", "ode_step", "sample_spacing", "s_max"},
 }
@@ -180,7 +180,7 @@ def load_config(path: str | Path, command: str = "simulate") -> RunConfig:
     if params.model == "generalized_singular" and growth.gain is None:
         raise ConfigError("[growth] gain_kind is required for the generalized model")
 
-    cap = stability_cap(params, growth)
+    cap = stability_cap(params.model, growth, params.gamma)
     if params.dt > cap * (1 + 1e-12):
         raise ConfigError(
             f"[model] dt = {params.dt} exceeds the stability cap {cap:.6g}")

@@ -2,8 +2,8 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from dataclasses import dataclass
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -104,21 +104,26 @@ class ModelParams:
             raise ValueError("saturation_eps must lie in [0, 1e-6]")
 
 
-def stability_cap(params: ModelParams | str, growth: GrowthLaw,
-                  gamma: float | None = None) -> float:
+def stability_cap(model: str, growth: GrowthLaw, gamma: float | None = None) -> float:
     """Largest admissible explicit step for the chosen model."""
-    model = params if isinstance(params, str) else params.model
-    if not isinstance(params, str):
-        gamma = params.gamma
     L = growth.lipschitz
     if model == "gamma":
-        return min(_CAP_FACTOR / L, _CAP_FACTOR / (gamma * L))
+        return _CAP_FACTOR / (gamma * L)
     rate = growth.sup
     if model == "generalized_singular":
         if growth.gain is None:
             raise ValueError("generalized model requires a gain law")
         rate = growth.sup + growth.gain.sup
     return _CAP_FACTOR / max(L, rate)
+
+
+def _check_stepping(u: GridField, params: ModelParams, stencil: ConvolutionStencil,
+                    growth: GrowthLaw) -> None:
+    if stencil.grid_spacing != u.spacing:
+        raise ValueError("stencil and field grid spacing differ")
+    cap = stability_cap(params.model, growth, params.gamma)
+    if params.dt > cap * (1 + 1e-12):
+        raise ValueError(f"dt={params.dt} exceeds the stability cap {cap:.6g}")
 
 
 def saturated_mask(values: np.ndarray, saturation_eps: float = 0.0) -> np.ndarray:
@@ -173,73 +178,106 @@ def model_rhs(u: GridField, params: ModelParams, stencil: ConvolutionStencil,
 
 
 def step(u: GridField, params: ModelParams, stencil: ConvolutionStencil,
-         growth: GrowthLaw, dt: float | None = None,
-         ) -> tuple[GridField, np.ndarray]:
-    """One clamped explicit Euler step.
+         growth: GrowthLaw) -> tuple[GridField, np.ndarray]:
+    """One clamped explicit Euler step with the direct convolution.
 
     Returns the advanced field and the boolean mask of cells clamped at the
     ceiling on this step.  Clamping realizes the constraint u <= 1 exactly and
-    is what drives cells into the saturated set in finite time.
+    is what drives cells into the saturated set in finite time.  ``run`` and
+    the comparison harnesses step with ``_euler_steps`` instead; this one is
+    their test oracle.
     """
-    dt = params.dt if dt is None else dt
-    cap = stability_cap(params, growth)
-    if dt > cap * (1 + 1e-12):
-        raise ValueError(f"dt={dt} exceeds the stability cap {cap:.6g}")
-    if stencil.grid_spacing != u.spacing:
-        raise ValueError("stencil and field grid spacing differ")
+    _check_stepping(u, params, stencil, growth)
     rhs = model_rhs(u, params, stencil, growth)
-    proposed = u.values + dt * rhs
+    proposed = u.values + params.dt * rhs
     clamped = proposed > 1.0
     new_values = np.minimum(proposed, 1.0)
-    return GridField(new_values, u.spacing, u.origin, u.time + dt), clamped
+    return GridField(new_values, u.spacing, u.origin, u.time + params.dt), clamped
+
+
+def _euler_steps(u0: GridField, params: ModelParams, stencil: ConvolutionStencil,
+                 growth: GrowthLaw) -> Iterator[tuple]:
+    """Clamped explicit Euler steps from ``u0`` to ``params.t_end``.
+
+    Yields ``(u, rhs, clamped, newly)`` after each step: the advanced field,
+    the right-hand side it was advanced with, the cells clamped at the ceiling
+    and the cells that joined the saturated set ``S``.  The steps are whole
+    ``dt`` steps plus one shorter last step when ``t_end`` is not a multiple
+    of ``dt``.
+
+    For the saturated models the only nonlocal term is ``K * 1_S``, and ``S``
+    only grows.  So ``K * 1_S`` is convolved once and then updated at the
+    cells that join ``S``; a cell leaving ``S`` raises ``InvariantViolation``,
+    and so does a density outside [0, 1] or NaN.
+    """
+    _check_stepping(u0, params, stencil, growth)
+    u = u0
+    eps = params.saturation_eps
+    sat = saturated_mask(u.values, eps)
+    # K * 1_S for the saturated models, brought up to date as cells join S.
+    mask_conv = (None if params.model == "gamma"
+                 else convolve_field(stencil, sat.astype(float)))
+
+    n_full = int(math.floor(params.t_end / params.dt + 1e-12))
+    remainder = params.t_end - n_full * params.dt
+    if remainder < 1e-12 * params.dt:
+        remainder = 0.0
+    for k in range(n_full + (1 if remainder else 0)):
+        dt_k = params.dt if k < n_full else remainder
+        rhs = model_rhs(u, params, stencil, growth, mask_conv=mask_conv)
+        proposed = u.values + dt_k * rhs
+        clamped = proposed > 1.0
+        new_values = np.minimum(proposed, 1.0)
+        # min propagates NaN, which fails the test; the clamp caps the max at 1.
+        lo = float(new_values.min())
+        if not lo >= 0.0:
+            raise InvariantViolation(
+                f"density left [0, 1] at t={u.time + dt_k:.6g}"
+                f" (min {lo}, max {float(new_values.max())})")
+
+        u = GridField(new_values, u.spacing, u.origin, u.time + dt_k)
+        new_sat = saturated_mask(u.values, eps)
+        if np.any(sat & ~new_sat):
+            raise InvariantViolation(
+                f"{np.count_nonzero(sat & ~new_sat)} cells left the saturated set"
+                f" at t={u.time:.6g}")
+        newly = new_sat & ~sat
+        sat = new_sat
+        if mask_conv is not None:
+            add_to_mask_convolution(stencil, mask_conv, sat, newly)
+        yield u, rhs, clamped, newly
 
 
 @dataclass
 class RunResult:
-    """Trajectory summary with snapshots, masks and invariant monitors."""
+    """Trajectory summary with snapshots, saturation times and invariant monitors."""
 
     final: GridField
     saturation_time: np.ndarray
     times: list[float]
     snapshots: list[np.ndarray]
-    masks: list[np.ndarray]
     clamped_total: int
     monitors: dict[str, float]
 
     @property
-    def initial(self) -> np.ndarray:
-        return self.snapshots[0]
+    def masks(self) -> list[np.ndarray]:
+        """Saturated set at each snapshot (``S`` only grows)."""
+        return [self.saturation_time <= t for t in self.times]
 
 
 def run(u0: GridField, params: ModelParams, stencil: ConvolutionStencil,
         growth: GrowthLaw, snapshot_interval: float | None = None,
-        observers: Sequence[Callable[[GridField], None]] = (),
         record_lipschitz: bool = False) -> RunResult:
     """Advance the model to t_end, recording snapshots and invariant monitors.
 
     Snapshots are taken at t = 0, every ``snapshot_interval`` time units, and
     at the final time.  Saturation times use the first-crossing convention:
     the recorded time is the end of the step on which a cell first reaches
-    the (eps-adjusted) ceiling.
-
-    For the saturated models the only nonlocal term is ``K * 1_S``, and the
-    saturated set ``S`` only grows.  So ``K * 1_S`` is convolved once and then
-    updated at the cells that join ``S``; a cell leaving ``S`` raises
-    ``InvariantViolation``, and so does a density outside [0, 1] or NaN.
+    the (eps-adjusted) ceiling.  The steps and their invariant checks are
+    those of ``_euler_steps``.
     """
-    if stencil.grid_spacing != u0.spacing:
-        raise ValueError("stencil and field grid spacing differ")
-    cap = stability_cap(params, growth)
-    if params.dt > cap * (1 + 1e-12):
-        raise ValueError(f"dt={params.dt} exceeds the stability cap {cap:.6g}")
-
     u = u0.copy()
-    eps = params.saturation_eps
-    sat = saturated_mask(u.values, eps)
-    sat_time = np.where(sat, 0.0, np.inf)
-    # K * 1_S for the saturated models, brought up to date as cells join S.
-    mask_conv = (None if params.model == "gamma"
-                 else convolve_field(stencil, sat.astype(float)))
+    sat_time = np.where(saturated_mask(u.values, params.saturation_eps), 0.0, np.inf)
 
     # "mask_monotonicity_violations" stays 0: a shrinking S raises instead.
     monitors = {"min_u": float(u.values.min()), "max_u": float(u.values.max()),
@@ -250,69 +288,35 @@ def run(u0: GridField, params: ModelParams, stencil: ConvolutionStencil,
 
     times = [u.time]
     snapshots = [u.values.copy()]
-    masks = [sat.copy()]
-    for obs in observers:
-        obs(u)
-
-    n_full = int(math.floor(params.t_end / params.dt + 1e-12))
-    remainder = params.t_end - n_full * params.dt
-    if remainder < 1e-12 * params.dt:
-        remainder = 0.0
     next_snapshot = snapshot_interval if snapshot_interval else math.inf
-
     clamped_total = 0
-    for k in range(n_full + (1 if remainder else 0)):
-        dt_k = params.dt if k < n_full else remainder
-        rhs = model_rhs(u, params, stencil, growth, mask_conv=mask_conv)
-        proposed = u.values + dt_k * rhs
-        clamped_total += int(np.count_nonzero(proposed > 1.0))
-        new_values = np.minimum(proposed, 1.0)
-
-        # min/max propagate NaN, and NaN fails both comparisons.
-        lo, hi = float(new_values.min()), float(new_values.max())
-        if not (lo >= 0.0 and hi <= 1.0):
-            raise InvariantViolation(
-                f"density left [0, 1] at t={u.time + dt_k:.6g} (min {lo}, max {hi})")
-        monitors["min_u"] = min(monitors["min_u"], lo)
-        monitors["max_u"] = max(monitors["max_u"], hi)
+    last_recorded = True
+    for new, rhs, clamped, newly in _euler_steps(u, params, stencil, growth):
+        clamped_total += int(np.count_nonzero(clamped))
+        monitors["min_u"] = min(monitors["min_u"], float(new.values.min()))
+        monitors["max_u"] = max(monitors["max_u"], float(new.values.max()))
         monitors["max_rhs"] = max(monitors["max_rhs"], float(rhs.max(initial=0.0)))
-        gap = float((u.values - new_values).max(initial=0.0))
+        gap = float((u.values - new.values).max(initial=0.0))
         monitors["time_monotonicity_gap"] = max(monitors["time_monotonicity_gap"], gap)
-
-        u = GridField(new_values, u.spacing, u.origin, u.time + dt_k)
-        new_sat = saturated_mask(u.values, eps)
-        if np.any(sat & ~new_sat):
-            raise InvariantViolation(
-                f"{np.count_nonzero(sat & ~new_sat)} cells left the saturated set"
-                f" at t={u.time:.6g}")
-        newly = new_sat & ~sat
+        u = new
         sat_time[newly] = u.time
-        sat = new_sat
-        if mask_conv is not None:
-            add_to_mask_convolution(stencil, mask_conv, sat, newly)
-
         if record_lipschitz:
             monitors["max_lipschitz"] = max(monitors["max_lipschitz"],
                                             discrete_lipschitz(u))
 
-        is_last = k == n_full + (1 if remainder else 0) - 1
-        if u.time >= next_snapshot - 1e-12 or is_last:
+        last_recorded = u.time >= next_snapshot - 1e-12
+        if last_recorded:
             times.append(u.time)
             snapshots.append(u.values.copy())
-            masks.append(sat.copy())
-            for obs in observers:
-                obs(u)
             while next_snapshot <= u.time + 1e-12:
                 next_snapshot += snapshot_interval
+    if not last_recorded:
+        times.append(u.time)
+        snapshots.append(u.values.copy())
 
     return RunResult(final=u, saturation_time=sat_time, times=times,
-                     snapshots=snapshots, masks=masks,
-                     clamped_total=clamped_total, monitors=monitors)
-
-
-def saturation_time_map(result: RunResult) -> np.ndarray:
-    """Per-cell first saturation time; +inf marks never-saturated cells."""
-    return result.saturation_time.copy()
+                     snapshots=snapshots, clamped_total=clamped_total,
+                     monitors=monitors)
 
 
 def obstacle_residual(u_before: GridField, u_after: GridField, dt: float,

@@ -235,7 +235,10 @@ def convolve_field(stencil: ConvolutionStencil, values: np.ndarray) -> np.ndarra
     if values.ndim != stencil.dim:
         raise ValueError(f"field has {values.ndim} axes, stencil expects {stencil.dim}")
     if stencil.dim == 1:
-        return np.convolve(values, stencil.dense, mode="same")
+        # mode="same" returns max(cells, taps) values; this slice is the same
+        # on boxes at least as long as the stencil.
+        r, n = stencil.reach, values.shape[0]
+        return np.convolve(values, stencil.dense, mode="full")[r:r + n]
     return ndimage.convolve(values, stencil.dense, mode="constant", cval=0.0)
 
 
@@ -257,7 +260,7 @@ def add_to_mask_convolution(stencil: ConvolutionStencil, conv: np.ndarray,
       splits the sum over several accumulators, so a running sum differs from
       it in the last bits.  The outputs within reach of the new cells are
       recomputed instead, with the same dot products, which is bit-identical
-      for every kernel.
+      for every kernel.  A box shorter than the stencil is convolved afresh.
     """
     r = stencil.reach
     dense = stencil.dense
@@ -271,17 +274,22 @@ def add_to_mask_convolution(stencil: ConvolutionStencil, conv: np.ndarray,
     cells = np.flatnonzero(added)
     if cells.size == 0:
         return
+    n = conv.shape[0]
+    if n <= 2 * r:
+        # On a box shorter than the stencil np.convolve swaps its operands and
+        # so sums in another order; every output is within reach anyway.
+        conv[:] = convolve_field(stencil, mask)
+        return
     # Merge the reaches of nearby cells, so one step costs at most about one
     # full convolution.
     cut = np.flatnonzero(np.diff(cells) > 2 * r + 1)
-    n = conv.shape[0]
     taps = dense[::-1]
     for first, last in zip(cells[np.r_[0, cut + 1]].tolist(),
                            cells[np.r_[cut, cells.size - 1]].tolist()):
         lo, hi = max(first - r, 0), min(last + r + 1, n)
-        # np.convolve(mode="same") gives output j the dot product of the
-        # input over [j - r, j + r] clipped to the box, summed from its first
-        # cell; the unclipped outputs come from one correlate call.
+        # convolve_field gives output j the dot product of the input over
+        # [j - r, j + r] clipped to the box, summed from its first cell; the
+        # unclipped outputs come from one correlate call.
         a, b = max(lo, r), min(hi, n - r)
         if a < b:
             conv[a:b] = np.correlate(mask[a - r:b + r].astype(float), taps,

@@ -18,14 +18,15 @@ def synthetic_translation(wave, speed, box_radius, spacing, times, start):
     """RunResult holding a rigidly translating sampled wave, no dynamics."""
     grid = ss.grid_field(box_radius, spacing, 1)
     x = grid.axis_coords(0)
-    snapshots, masks = [], []
-    for t in times:
-        vals = ss.sample_wave(wave, x - speed * t - start, minimal=True)
-        snapshots.append(vals)
-        masks.append(vals >= 1.0)
+    snapshots = [ss.sample_wave(wave, x - speed * t - start, minimal=True)
+                 for t in times]
+    # first snapshot time at which each cell is saturated; masks derive from it
+    saturated = np.array(snapshots) >= 1.0
+    sat_time = np.where(saturated.any(axis=0),
+                        np.asarray(times)[saturated.argmax(axis=0)], np.inf)
     final = ss.GridField(snapshots[-1], spacing, grid.origin, times[-1])
-    return ss.RunResult(final=final, saturation_time=np.zeros_like(x),
-                        times=list(times), snapshots=snapshots, masks=masks,
+    return ss.RunResult(final=final, saturation_time=sat_time,
+                        times=list(times), snapshots=snapshots,
                         clamped_total=0, monitors={})
 
 
@@ -100,6 +101,15 @@ class TestComparison:
         params = ss.ModelParams(model="singular", dt=0.1, t_end=3.0)
         report = ss.comparison_harness(low, high, params, st, g)
         assert report.max_violation <= 1e-12 and report.passed
+
+    def test_horizon_off_the_step_grid_ends_with_a_short_step(self, coarse1d,
+                                                              linear_g):
+        _, st = coarse1d
+        u = ss.grid_field(4.0, 0.125, 1, seed_plateau(1.0, 0.5))
+        params = ss.ModelParams(model="singular", dt=0.1, t_end=0.25)
+        report = ss.comparison_harness(u, u.copy(), params, st, linear_g)
+        assert report.n_steps == 2 + 1
+        assert report.passed
 
     def test_preconditions(self, coarse1d, linear_g):
         _, st = coarse1d
@@ -221,10 +231,9 @@ class TestEnvelopes:
         snapshots = [ss.sample_wave(minimal_wave,
                                     radii - minimal_wave.c * t - r0,
                                     minimal=True) for t in times]
-        masks = [s >= 1.0 for s in snapshots]
         final = ss.GridField(snapshots[-1], spacing, grid.origin, times[-1])
         res = ss.RunResult(final=final, saturation_time=np.zeros_like(radii),
-                           times=times, snapshots=snapshots, masks=masks,
+                           times=times, snapshots=snapshots,
                            clamped_total=0, monitors={})
         # a radial sampler moving slower than the field stays dominated
         gap = ss.subsolution_gap(res, minimal_wave, 0.9 * minimal_wave.c,

@@ -70,6 +70,12 @@ class TestLoadConfig:
         with pytest.raises(ss.ConfigError, match="rtae"):
             ss.load_config(write_config(tmp_path, bad))
 
+    def test_output_formats_key_rejected(self, tmp_path):
+        bad = BASE.replace("snapshot_interval = 0.5",
+                           "snapshot_interval = 0.5\nformats = csv")
+        with pytest.raises(ss.ConfigError, match="unknown key 'formats'"):
+            ss.load_config(write_config(tmp_path, bad))
+
     def test_unknown_section_rejected(self, tmp_path):
         with pytest.raises(ss.ConfigError, match="extras"):
             ss.load_config(write_config(tmp_path, BASE + "\n[extras]\nfoo = 1\n"))
@@ -279,5 +285,17 @@ class TestStudyCommands:
     def test_seed_and_threads_flags_accepted(self, tmp_path):
         cfg_path = write_config(tmp_path, BASE)
         assert main(["simulate", "--config", str(cfg_path),
-                     "--out", str(tmp_path / "s"), "--threads", "2",
-                     "--seed", "7"]) == 0
+                     "--out", str(tmp_path / "s"), "--threads", "2"]) == 0
+        with pytest.raises(SystemExit) as exc:
+            main(["simulate", "--config", str(cfg_path),
+                  "--out", str(tmp_path / "s"), "--seed", "7"])
+        assert exc.value.code == 2
+
+    def test_box_shorter_than_the_stencil_simulates(self, tmp_path):
+        text = BASE.replace("box_radius = 4.0", "box_radius = 0.5").replace(
+            "dx = 0.05", "dx = 0.125")
+        cfg_path = write_config(tmp_path, text)
+        out = tmp_path / "short"
+        assert main(["simulate", "--config", str(cfg_path), "--out", str(out)]) == 0
+        cols = read_csv_columns(out / "saturation_time.csv")
+        assert len(cols["x"]) == 9

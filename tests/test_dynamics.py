@@ -61,10 +61,8 @@ class TestModelParams:
             ss.ModelParams(model="nope", dt=0.1, t_end=1.0)
 
     def test_stability_caps(self, linear_g):
-        p_gamma = ss.ModelParams(model="gamma", gamma=8.0, dt=0.01, t_end=1.0)
-        assert ss.stability_cap(p_gamma, linear_g) == pytest.approx(0.1 / 8.0)
-        p_sing = ss.ModelParams(model="singular", dt=0.01, t_end=1.0)
-        assert ss.stability_cap(p_sing, linear_g) == pytest.approx(0.1)
+        assert ss.stability_cap("gamma", linear_g, 8.0) == pytest.approx(0.1 / 8.0)
+        assert ss.stability_cap("singular", linear_g) == pytest.approx(0.1)
         gained = linear_g.with_gain(ss.constant_gain(1.0))
         assert ss.stability_cap("generalized_singular", gained) == pytest.approx(0.05)
 
@@ -222,17 +220,6 @@ class TestRun:
         assert np.all(np.isfinite(res.saturation_time))
         assert np.all(res.final.values == 1.0)
 
-    def test_observers_invoked_at_snapshot_times(self, small1d, linear_g):
-        _, st = small1d
-        u0 = ss.grid_field(2.0, 0.125, 1, seed_plateau(0.5, 0.25))
-        params = ss.ModelParams(model="singular", dt=0.1, t_end=1.0)
-        seen = []
-        ss.run(u0, params, st, linear_g, snapshot_interval=0.5,
-               observers=[lambda field: seen.append(field.time)])
-        assert seen[0] == 0.0
-        assert seen[-1] == pytest.approx(1.0)
-        assert len(seen) == 3
-
     def test_gamma_model_runs_and_stays_bounded(self, small2d, linear_g):
         _, st = small2d
         u0 = ss.grid_field(2.0, 0.125, 2, seed_plateau(0.5, 0.25))
@@ -290,6 +277,7 @@ RUNNING_FIELD_CASES = {
     "1d-singular": ("singular", 1, 4.0, 3.0, 0.0, None),
     "1d-generalized-eps": ("generalized_singular", 1, 4.0, 3.0, 1e-6, GAINED),
     "1d-to-box-edge": ("singular", 1, 2.0, 6.0, 0.0, None),
+    "1d-box-below-stencil": ("singular", 1, 0.875, 2.0, 0.0, None),
     "2d-singular": ("singular", 2, 2.5, 2.0, 0.0, None),
     "2d-generalized-eps": ("generalized_singular", 2, 2.5, 2.0, 1e-6, GAINED),
     "2d-to-box-edge": ("singular", 2, 1.5, 4.0, 0.0, None),
@@ -309,13 +297,19 @@ class TestRunningMaskConvolution:
         u0 = ss.grid_field(box, 0.125, dim, seed_plateau(0.5, 0.5))
         params = ss.ModelParams(model=model, dt=0.05, t_end=t_end,
                                 saturation_eps=eps)
-        res = ss.run(u0, params, st, growth)
+        res = ss.run(u0, params, st, growth, snapshot_interval=0.5)
         final, sat_time = step_loop(u0, params, st, growth)
+        # the masks are derived from the saturation times
+        assert len(res.masks) == len(res.snapshots) > 2
+        for mask, snap in zip(res.masks, res.snapshots):
+            assert np.array_equal(mask, ss.saturated_mask(snap, eps))
         # the front must have moved, and the edge cases must reach the edge
         assert np.count_nonzero(np.isfinite(res.saturation_time)) > np.count_nonzero(
             u0.values >= 1.0)
         if "edge" in case:
             assert np.isfinite(res.saturation_time[0]).any()
+        if "below-stencil" in case:
+            assert u0.shape[0] < st.dense.shape[0]
         return res, final, sat_time
 
     @pytest.mark.parametrize("case", sorted(RUNNING_FIELD_CASES))
@@ -381,7 +375,7 @@ class TestSaturationTimes:
         u0 = ss.grid_field(4.0, 0.125, 1, seed_plateau(1.0, 0.5))
         params = ss.ModelParams(model="singular", dt=0.1, t_end=1.0)
         res = ss.run(u0, params, st, linear_g)
-        times = ss.saturation_time_map(res)
+        times = res.saturation_time
         assert np.all(times[u0.values >= 1.0] == 0.0)
 
     def test_seed_saturation_time_monotone_in_distance(self, small1d, linear_g):
@@ -389,7 +383,7 @@ class TestSaturationTimes:
         u0 = ss.grid_field(4.0, 0.125, 1, seed_plateau(0.5, 0.25))
         params = ss.ModelParams(model="singular", dt=0.05, t_end=20.0)
         res = ss.run(u0, params, st, linear_g)
-        times = ss.saturation_time_map(res)
+        times = res.saturation_time
         center = u0.shape[0] // 2
         right = times[center:]
         assert np.all(np.diff(right) >= 0.0)

@@ -125,6 +125,19 @@ class TestConvolve:
         slow = brute_convolve(stencil, field)
         assert np.max(np.abs(fast - slow)) <= 1e-13
 
+    @pytest.mark.parametrize("cells", [1, 5, 16, 17, 18, 40])
+    def test_box_shorter_than_the_stencil(self, cells):
+        _, stencil = ss.build_kernel("custom_radial", 1.0, 1, 0.125,
+                                     profile=cone_profile)
+        taps = stencil.dense.shape[0]
+        assert taps == 17
+        field = np.random.default_rng(cells).uniform(size=cells)
+        out = ss.convolve_field(stencil, field)
+        assert out.shape == (cells,)
+        assert np.max(np.abs(out - brute_convolve(stencil, field))) <= 1e-15
+        if cells >= taps:  # the centered part of the full convolution
+            assert np.array_equal(out, np.convolve(field, stencil.dense, mode="same"))
+
 
 class TestAddToMaskConvolution:
     """The running K * 1_S update against a fresh direct convolution."""
@@ -146,6 +159,13 @@ class TestAddToMaskConvolution:
     def test_indicator_bit_identical(self, dim, shape, seed):
         _, stencil = ss.build_kernel("indicator_ball", 1.0, dim, 0.1)
         running, direct = self.grow(stencil, shape, seed)
+        assert np.array_equal(running, direct)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_box_shorter_than_the_stencil(self, seed):
+        _, stencil = ss.build_kernel("indicator_ball", 1.0, 1, 0.025)
+        assert stencil.dense.shape[0] == 81
+        running, direct = self.grow(stencil, (60,), seed)
         assert np.array_equal(running, direct)
 
     @pytest.mark.parametrize("dim,shape", [(1, (301,)), (2, (41, 37))])
