@@ -26,8 +26,8 @@ from .growth import (GainLaw, GrowthError, GrowthLaw, constant_gain,
 from .kernels import (CapInequalityReport, ConvolutionStencil,
                       FrontKernelProfile, Kernel, KernelError, QuadratureError,
                       add_to_mask_convolution, ball_convolution_on_ray, build_kernel,
-                      check_cap_inequality, convolve_field, convolve_mask,
-                      front_profile)
+                      check_cap_inequality, convolve_dense, convolve_field,
+                      convolve_mask, front_profile)
 from .waves import (MinimalSpeedResult, WaveProfile, export_wave, find_c_star,
                     monotone_in_c_check, sample_wave, shoot_profile)
 

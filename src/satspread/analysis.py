@@ -220,8 +220,11 @@ def gamma_convergence_study(u0: GridField, gamma_list: Sequence[float],
     not polluted by the reference's own time-discretization error.
     """
     gammas = [float(g) for g in gamma_list]
-    if len(gammas) < 2 or any(b <= a for a, b in zip(gammas, gammas[1:])):
-        raise ValueError("gamma_list must be strictly increasing")
+    # Written so that NaN fails the test: every comparison with NaN is False.
+    if not (len(gammas) >= 2 and all(1.0 <= g < math.inf for g in gammas)
+            and all(a < b for a, b in zip(gammas, gammas[1:]))):
+        raise ValueError("gamma_list must hold at least 2 strictly increasing"
+                         " finite values >= 1")
 
     def gamma_final(gamma: float) -> tuple[float, np.ndarray]:
         dt = stability_cap("gamma", growth, gamma)

@@ -172,9 +172,12 @@ def _cmd_speed(cfg: RunConfig, out_dir: Path, threads: int = 1) -> int:
     reference = find_c_star(cfg.growth, profile).c_star
     result = _run_once(cfg)
     track = track_fronts(result)
-    estimate = estimate_speed(track,
-                              window_fraction=cfg.study.get("window_fraction", 0.5),
-                              reference_c_star=reference)
+    try:
+        estimate = estimate_speed(
+            track, window_fraction=cfg.study.get("window_fraction", 0.5),
+            reference_c_star=reference)
+    except ValueError as exc:
+        raise ConfigError(f"[study] {exc}") from exc
     confinement = support_confinement_check(result, cfg.stencil)
     tolerance = cfg.study.get("tolerance", 0.05)
     ratio = estimate.fitted_speed / reference
@@ -199,10 +202,13 @@ def _cmd_speed(cfg: RunConfig, out_dir: Path, threads: int = 1) -> int:
 def _cmd_converge(cfg: RunConfig, out_dir: Path, threads: int = 1) -> int:
     u0 = _initial_field(cfg)
     gammas = cfg.study.get("gamma_list", [8.0, 32.0, 128.0, 512.0])
-    study = gamma_convergence_study(u0, gammas, cfg.stencil, cfg.growth,
-                                    horizon=cfg.model.t_end,
-                                    threshold=cfg.study.get("threshold", 0.05),
-                                    max_workers=max(1, threads))
+    try:
+        study = gamma_convergence_study(u0, gammas, cfg.stencil, cfg.growth,
+                                        horizon=cfg.model.t_end,
+                                        threshold=cfg.study.get("threshold", 0.05),
+                                        max_workers=max(1, threads))
+    except ValueError as exc:
+        raise ConfigError(f"[study] {exc}") from exc
     write_csv(out_dir / "gamma_distances.csv", ["gamma", "dt", "sup_distance"],
               [np.asarray(study.gammas), np.asarray(study.dts),
                np.asarray(study.distances)], config=cfg.raw)

@@ -9,7 +9,8 @@ import numpy as np
 
 from .errors import InvariantViolation
 from .growth import GrowthLaw
-from .kernels import ConvolutionStencil, add_to_mask_convolution, convolve_field
+from .kernels import (ConvolutionStencil, add_to_mask_convolution, convolve_dense,
+                      convolve_field)
 
 MODEL_KINDS = ("gamma", "singular", "generalized_singular")
 
@@ -137,8 +138,12 @@ def rhs_gamma(u: GridField, stencil: ConvolutionStencil, growth: GrowthLaw,
         raise ValueError("gamma must be >= 1")
     p = u.values ** gamma
     g = np.asarray(growth(u.values), dtype=float)
-    conv_p = np.clip(convolve_field(stencil, p), 0.0, 1.0)
-    conv_gp = convolve_field(stencil, g * p)
+    conv_p, conv_gp = convolve_dense(stencil, p, g * p)
+    # The 2-d FFT path agrees with the direct sum only to rounding; with both
+    # terms clipped rhs >= 0 holds exactly, and with it pointwise time
+    # monotonicity.
+    conv_p = np.clip(conv_p, 0.0, 1.0)
+    conv_gp = np.maximum(conv_gp, 0.0)
     return (g * (1.0 - conv_p) + conv_gp) * (1.0 - p)
 
 
@@ -366,5 +371,5 @@ def local_production(u: GridField, stencil: ConvolutionStencil,
     total mass produced per unit time.
     """
     p = u.values ** gamma
-    conv_p = np.clip(convolve_field(stencil, p), 0.0, 1.0)
+    conv_p = np.clip(convolve_dense(stencil, p)[0], 0.0, 1.0)
     return np.asarray(growth(u.values), dtype=float) * (1.0 - conv_p)

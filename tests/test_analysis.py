@@ -175,6 +175,15 @@ class TestGammaConvergence:
         assert study.dts == tuple(0.1 / g for g in (4.0, 16.0, 64.0))
         assert study.reference_dt == study.dts[-1]
 
+    def test_two_dimensional_distances_decrease(self, linear_g):
+        _, st = ss.build_kernel("indicator_ball", 1.0, 2, 0.125)
+        u0 = ss.grid_field(2.0, 0.125, 2, seed_plateau(0.75, 0.5))
+        assert u0.shape == (33, 33)
+        study = ss.gamma_convergence_study(u0, [8.0, 32.0, 128.0], st, linear_g,
+                                           horizon=0.2)
+        assert study.strictly_decreasing
+        assert study.passed
+
     def test_threaded_study_matches_serial(self, coarse1d, linear_g):
         _, st = coarse1d
         u0 = ss.grid_field(3.0, 0.125, 1, seed_plateau(1.0, 0.5))

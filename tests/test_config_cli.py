@@ -282,6 +282,28 @@ class TestStudyCommands:
         assert cols["u"][cols["x"] <= -1.0].min() == 1.0
         assert np.all(cols["u"][cols["x"] >= 0.0] == 0.0)
 
+    @pytest.mark.parametrize("gammas", ["8, 8", "8", "0.5, 8", "8, nan", "8, inf"])
+    def test_bad_gamma_list_exits_2(self, tmp_path, capsys, gammas):
+        text = BASE + f"\n[study]\ngamma_list = {gammas}\n"
+        cfg_path = write_config(tmp_path, text)
+        assert main(["converge", "--config", str(cfg_path),
+                     "--out", str(tmp_path / "g")]) == 2
+        assert "config error: [study] gamma_list" in capsys.readouterr().err
+
+    def test_window_fraction_above_half_exits_2(self, tmp_path, capsys):
+        cfg_path = write_config(tmp_path, BASE + "\n[study]\nwindow_fraction = 0.9\n")
+        assert main(["speed", "--config", str(cfg_path),
+                     "--out", str(tmp_path / "w")]) == 2
+        assert "config error: [study] window_fraction" in capsys.readouterr().err
+
+    def test_speed_window_with_too_few_snapshots_exits_2(self, tmp_path, capsys):
+        text = BASE.replace("t_end = 1.0", "t_end = 2.0").replace(
+            "snapshot_interval = 0.5", "snapshot_interval = 1.0")
+        cfg_path = write_config(tmp_path, text)
+        assert main(["speed", "--config", str(cfg_path),
+                     "--out", str(tmp_path / "f")]) == 2
+        assert "10 usable snapshots" in capsys.readouterr().err
+
     def test_seed_and_threads_flags_accepted(self, tmp_path):
         cfg_path = write_config(tmp_path, BASE)
         assert main(["simulate", "--config", str(cfg_path),

@@ -27,6 +27,31 @@ def field1d(values, spacing=0.125):
     return ss.GridField(values, spacing, [-n * spacing])
 
 
+def field2d(values, spacing=0.125):
+    values = np.asarray(values, dtype=float)
+    return ss.GridField(values, spacing, [-((n - 1) // 2) * spacing
+                                          for n in values.shape])
+
+
+def rhs_gamma_direct(u, stencil, growth, gamma):
+    """Finite-pressure rhs with both terms convolved by convolve_field."""
+    p = u.values ** gamma
+    g = np.asarray(growth(u.values), dtype=float)
+    conv_p = np.clip(ss.convolve_field(stencil, p), 0.0, 1.0)
+    conv_gp = ss.convolve_field(stencil, g * p)
+    return (g * (1.0 - conv_p) + conv_gp) * (1.0 - p)
+
+
+def patch_with_holes(rng, n, patch):
+    """n x n field, random in a centred patch x patch block, about half its
+    cells exactly 0, and 0 everywhere else (most cells out of stencil reach)."""
+    vals = np.zeros((n, n))
+    lo = (n - patch) // 2
+    block = rng.uniform(size=(patch, patch)) * (rng.uniform(size=(patch, patch)) < 0.5)
+    vals[lo:lo + patch, lo:lo + patch] = block
+    return vals
+
+
 class TestGridField:
     def test_out_of_range_values_rejected(self):
         with pytest.raises(ValueError, match="\\[0, 1\\]"):
@@ -98,6 +123,35 @@ class TestRhsGamma:
             rhs = ss.rhs_gamma(u, st, g, 16.0)
             assert rhs.min() >= 0.0
             assert rhs.max() <= g.lipschitz + 1e-12
+
+    def test_one_dimensional_rhs_bit_identical_to_direct(self, small1d):
+        _, st = small1d
+        g = ss.logistic_growth(2.0, 3.0)
+        rng = np.random.default_rng(9)
+        for cells in (9, 65):
+            vals = rng.uniform(size=cells) * (rng.uniform(size=cells) < 0.5)
+            u = field1d(vals)
+            assert np.array_equal(ss.rhs_gamma(u, st, g, 16.0),
+                                  rhs_gamma_direct(u, st, g, 16.0))
+
+    @pytest.mark.parametrize("value", [0.0, 1.0])
+    def test_two_dimensional_constant_states_are_stationary(self, small2d, linear_g,
+                                                             value):
+        _, st = small2d
+        u = field2d(np.full((33, 33), value))
+        assert np.all(ss.rhs_gamma(u, st, linear_g, 8.0) == 0.0)
+
+    @pytest.mark.parametrize("gamma", [1.0, 16.0])
+    def test_two_dimensional_bounds_exact(self, small2d, gamma):
+        _, st = small2d
+        g = ss.logistic_growth(2.0, 3.0)
+        rng = np.random.default_rng(int(gamma))
+        for _ in range(5):
+            u = field2d(patch_with_holes(rng, 49, 15))
+            rhs = ss.rhs_gamma(u, st, g, gamma)
+            assert rhs.min() >= 0.0
+            assert rhs.max() <= g.lipschitz + 1e-12
+            assert np.max(np.abs(rhs - rhs_gamma_direct(u, st, g, gamma))) <= 1e-14
 
 
 class TestRhsSingular:
@@ -228,6 +282,40 @@ class TestRun:
         assert res.monitors["max_u"] <= 1.0
         assert res.monitors["max_rhs"] <= linear_g.lipschitz + 1e-12
 
+    def test_two_dimensional_gamma_run_matches_direct_loop(self, small2d):
+        _, st = small2d
+        g = ss.logistic_growth(1.0, 3.0)
+        gamma, steps = 8.0, 25
+        dt = ss.stability_cap("gamma", g, gamma)
+        u0 = ss.grid_field(3.0, 0.125, 2, seed_plateau(1.0, 0.5))
+        params = ss.ModelParams(model="gamma", gamma=gamma, dt=dt, t_end=steps * dt)
+        res = ss.run(u0, params, st, g)
+        u = u0
+        for _ in range(steps):
+            rhs = rhs_gamma_direct(u, st, g, gamma)
+            u = ss.GridField(np.minimum(u.values + dt * rhs, 1.0), u.spacing,
+                             u.origin, u.time + dt)
+        assert np.count_nonzero(u.values != u0.values) > 100
+        assert np.max(np.abs(res.final.values - u.values)) <= 1e-12
+
+    def test_two_dimensional_gamma_run_keeps_vacuum_out_of_reach(self):
+        # rate * t_end = 20: mass seeded in the vacuum would grow by e^20
+        _, st = ss.build_kernel("indicator_ball", 1.0, 2, 0.25)
+        g = ss.logistic_growth(1.0, 3.0)
+        gamma, steps = 2.0, 400
+        dt = ss.stability_cap("gamma", g, gamma)
+        u0 = ss.grid_field(9.0, 0.25, 2, seed_plateau(1.0, 0.5))
+        params = ss.ModelParams(model="gamma", gamma=gamma, dt=dt, t_end=steps * dt)
+        res = ss.run(u0, params, st, g)
+        u = u0.values
+        for _ in range(steps):
+            rhs = rhs_gamma_direct(ss.GridField(u, u0.spacing, u0.origin), st, g, gamma)
+            u = np.minimum(u + dt * rhs, 1.0)
+        vacuum = u == 0.0
+        assert np.count_nonzero(vacuum) >= 100
+        assert np.all(res.final.values[vacuum] == 0.0)
+        assert np.max(np.abs(res.final.values - u)) <= 1e-10
+
     def test_generalized_model_spreads_and_keeps_invariants(self, small1d):
         _, st = small1d
         g = ss.linear_growth(1.0).with_gain(ss.constant_gain(0.5))
@@ -349,24 +437,31 @@ class TestRunningMaskConvolution:
 
 
 class TestMassIdentity:
-    def test_interior_mass_balance_matches_local_production(self, small1d):
-        _, st = small1d
+    @staticmethod
+    def check_balance(stencil, cells):
         g = ss.logistic_growth(1.0, 3.0)
         rng = np.random.default_rng(7)
         gamma, dt = 4.0, 0.02
         params = ss.ModelParams(model="gamma", gamma=gamma, dt=dt, t_end=1.0)
+        dim = stencil.dim
         for _ in range(5):
-            vals = np.zeros(129)
-            inner = slice(st.reach + 2, 129 - st.reach - 2)
-            vals[inner] = 0.5 * rng.uniform(size=129 - 2 * st.reach - 4)
-            u = field1d(vals)
-            u1, clamped = ss.step(u, params, st, g)
+            vals = np.zeros((cells,) * dim)
+            inner = (slice(stencil.reach + 2, cells - stencil.reach - 2),) * dim
+            vals[inner] = 0.5 * rng.uniform(size=vals[inner].shape)
+            u = field1d(vals) if dim == 1 else field2d(vals)
+            u1, clamped = ss.step(u, params, stencil, g)
             assert not clamped.any()
-            cell = st.grid_spacing
+            cell = stencil.grid_spacing ** dim
             gained = float(np.sum(u1.values - u.values)) * cell
-            produced = float(np.sum(ss.local_production(u, st, g, gamma))) * cell
+            produced = float(np.sum(ss.local_production(u, stencil, g, gamma))) * cell
             # the rearrangement part sums to zero by stencil symmetry
             assert abs(gained - dt * produced) <= dt * 1e-10
+
+    def test_interior_mass_balance_matches_local_production(self, small1d):
+        self.check_balance(small1d[1], 129)
+
+    def test_two_dimensional_mass_balance(self, small2d):
+        self.check_balance(small2d[1], 41)
 
 
 class TestSaturationTimes:

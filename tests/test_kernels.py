@@ -139,6 +139,57 @@ class TestConvolve:
             assert np.array_equal(out, np.convolve(field, stencil.dense, mode="same"))
 
 
+def sparse_field(rng, shape, zero_frac=0.5):
+    """Random values in [0, 1] with about ``zero_frac`` of the cells at exactly 0."""
+    return rng.uniform(size=shape) * (rng.uniform(size=shape) >= zero_frac)
+
+
+class TestConvolveDense:
+    """The batched dense-field convolution against convolve_field."""
+
+    @pytest.mark.parametrize("kind", ["indicator_ball", "custom_radial"])
+    @pytest.mark.parametrize("shape", [(65, 65), (33, 21), (9, 9), (5, 40)])
+    def test_two_dimensional_fields_within_rounding(self, kind, shape):
+        _, stencil = ss.build_kernel(kind, 1.0, 2, 0.125, profile=cone_profile)
+        assert stencil.dense.shape == (17, 17)
+        rng = np.random.default_rng(shape[0] * shape[1])
+        edge = sparse_field(rng, shape)
+        r = stencil.reach
+        edge[r:-r, r:-r] = 0.0  # mass only within reach of the box edge
+        spike = np.zeros(shape)
+        spike[shape[0] // 2, shape[1] // 2] = 1.0
+        fields = [rng.uniform(size=shape), sparse_field(rng, shape), edge, spike]
+        out = ss.convolve_dense(stencil, *fields)
+        assert out.shape == (4,) + shape
+        for got, field in zip(out, fields):
+            direct = ss.convolve_field(stencil, field)
+            assert np.max(np.abs(got - direct)) <= 1e-14
+            # exact zeros out of reach of the field's mass, as in the direct sum
+            assert np.all(got[direct == 0.0] == 0.0)
+
+    def test_zero_field_gives_exact_zeros(self):
+        _, stencil = ss.build_kernel("indicator_ball", 1.0, 2, 0.125)
+        zero = np.zeros((33, 33))
+        other = np.random.default_rng(2).uniform(size=zero.shape)
+        assert np.all(ss.convolve_dense(stencil, zero) == 0.0)
+        assert np.all(ss.convolve_dense(stencil, other, zero)[1] == 0.0)
+
+    @pytest.mark.parametrize("kind", ["indicator_ball", "custom_radial"])
+    @pytest.mark.parametrize("cells", [9, 129])
+    def test_one_dimensional_fields_bit_identical(self, kind, cells):
+        _, stencil = ss.build_kernel(kind, 1.0, 1, 0.125, profile=cone_profile)
+        rng = np.random.default_rng(cells)
+        fields = [rng.uniform(size=cells), sparse_field(rng, cells)]
+        out = ss.convolve_dense(stencil, *fields)
+        for got, field in zip(out, fields):
+            assert np.array_equal(got, ss.convolve_field(stencil, field))
+
+    def test_axes_must_match_the_stencil(self):
+        _, stencil = ss.build_kernel("indicator_ball", 1.0, 2, 0.125)
+        with pytest.raises(ValueError, match="axes"):
+            ss.convolve_dense(stencil, np.zeros(33))
+
+
 class TestAddToMaskConvolution:
     """The running K * 1_S update against a fresh direct convolution."""
 
