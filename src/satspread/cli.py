@@ -15,7 +15,7 @@ from .dynamics import GridField, run
 from .errors import ScientificError
 from .kernels import front_profile
 from .output import write_csv, write_field_csv, write_json
-from .waves import export_wave, find_c_star, sample_wave, shoot_profile
+from .waves import find_c_star, sample_wave, shoot_profile
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -75,25 +75,8 @@ def main(argv=None) -> int:
         return EXIT_IO
 
 
-def _initial_field(cfg: RunConfig, spec=None) -> GridField:
-    spec = cfg.initial_spec if spec is None else spec
-    sampler = None
-    if spec["kind"] == "wave_envelope":
-        if not cfg.growth.monotone_cap:
-            raise ConfigError("[growth] wave_envelope initial data requires monotone_cap")
-        profile = front_profile(cfg.kernel)
-        result = find_c_star(cfg.growth, profile)
-        wave = shoot_profile(spec["speed_factor"] * result.c_star, cfg.growth,
-                             profile)
-        direction = np.zeros(cfg.kernel.dim)
-        direction[0] = 1.0
-        sampler = export_wave(wave, direction, spec["offset"],
-                              minimal=spec["speed_factor"] <= 1.0)
-    return build_initial_field(cfg, spec=spec, wave_sampler=sampler)
-
-
 def _run_once(cfg: RunConfig):
-    u0 = _initial_field(cfg)
+    u0 = build_initial_field(cfg)
     return run(u0, cfg.model, cfg.stencil, cfg.growth,
                snapshot_interval=cfg.snapshot_interval, record_lipschitz=True)
 
@@ -129,11 +112,18 @@ def _cmd_simulate(cfg: RunConfig, out_dir: Path, threads: int = 1) -> int:
 def _cmd_wave(cfg: RunConfig, out_dir: Path, threads: int = 1) -> int:
     if not cfg.growth.monotone_cap:
         raise ConfigError("[growth] the wave command requires monotone_cap growth")
-    profile = front_profile(cfg.kernel,
-                            sample_spacing=cfg.study.get("sample_spacing"))
-    result = find_c_star(cfg.growth, profile,
-                         tol=cfg.study.get("wave_tol", 1e-8),
-                         ode_step=cfg.study.get("ode_step"))
+    ode_step = cfg.study.get("ode_step")
+    factors = (("cstar", 1.0), ("1p5cstar", 1.5), ("2cstar", 2.0))
+    try:
+        profile = front_profile(cfg.kernel,
+                                sample_spacing=cfg.study.get("sample_spacing"))
+        result = find_c_star(cfg.growth, profile,
+                             tol=cfg.study.get("wave_tol", 1e-8), ode_step=ode_step)
+        s_max = cfg.study.get("s_max", 2.0 * cfg.kernel.radius)
+        shots = [shoot_profile(factor * result.c_star, cfg.growth, profile,
+                               s_max=s_max, ode_step=ode_step) for _, factor in factors]
+    except ValueError as exc:
+        raise ConfigError(f"[study] {exc}") from exc
     write_json(out_dir / "minimal_speed.json",
                {"c_star": result.c_star, "bracket": list(result.bracket),
                 "tol": result.tol, "analytic_bounds": list(result.analytic_bounds),
@@ -142,10 +132,7 @@ def _cmd_wave(cfg: RunConfig, out_dir: Path, threads: int = 1) -> int:
                config=cfg.raw)
     write_csv(out_dir / "front_profile.csv", ["s", "h"],
               [profile.s, profile.samples], config=cfg.raw)
-    s_max = cfg.study.get("s_max", 2.0 * cfg.kernel.radius)
-    for tag, factor in (("cstar", 1.0), ("1p5cstar", 1.5), ("2cstar", 2.0)):
-        wave = shoot_profile(factor * result.c_star, cfg.growth, profile,
-                             s_max=s_max, ode_step=cfg.study.get("ode_step"))
+    for (tag, factor), wave in zip(factors, shots):
         phi = wave.phi
         if factor == 1.0:
             # The bisected speed leaves a +-tol tail past ell; export the
@@ -157,8 +144,7 @@ def _cmd_wave(cfg: RunConfig, out_dir: Path, threads: int = 1) -> int:
     lo, hi = result.analytic_bounds
     c_scan = np.linspace(lo, hi, 21)
     phi_ell = np.array([shoot_profile(c, cfg.growth, profile,
-                                      s_max=cfg.kernel.radius,
-                                      ode_step=cfg.study.get("ode_step"))
+                                      s_max=cfg.kernel.radius, ode_step=ode_step)
                         .phi_at_ell for c in c_scan])
     write_csv(out_dir / "speed_scan.csv", ["c", "phi_at_ell"],
               [c_scan, phi_ell], config=cfg.raw)
@@ -200,7 +186,7 @@ def _cmd_speed(cfg: RunConfig, out_dir: Path, threads: int = 1) -> int:
 
 
 def _cmd_converge(cfg: RunConfig, out_dir: Path, threads: int = 1) -> int:
-    u0 = _initial_field(cfg)
+    u0 = build_initial_field(cfg)
     gammas = cfg.study.get("gamma_list", [8.0, 32.0, 128.0, 512.0])
     try:
         study = gamma_convergence_study(u0, gammas, cfg.stencil, cfg.growth,
@@ -223,8 +209,8 @@ def _cmd_converge(cfg: RunConfig, out_dir: Path, threads: int = 1) -> int:
 
 
 def _cmd_compare(cfg: RunConfig, out_dir: Path, threads: int = 1) -> int:
-    low = _initial_field(cfg)
-    high = _initial_field(cfg, spec=cfg.initial_high_spec)
+    low = build_initial_field(cfg)
+    high = build_initial_field(cfg, spec=cfg.initial_high_spec)
     try:
         report = comparison_harness(low, high, cfg.model, cfg.stencil, cfg.growth)
     except ValueError as exc:

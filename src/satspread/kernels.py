@@ -290,24 +290,24 @@ def add_to_mask_convolution(stencil: ConvolutionStencil, conv: np.ndarray,
     """Update ``conv`` in place after the cells of ``added`` joined ``mask``.
 
     On entry ``conv`` holds ``convolve_field(stencil, mask & ~added)``; on exit
-    it holds ``convolve_field(stencil, mask)``.  The cost is O(added cells x
-    taps) instead of O(cells x taps).  The update repeats the summation order
-    of ``convolve_field``:
+    it holds ``convolve_field(stencil, mask)``.
 
     - 2-d: ``ndimage.convolve`` adds the taps one after another, so the
       stencil, clipped at the box edge (the zero extension), is added at each
-      new cell.  Every tap of an indicator kernel has the same weight, so the
-      sum does not depend on the order in which cells joined and the result is
-      bit-identical; other kernels agree to within rounding.
-    - 1-d: ``np.convolve`` sums each output with one BLAS dot product that
-      splits the sum over several accumulators, so a running sum differs from
-      it in the last bits.  The outputs within reach of the new cells are
-      recomputed instead, with the same dot products, which is bit-identical
-      for every kernel.  A box shorter than the stencil is convolved afresh.
+      new cell, in O(added cells x taps).  Every tap of an indicator kernel
+      has the same weight, so the sum does not depend on the order in which
+      cells joined and the result is bit-identical; other kernels agree to
+      within rounding.
+    - 1-d: the outputs within reach of the new cells are recomputed by the
+      direct path on the window of the mask they read.  Each output then sums
+      the same inputs with the same dot product as in ``convolve_field``, so
+      the result is bit-identical for every kernel.  A window clipped at both
+      box edges is the whole box, which covers a box shorter than the
+      stencil.
     """
     r = stencil.reach
-    dense = stencil.dense
     if stencil.dim == 2:
+        dense = stencil.dense
         nx, ny = conv.shape
         for i, j in np.argwhere(added).tolist():
             i0, i1 = max(i - r, 0), min(i + r + 1, nx)
@@ -318,28 +318,14 @@ def add_to_mask_convolution(stencil: ConvolutionStencil, conv: np.ndarray,
     if cells.size == 0:
         return
     n = conv.shape[0]
-    if n <= 2 * r:
-        # On a box shorter than the stencil np.convolve swaps its operands and
-        # so sums in another order; every output is within reach anyway.
-        conv[:] = convolve_field(stencil, mask)
-        return
     # Merge the reaches of nearby cells, so one step costs at most about one
     # full convolution.
     cut = np.flatnonzero(np.diff(cells) > 2 * r + 1)
-    taps = dense[::-1]
     for first, last in zip(cells[np.r_[0, cut + 1]].tolist(),
                            cells[np.r_[cut, cells.size - 1]].tolist()):
         lo, hi = max(first - r, 0), min(last + r + 1, n)
-        # convolve_field gives output j the dot product of the input over
-        # [j - r, j + r] clipped to the box, summed from its first cell; the
-        # unclipped outputs come from one correlate call.
-        a, b = max(lo, r), min(hi, n - r)
-        if a < b:
-            conv[a:b] = np.correlate(mask[a - r:b + r].astype(float), taps,
-                                     mode="valid")
-        for j in (*range(lo, min(a, hi)), *range(max(b, lo), hi)):
-            s0, s1 = max(j - r, 0), min(j + r + 1, n)
-            conv[j] = np.dot(mask[s0:s1].astype(float), taps[s0 - j + r:s1 - j + r])
+        w0, w1 = max(lo - r, 0), min(hi + r, n)
+        conv[lo:hi] = _convolve_1d(stencil, mask[w0:w1].astype(float))[lo - w0:hi - w0]
 
 
 def convolve_mask(stencil: ConvolutionStencil, mask: np.ndarray) -> np.ndarray:
@@ -362,8 +348,8 @@ def front_profile(kernel: Kernel, sample_spacing: float | None = None,
     ell = kernel.radius
     if sample_spacing is None:
         sample_spacing = ell / 200
-    if sample_spacing > ell / 50:
-        raise KernelError("sample_spacing must be <= ell/50")
+    if not 0 < sample_spacing <= ell / 50:
+        raise KernelError("sample_spacing must lie in (0, ell/50]")
     n_half = int(math.ceil(ell / sample_spacing - 1e-12))
     s_half = np.linspace(0.0, ell, n_half + 1)
 

@@ -75,16 +75,16 @@ def shoot_profile(c: float, growth: GrowthLaw, profile: FrontKernelProfile,
     change; only the sign at ell matters below the minimal speed.
     """
     ell = profile.ell
-    if c <= 0:
+    if not c > 0:
         raise ValueError("wave speed must be positive")
     if s_max is None:
         s_max = 2.0 * ell
-    if s_max < ell:
+    if not s_max >= ell:
         raise ValueError("s_max must reach at least ell")
     if ode_step is None:
         ode_step = ell * DEFAULT_STEP_FRACTION
-    if ode_step > ell / 200:
-        raise ValueError("ode_step must be <= ell/200")
+    if not 0 < ode_step <= ell / 200:
+        raise ValueError("ode_step must lie in (0, ell/200]")
 
     per_ell = int(math.ceil(ell / ode_step - 1e-12))
     step = ell / per_ell
@@ -130,7 +130,7 @@ def find_c_star(growth: GrowthLaw, profile: FrontKernelProfile,
     stay positive at the upper end; anything else indicates a growth law
     outside the assumptions or an under-resolved front profile.
     """
-    if tol <= 0:
+    if not tol > 0:
         raise ValueError("tolerance must be positive")
     if not growth.monotone_cap:
         raise ValueError("minimal-speed search requires the growth cap g(u) <= g(1)")

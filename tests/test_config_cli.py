@@ -123,6 +123,42 @@ class TestLoadConfig:
         assert u0.values.max() <= 0.8
         assert u0.values[0] == 0.0  # compactly supported
 
+    def test_wave_envelope_preset_matches_the_first_snapshot(self, tmp_path):
+        text = BASE.replace(
+            "initial = ball_plateau\nheight = 1.0\nradius = 1.0\nramp = 0.5",
+            "initial = wave_envelope\nspeed_factor = 1.5\noffset = -1.0").replace(
+            "t_end = 1.0", "t_end = 0.1")
+        cfg_path = write_config(tmp_path, text)
+        u0 = ss.build_initial_field(ss.load_config(cfg_path))
+        out = tmp_path / "env"
+        assert main(["simulate", "--config", str(cfg_path), "--out", str(out)]) == 0
+        cols = read_csv_columns(out / "snapshot_0000.csv")
+        assert np.array_equal(u0.values, cols["u"])
+        uncapped = text.replace("kind = linear\nrate = 1.0",
+                                "kind = logistic\nrate = 1.0\ncapacity = 1.2")
+        cfg = ss.load_config(write_config(tmp_path, uncapped, "uncapped.ini"))
+        with pytest.raises(ss.ConfigError, match="monotone_cap"):
+            ss.build_initial_field(cfg)
+
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    @pytest.mark.parametrize("section,key,line", [
+        ("model", "t_end", "t_end = 1.0"),
+        ("growth", "rate", "rate = 1.0"),
+        ("domain", "box_radius", "box_radius = 4.0"),
+        ("output", "snapshot_interval", "snapshot_interval = 0.5"),
+        ("study", "wave_tol", None),
+        ("study", "gamma_list", None),
+    ])
+    def test_non_finite_number_exits_2(self, tmp_path, capsys, value, section,
+                                       key, line):
+        text = (BASE.replace(line, f"{key} = {value}") if line
+                else BASE + f"\n[study]\n{key} = {value}\n")
+        cfg_path = write_config(tmp_path, text)
+        assert main(["simulate", "--config", str(cfg_path),
+                     "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert f"config error: [{section}] {key} = '{value}' is not finite" in err
+
     def test_generalized_model_needs_gain(self, tmp_path):
         bad = BASE.replace("kind = singular", "kind = generalized_singular")
         with pytest.raises(ss.ConfigError, match="gain"):
@@ -221,6 +257,21 @@ class TestWaveCommand:
         assert positive.max() <= 1.0 + 1e-9
         assert (out / "profile_1p5cstar.csv").exists()
         assert (out / "profile_2cstar.csv").exists()
+
+    @pytest.mark.parametrize("line,message", [
+        ("sample_spacing = 0", "sample_spacing"),
+        ("sample_spacing = -0.01", "sample_spacing"),
+        ("ode_step = 0", "ode_step"),
+        ("ode_step = -0.001", "ode_step"),
+        ("wave_tol = -1", "tolerance"),
+        ("s_max = -1", "s_max"),
+    ])
+    def test_bad_study_value_exits_2(self, tmp_path, capsys, line, message):
+        cfg_path = write_config(tmp_path, BASE + f"\n[study]\n{line}\n")
+        assert main(["wave", "--config", str(cfg_path),
+                     "--out", str(tmp_path / "w")]) == 2
+        err = capsys.readouterr().err
+        assert "config error: [study]" in err and message in err
 
     def test_uncapped_growth_exits_2(self, tmp_path):
         bad = BASE.replace("kind = linear\nrate = 1.0",

@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import satspread as ss
 
@@ -240,6 +241,61 @@ class TestAddToMaskConvolution:
             mask |= added
             ss.add_to_mask_convolution(stencil, conv, mask, added)
             assert np.array_equal(conv, ss.convolve_field(stencil, mask.astype(float)))
+
+
+@st.composite
+def growing_masks(draw, dim):
+    """A stencil, a box of 1 to 4*reach + 2 cells per axis, growth batches.
+
+    Each batch adds drawn cells, two thirds of them within reach of a box edge
+    where the stencil is clipped, plus random cells at a drawn density.
+    """
+    kind = "indicator_ball" if dim == 2 else draw(
+        st.sampled_from(["indicator_ball", "custom_radial"]))
+    dx = draw(st.sampled_from([0.25, 0.125] if dim == 2 else [0.25, 0.1, 0.05]))
+    _, stencil = ss.build_kernel(kind, 1.0, dim, dx, profile=cone_profile)
+    r = stencil.reach
+    sizes = st.one_of(st.sampled_from([2 * r, 2 * r + 1]), st.integers(1, 4 * r + 2))
+    shape = tuple(draw(sizes) for _ in range(dim))
+
+    def index(n):
+        edge = min(r, n - 1)
+        return st.one_of(st.integers(0, edge), st.integers(n - 1 - edge, n - 1),
+                         st.integers(0, n - 1))
+
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    masks = []
+    for cells in draw(st.lists(st.lists(st.tuples(*map(index, shape)), max_size=8),
+                               min_size=1, max_size=5)):
+        added = rng.uniform(size=shape) < draw(st.sampled_from([0.0, 0.05, 0.3]))
+        for cell in cells:
+            added[cell] = True
+        masks.append(added)
+    return stencil, masks
+
+
+class TestAddToMaskConvolutionProperty:
+    """Random growth batches against a fresh direct convolution, bit for bit."""
+
+    @staticmethod
+    def check(stencil, batches):
+        mask = np.zeros(batches[0].shape, dtype=bool)
+        conv = ss.convolve_field(stencil, mask.astype(float))
+        for added in batches:
+            added = added & ~mask
+            mask |= added
+            ss.add_to_mask_convolution(stencil, conv, mask, added)
+            assert np.array_equal(conv, ss.convolve_field(stencil, mask.astype(float)))
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=60)
+    @given(growing_masks(dim=1))
+    def test_one_dimensional_any_kernel(self, case):
+        self.check(*case)
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=40)
+    @given(growing_masks(dim=2))
+    def test_two_dimensional_indicator(self, case):
+        self.check(*case)
 
 
 class TestFrontProfile:

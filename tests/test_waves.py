@@ -89,6 +89,16 @@ class TestFindCStar:
         with pytest.raises(ValueError, match="cap"):
             ss.find_c_star(ss.logistic_growth(1.0, 1.2), front_profile_1d)
 
+    def test_nan_arguments_rejected(self, linear_g, bench40, front_profile_1d):
+        with pytest.raises(ValueError, match="tolerance"):
+            ss.find_c_star(linear_g, front_profile_1d, tol=float("nan"))
+        with pytest.raises(ValueError, match="ode_step"):
+            ss.shoot_profile(1.0, linear_g, front_profile_1d, ode_step=float("nan"))
+        with pytest.raises(ValueError, match="s_max"):
+            ss.shoot_profile(1.0, linear_g, front_profile_1d, s_max=float("nan"))
+        with pytest.raises(ss.KernelError, match="sample_spacing"):
+            ss.front_profile(bench40[0], sample_spacing=float("nan"))
+
 
 class TestMonotoneInC:
     def test_equal_speeds_give_zero_gap(self, linear_g, front_profile_1d):
