@@ -113,13 +113,16 @@ def _cmd_wave(cfg: RunConfig, out_dir: Path, threads: int = 1) -> int:
     if not cfg.growth.monotone_cap:
         raise ConfigError("[growth] the wave command requires monotone_cap growth")
     ode_step = cfg.study.get("ode_step")
+    s_max = cfg.study.get("s_max", 2.0 * cfg.kernel.radius)
     factors = (("cstar", 1.0), ("1p5cstar", 1.5), ("2cstar", 2.0))
     try:
+        # shoot_profile checks s_max too, but only after the whole c* search
+        if not s_max >= cfg.kernel.radius:
+            raise ValueError("s_max must reach at least ell")
         profile = front_profile(cfg.kernel,
                                 sample_spacing=cfg.study.get("sample_spacing"))
         result = find_c_star(cfg.growth, profile,
                              tol=cfg.study.get("wave_tol", 1e-8), ode_step=ode_step)
-        s_max = cfg.study.get("s_max", 2.0 * cfg.kernel.radius)
         shots = [shoot_profile(factor * result.c_star, cfg.growth, profile,
                                s_max=s_max, ode_step=ode_step) for _, factor in factors]
     except ValueError as exc:

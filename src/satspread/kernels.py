@@ -6,7 +6,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy import ndimage
 
 KERNEL_KINDS = ("indicator_ball", "custom_radial")
 
@@ -248,11 +247,23 @@ def _convolve_1d(stencil: ConvolutionStencil, values: np.ndarray) -> np.ndarray:
 
 
 def convolve_field(stencil: ConvolutionStencil, values: np.ndarray) -> np.ndarray:
-    """Direct stencil convolution with zero extension outside the box."""
+    """Direct stencil convolution with zero extension outside the box.
+
+    In 2-d, one shifted slice of the field, zero-padded by ``reach``, is
+    scaled and added per nonzero tap, in reversed row-major tap order: the
+    order of ``scipy.ndimage.convolve``, which the tests hold it to bit for
+    bit.  Each output is thus a left-to-right sum of ``weight * value`` terms.
+    """
     values = _as_field(stencil, values)
     if stencil.dim == 1:
         return _convolve_1d(stencil, values)
-    return ndimage.convolve(values, stencil.dense, mode="constant", cval=0.0)
+    r, dense = stencil.reach, stencil.dense
+    nx, ny = values.shape
+    padded = np.pad(values, r)
+    out = np.zeros_like(values)
+    for p, q in reversed(np.argwhere(dense).tolist()):
+        out += dense[p, q] * padded[2 * r - p:2 * r - p + nx, 2 * r - q:2 * r - q + ny]
+    return out
 
 
 def convolve_dense(stencil: ConvolutionStencil, *fields: np.ndarray) -> np.ndarray:
@@ -292,12 +303,12 @@ def add_to_mask_convolution(stencil: ConvolutionStencil, conv: np.ndarray,
     On entry ``conv`` holds ``convolve_field(stencil, mask & ~added)``; on exit
     it holds ``convolve_field(stencil, mask)``.
 
-    - 2-d: ``ndimage.convolve`` adds the taps one after another, so the
+    - 2-d: ``convolve_field`` adds one term per tap, left to right, so the
       stencil, clipped at the box edge (the zero extension), is added at each
-      new cell, in O(added cells x taps).  Every tap of an indicator kernel
-      has the same weight, so the sum does not depend on the order in which
-      cells joined and the result is bit-identical; other kernels agree to
-      within rounding.
+      new cell, in O(added cells x taps).  A mask cell under an indicator
+      kernel adds the one weight ``w`` exactly, so every output is ``w`` added
+      ``k`` times in either path: bit-identical.  Other kernels add their
+      weights in joining order, not tap order, and agree to within rounding.
     - 1-d: the outputs within reach of the new cells are recomputed by the
       direct path on the window of the mask they read.  Each output then sums
       the same inputs with the same dot product as in ``convolve_field``, so

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 import satspread as ss
+from satspread import cli
 from satspread.cli import main
 
 BASE = """
@@ -235,13 +236,38 @@ class TestArtifactFormat:
             b"0.0000000000000000e+00,0.0000000000000000e+00,1.0000000000000001e-01\n")
 
     def test_cli_import_leaves_out_quadrature(self):
-        # no stepping or start-up path integrates, so scipy.integrate stays unloaded
+        # no stepping or start-up path integrates or needs scipy at all, so
+        # neither scipy.integrate nor any other scipy module gets loaded
         src = str(Path(ss.__file__).resolve().parents[1])
         code = (f"import sys; sys.path.insert(0, {src!r}); import satspread.cli; "
-                "print('scipy.integrate' in sys.modules)")
+                "print('scipy.integrate' in sys.modules); "
+                "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
         done = subprocess.run([sys.executable, "-c", code], capture_output=True,
                               text=True, check=True)
-        assert done.stdout.strip() == "False"
+        assert done.stdout.split("\n")[:2] == ["False", "[]"]
+
+    def test_indicator_subcommands_run_without_scipy(self, tmp_path):
+        # 1-d front profiles are exact and 2-d indicator runs never integrate;
+        # a None entry in sys.modules makes any scipy import raise
+        two_d = BASE.replace("dim = 1", "dim = 2").replace(
+            "dx = 0.05", "dx = 0.25").replace("t_end = 1.0", "t_end = 0.5")
+        speed = BASE.replace("box_radius = 4.0", "box_radius = 14.0").replace(
+            "t_end = 1.0", "t_end = 12.0") + "\n[study]\ntolerance = 0.08\n"
+        converge = BASE.replace("t_end = 1.0", "t_end = 2.0").replace(
+            "dx = 0.05", "dx = 0.125") + "\n[study]\ngamma_list = 4,16\nthreshold = 0.2\n"
+        compare = BASE + ("\n[domain_high]\ninitial = ball_plateau\nheight = 1.0\n"
+                          "radius = 1.0\nramp = 0.5\n")
+        runs = [[command, "--config", str(write_config(tmp_path, text, f"{command}.ini")),
+                 "--out", str(tmp_path / command)]
+                for command, text in (("simulate", two_d), ("speed", speed),
+                                      ("converge", converge), ("compare", compare))]
+        src = str(Path(ss.__file__).resolve().parents[1])
+        code = (f"import sys; sys.path.insert(0, {src!r}); sys.modules['scipy'] = None; "
+                "from satspread.cli import main; "
+                f"print([main(argv) for argv in {runs!r}])")
+        done = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                              text=True, check=True)
+        assert done.stdout.strip() == "[0, 0, 0, 0]", done.stderr
 
 
 class TestWaveCommand:
@@ -272,6 +298,17 @@ class TestWaveCommand:
                      "--out", str(tmp_path / "w")]) == 2
         err = capsys.readouterr().err
         assert "config error: [study]" in err and message in err
+
+    def test_s_max_checked_before_the_speed_search(self, tmp_path, capsys,
+                                                    monkeypatch):
+        def no_search(*args, **kwargs):
+            raise AssertionError("find_c_star ran before s_max was checked")
+
+        monkeypatch.setattr(cli, "find_c_star", no_search)
+        cfg_path = write_config(tmp_path, BASE + "\n[study]\ns_max = -1\n")
+        assert main(["wave", "--config", str(cfg_path),
+                     "--out", str(tmp_path / "w")]) == 2
+        assert "config error: [study] s_max" in capsys.readouterr().err
 
     def test_uncapped_growth_exits_2(self, tmp_path):
         bad = BASE.replace("kind = linear\nrate = 1.0",

@@ -1,11 +1,14 @@
 """Kernel construction, stencil convolution and front profiles."""
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import satspread as ss
+from satspread.analysis import _dilate_one_cell
 
 from oracles import (CONE_1D_H_HALF, CONE_2D_H_HALF, H2D_INDICATOR_HALF,
                      brute_convolve, h1d_indicator, h2d_indicator, riemann_h2d)
@@ -296,6 +299,57 @@ class TestAddToMaskConvolutionProperty:
     @given(growing_masks(dim=2))
     def test_two_dimensional_indicator(self, case):
         self.check(*case)
+
+
+@functools.lru_cache(maxsize=None)
+def cached_stencil(kind, dim, dx):
+    return ss.build_kernel(kind, 1.0, dim, dx, profile=cone_profile)[1]
+
+
+@st.composite
+def stencil_fields(draw, dim):
+    """An indicator or cone stencil and a field on a box of 1 to 6*reach cells
+    per axis (strips, and boxes smaller than the stencil, drawn often): a
+    random mask, a dense cubed-uniform field or a signed normal field."""
+    kind = draw(st.sampled_from(["indicator_ball", "custom_radial"]))
+    stencil = cached_stencil(kind, dim, draw(st.sampled_from([0.25, 0.125, 0.1])))
+    r = stencil.reach
+    sizes = st.one_of(st.just(1), st.integers(1, 2 * r), st.integers(1, 6 * r))
+    shape = tuple(draw(sizes) for _ in range(dim))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    density = draw(st.sampled_from([0.02, 0.3, 0.9]))
+    field = draw(st.sampled_from([
+        (rng.uniform(size=shape) < density).astype(float),
+        rng.uniform(size=shape) ** 3,
+        rng.normal(size=shape)]))
+    return stencil, field
+
+
+class TestScipyOracle:
+    """The numpy-only 2-d convolution and the support dilations against
+    ``scipy.ndimage``, bit for bit."""
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=80)
+    @given(stencil_fields(dim=2))
+    def test_two_dimensional_convolution(self, case):
+        from scipy import ndimage
+        stencil, field = case
+        assert np.array_equal(
+            ss.convolve_field(stencil, field),
+            ndimage.convolve(field, stencil.dense, mode="constant", cval=0.0))
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=60)
+    @given(st.sampled_from([1, 2]).flatmap(stencil_fields))
+    def test_dilations(self, case):
+        from scipy import ndimage
+        stencil, field = case
+        mask = field > 0.5
+        assert np.array_equal(
+            ss.convolve_field(stencil, mask) > 0.0,
+            ndimage.binary_dilation(mask, structure=stencil.dense > 0.0))
+        assert np.array_equal(
+            _dilate_one_cell(mask),
+            ndimage.binary_dilation(mask, structure=np.ones((3,) * mask.ndim, bool)))
 
 
 class TestFrontProfile:
