@@ -161,25 +161,28 @@ def _saturated_bracket(values: np.ndarray, mask_conv: np.ndarray, growth: Growth
 
 def rhs_singular(u: GridField, stencil: ConvolutionStencil, growth: GrowthLaw,
                  saturation_eps: float = 0.0, generalized: bool = False,
-                 mask_conv: np.ndarray | None = None) -> np.ndarray:
+                 mask_conv: np.ndarray | None = None,
+                 mask: np.ndarray | None = None) -> np.ndarray:
     """Right-hand side of the saturated-dispersal model; zero on the saturated set.
 
-    ``mask_conv`` is ``K * 1_S`` for the saturated set of ``u`` when the caller
-    keeps it up to date; without it the mask is convolved directly.
+    ``mask`` (the saturated set of ``u``) and ``mask_conv`` (its ``K * 1_S``)
+    come from a caller that keeps them up to date, or else are derived here.
     """
-    mask = saturated_mask(u.values, saturation_eps)
+    if mask is None:
+        mask = saturated_mask(u.values, saturation_eps)
     if mask_conv is None:
         mask_conv = convolve_field(stencil, mask.astype(float))
     return _saturated_bracket(u.values, mask_conv, growth, generalized) * (1.0 - mask)
 
 
 def model_rhs(u: GridField, params: ModelParams, stencil: ConvolutionStencil,
-              growth: GrowthLaw, mask_conv: np.ndarray | None = None) -> np.ndarray:
+              growth: GrowthLaw, mask_conv: np.ndarray | None = None,
+              mask: np.ndarray | None = None) -> np.ndarray:
     if params.model == "gamma":
         return rhs_gamma(u, stencil, growth, params.gamma)
     return rhs_singular(u, stencil, growth, params.saturation_eps,
                         generalized=params.model == "generalized_singular",
-                        mask_conv=mask_conv)
+                        mask_conv=mask_conv, mask=mask)
 
 
 def step(u: GridField, params: ModelParams, stencil: ConvolutionStencil,
@@ -229,7 +232,7 @@ def _euler_steps(u0: GridField, params: ModelParams, stencil: ConvolutionStencil
         remainder = 0.0
     for k in range(n_full + (1 if remainder else 0)):
         dt_k = params.dt if k < n_full else remainder
-        rhs = model_rhs(u, params, stencil, growth, mask_conv=mask_conv)
+        rhs = model_rhs(u, params, stencil, growth, mask_conv=mask_conv, mask=sat)
         proposed = u.values + dt_k * rhs
         clamped = proposed > 1.0
         new_values = np.minimum(proposed, 1.0)
@@ -240,8 +243,10 @@ def _euler_steps(u0: GridField, params: ModelParams, stencil: ConvolutionStencil
                 f"density left [0, 1] at t={u.time + dt_k:.6g}"
                 f" (min {lo}, max {float(new_values.max())})")
 
-        u = GridField(new_values, u.spacing, u.origin, u.time + dt_k)
-        new_sat = saturated_mask(u.values, eps)
+        # The check above is this field's range check: skip __post_init__'s.
+        u, prev = object.__new__(GridField), u
+        u.__dict__.update(prev.__dict__, values=new_values, time=prev.time + dt_k)
+        new_sat = saturated_mask(new_values, eps)
         if np.any(sat & ~new_sat):
             raise InvariantViolation(
                 f"{np.count_nonzero(sat & ~new_sat)} cells left the saturated set"

@@ -1,7 +1,7 @@
 """Growth laws with certified constants, plus optional gain laws."""
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable
 
 import numpy as np
@@ -55,6 +55,10 @@ class GrowthLaw:
     ``r`` bounds g(u) >= r*u from below on (0, 1]; ``lipschitz`` bounds |g'|;
     ``monotone_cap`` certifies g(u) <= g(1) everywhere, the assumption behind
     the comparison principle.
+
+    ``fn`` is one expression, valid on a Python float and on a float array,
+    with the same operations in the same order on either: ``fn(float(x)) ==
+    self(x)[i]`` bit for bit.  The wave shooter calls ``fn`` on floats.
     """
 
     kind: str
@@ -68,22 +72,18 @@ class GrowthLaw:
     fn: Callable[[np.ndarray], np.ndarray] = field(repr=False, default=None)
 
     def __call__(self, u):
-        return self.fn(u)
+        return self.fn(np.asarray(u, dtype=float))
 
     def with_gain(self, gain: GainLaw) -> "GrowthLaw":
-        return GrowthLaw(kind=self.kind, params=self.params, r=self.r,
-                         lipschitz=self.lipschitz, sup=self.sup, g1=self.g1,
-                         monotone_cap=self.monotone_cap, gain=gain, fn=self.fn)
+        return replace(self, gain=gain)
 
     def scaled(self, factor: float) -> "GrowthLaw":
         """Multiply the rate by a positive factor (rescales time)."""
         if factor <= 0:
             raise GrowthError("scale factor must be positive")
-        fn = lambda u, _f=self.fn, _a=factor: _a * np.asarray(_f(u))
-        return GrowthLaw(kind=self.kind, params=self.params + (factor,),
-                         r=self.r * factor, lipschitz=self.lipschitz * factor,
-                         sup=self.sup * factor, g1=self.g1 * factor,
-                         monotone_cap=self.monotone_cap, gain=self.gain, fn=fn)
+        return replace(self, params=self.params + (factor,), r=self.r * factor,
+                       lipschitz=self.lipschitz * factor, sup=self.sup * factor,
+                       g1=self.g1 * factor, fn=lambda u, _f=self.fn, _a=factor: _a * _f(u))
 
 
 def _check_table(u_nodes: np.ndarray, values: np.ndarray) -> None:
@@ -118,7 +118,7 @@ def linear_growth(rate: float, gain: GainLaw | None = None) -> GrowthLaw:
     """g(u) = rate * u."""
     if rate <= 0:
         raise GrowthError("linear rate must be positive")
-    fn = lambda u, _r=rate: _r * np.asarray(u, dtype=float)
+    fn = lambda u, _r=rate: _r * u
     return _verify(GrowthLaw(kind="linear", params=(rate,), r=rate,
                              lipschitz=rate, sup=rate, g1=rate,
                              monotone_cap=True, gain=gain, fn=fn))
@@ -135,7 +135,7 @@ def logistic_growth(rate: float, capacity: float,
         raise GrowthError("logistic rate must be positive")
     if capacity <= 1:
         raise GrowthError("logistic capacity must exceed 1")
-    fn = lambda u, _r=rate, _M=capacity: _r * np.asarray(u, dtype=float) * (1.0 - np.asarray(u, dtype=float) / _M)
+    fn = lambda u, _r=rate, _M=capacity: _r * u * (1.0 - u / _M)
     g1 = rate * (1.0 - 1.0 / capacity)
     sup = g1 if capacity >= 2 else rate * capacity / 4.0
     lip = rate * max(1.0, abs(1.0 - 2.0 / capacity))

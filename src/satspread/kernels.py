@@ -312,9 +312,10 @@ def add_to_mask_convolution(stencil: ConvolutionStencil, conv: np.ndarray,
     - 1-d: the outputs within reach of the new cells are recomputed by the
       direct path on the window of the mask they read.  Each output then sums
       the same inputs with the same dot product as in ``convolve_field``, so
-      the result is bit-identical for every kernel.  A window clipped at both
-      box edges is the whole box, which covers a box shorter than the
-      stencil.
+      the result is bit-identical for every kernel.  A band clear of the box
+      edges takes ``mode="valid"``: only its own outputs, each the same
+      all-taps dot product as in ``mode="full"``.  A window clipped at both
+      box edges is the whole box, which covers a box shorter than the stencil.
     """
     r = stencil.reach
     if stencil.dim == 2:
@@ -331,12 +332,15 @@ def add_to_mask_convolution(stencil: ConvolutionStencil, conv: np.ndarray,
     n = conv.shape[0]
     # Merge the reaches of nearby cells, so one step costs at most about one
     # full convolution.
-    cut = np.flatnonzero(np.diff(cells) > 2 * r + 1)
-    for first, last in zip(cells[np.r_[0, cut + 1]].tolist(),
-                           cells[np.r_[cut, cells.size - 1]].tolist()):
+    gap = np.diff(cells) > 2 * r + 1
+    for first, last in zip(cells[np.append(True, gap)].tolist(),
+                           cells[np.append(gap, True)].tolist()):
         lo, hi = max(first - r, 0), min(last + r + 1, n)
         w0, w1 = max(lo - r, 0), min(hi + r, n)
-        conv[lo:hi] = _convolve_1d(stencil, mask[w0:w1].astype(float))[lo - w0:hi - w0]
+        window = mask[w0:w1].astype(float)
+        conv[lo:hi] = (np.convolve(window, stencil.dense, mode="valid")
+                       if (w0, w1) == (lo - r, hi + r)
+                       else _convolve_1d(stencil, window)[lo - w0:hi - w0])
 
 
 def convolve_mask(stencil: ConvolutionStencil, mask: np.ndarray) -> np.ndarray:

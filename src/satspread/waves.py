@@ -56,15 +56,6 @@ class MinimalSpeedResult:
     ode_step: float
 
 
-def _extended(growth: GrowthLaw, y: float) -> float:
-    # Constant extension outside [0, 1]: zero below, g(1) above.
-    if y <= 0.0:
-        return 0.0
-    if y >= 1.0:
-        return growth.g1
-    return float(growth(y))
-
-
 def shoot_profile(c: float, growth: GrowthLaw, profile: FrontKernelProfile,
                   s_max: float | None = None,
                   ode_step: float | None = None) -> WaveProfile:
@@ -72,7 +63,9 @@ def shoot_profile(c: float, growth: GrowthLaw, profile: FrontKernelProfile,
 
     Classical fourth-order single-step integration with a fixed step chosen so
     that s = ell lands exactly on a node.  Integration continues past a sign
-    change; only the sign at ell matters below the minimal speed.
+    change; only the sign at ell matters below the minimal speed.  The loop
+    runs on Python floats: g is the law's own ``fn``, extended by 0 below 0
+    and by g(1) above 1, and gives the same bits as on arrays.
     """
     ell = profile.ell
     if not c > 0:
@@ -90,33 +83,29 @@ def shoot_profile(c: float, growth: GrowthLaw, profile: FrontKernelProfile,
     step = ell / per_ell
     n = int(math.ceil(s_max / step - 1e-12))
     s = step * np.arange(n + 1)
-    h_nodes = profile(s)
-    h_mids = profile(s[:-1] + 0.5 * step)
+    h_nodes = profile(s).tolist()
+    h_mids = profile(s[:-1] + 0.5 * step).tolist()
 
-    g1 = growth.g1
+    f, g1 = growth.fn, growth.g1
     inv_c = 1.0 / c
-    phi = np.empty(n + 1)
-    phi[0] = 1.0
+    phi = [1.0]
     y = 1.0
-    for j in range(n):
-        h0 = h_nodes[j]
-        hm = h_mids[j]
-        h1 = h_nodes[j + 1]
-        g = _extended(growth, y)
+    for h0, hm, h1 in zip(h_nodes, h_mids, h_nodes[1:]):
+        g = 0.0 if y <= 0.0 else g1 if y >= 1.0 else f(y)
         k1 = -(g + (g1 - g) * h0) * inv_c
         ym = y + 0.5 * step * k1
-        g = _extended(growth, ym)
+        g = 0.0 if ym <= 0.0 else g1 if ym >= 1.0 else f(ym)
         k2 = -(g + (g1 - g) * hm) * inv_c
         ym = y + 0.5 * step * k2
-        g = _extended(growth, ym)
+        g = 0.0 if ym <= 0.0 else g1 if ym >= 1.0 else f(ym)
         k3 = -(g + (g1 - g) * hm) * inv_c
         ye = y + step * k3
-        g = _extended(growth, ye)
+        g = 0.0 if ye <= 0.0 else g1 if ye >= 1.0 else f(ye)
         k4 = -(g + (g1 - g) * h1) * inv_c
         y += step * (k1 + 2.0 * k2 + 2.0 * k3 + k4) / 6.0
-        phi[j + 1] = y
+        phi.append(y)
 
-    return WaveProfile(c=c, s=s, phi=phi, ell=ell,
+    return WaveProfile(c=c, s=s, phi=np.array(phi), ell=ell,
                        phi_at_ell=float(phi[per_ell]))
 
 

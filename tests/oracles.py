@@ -6,8 +6,12 @@ the numbers can be regenerated.
 """
 from __future__ import annotations
 
+import math
+
 import numpy as np
 from scipy import integrate, optimize
+
+from satspread.waves import DEFAULT_STEP_FRACTION, WaveProfile
 
 # Minimal spreading speed for g(u) = u, 1-d indicator kernel with radius 1.
 # Route 1: the profile equation -c phi' = phi (1 - h) + h with h = (1-s)/2 is
@@ -111,3 +115,56 @@ def lipschitz_initial_data(rng: np.random.Generator, shape, spacing: float,
         radius = rng.uniform(2.0, max(3.0, shape[0] / 6))
         out = np.maximum(out, np.clip(radius - dist, 0.0, 1.0))
     return out
+
+
+def _extended_direct(growth, y) -> float:
+    # Constant extension outside [0, 1]: zero below, g(1) above.
+    if y <= 0.0:
+        return 0.0
+    if y >= 1.0:
+        return growth.g1
+    return float(growth(y))
+
+
+def shoot_profile_direct(c: float, growth, profile, s_max: float | None = None,
+                         ode_step: float | None = None) -> WaveProfile:
+    """The RK4 profile shooter on numpy values, as a bit-for-bit oracle.
+
+    Each g goes through the law's array call on a 0-d array, h is read as
+    numpy scalars and phi is written into a preallocated array; the step,
+    the nodes and the operation order are those of ``shoot_profile``.
+    """
+    ell = profile.ell
+    s_max = 2.0 * ell if s_max is None else s_max
+    ode_step = ell * DEFAULT_STEP_FRACTION if ode_step is None else ode_step
+    per_ell = int(math.ceil(ell / ode_step - 1e-12))
+    step = ell / per_ell
+    n = int(math.ceil(s_max / step - 1e-12))
+    s = step * np.arange(n + 1)
+    h_nodes = profile(s)
+    h_mids = profile(s[:-1] + 0.5 * step)
+
+    g1 = growth.g1
+    inv_c = 1.0 / c
+    phi = np.empty(n + 1)
+    phi[0] = 1.0
+    y = 1.0
+    for j in range(n):
+        h0 = h_nodes[j]
+        hm = h_mids[j]
+        h1 = h_nodes[j + 1]
+        g = _extended_direct(growth, y)
+        k1 = -(g + (g1 - g) * h0) * inv_c
+        ym = y + 0.5 * step * k1
+        g = _extended_direct(growth, ym)
+        k2 = -(g + (g1 - g) * hm) * inv_c
+        ym = y + 0.5 * step * k2
+        g = _extended_direct(growth, ym)
+        k3 = -(g + (g1 - g) * hm) * inv_c
+        ye = y + step * k3
+        g = _extended_direct(growth, ye)
+        k4 = -(g + (g1 - g) * h1) * inv_c
+        y += step * (k1 + 2.0 * k2 + 2.0 * k3 + k4) / 6.0
+        phi[j + 1] = y
+
+    return WaveProfile(c=c, s=s, phi=phi, ell=ell, phi_at_ell=float(phi[per_ell]))

@@ -96,3 +96,20 @@ def test_scaling_rescales_all_constants():
     assert doubled.sup == pytest.approx(2 * g.sup)
     assert doubled.lipschitz == pytest.approx(2 * g.lipschitz)
     assert float(doubled(0.5)) == pytest.approx(2 * float(g(0.5)))
+
+
+@pytest.mark.parametrize("law", [
+    ss.linear_growth(1.3),
+    ss.logistic_growth(1.0, 3.0),
+    ss.logistic_growth(2.0, 1.2),
+    ss.tabulated_growth([0.0, 0.25, 0.5, 1.0], [0.0, 0.3, 0.55, 1.0]),
+    ss.logistic_growth(0.7, 2.5).scaled(1.9),
+    ss.tabulated_growth([0.0, 0.4, 1.0], [0.0, 0.6, 0.9]).scaled(0.3),
+], ids=["linear", "logistic", "logistic-uncapped", "tabulated", "scaled",
+        "scaled-tabulated"])
+def test_float_evaluation_equals_array_evaluation(law):
+    rng = np.random.default_rng(7)
+    u = np.concatenate([np.linspace(0.0, 1.0, 10001), rng.uniform(0.0, 1.0, 10000)])
+    on_array = law(u)
+    on_floats = np.array([law.fn(x) for x in u.tolist()])
+    assert np.array_equal(on_floats, on_array)

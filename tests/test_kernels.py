@@ -277,6 +277,26 @@ def growing_masks(draw, dim):
     return stencil, masks
 
 
+@st.composite
+def sparse_growth_1d(draw):
+    """A 1-d stencil, a box of 4*reach + 1 to 12*reach cells, sparse batches.
+
+    Up to four cells join per batch, so most bands of new cells lie clear of
+    the box edges, where the update computes only the band's own outputs.
+    """
+    kind = draw(st.sampled_from(["indicator_ball", "custom_radial"]))
+    dx = draw(st.sampled_from([0.25, 0.1, 0.05]))
+    _, stencil = ss.build_kernel(kind, 1.0, 1, dx, profile=cone_profile)
+    n = draw(st.integers(4 * stencil.reach + 1, 12 * stencil.reach))
+    masks = []
+    for cells in draw(st.lists(st.lists(st.integers(0, n - 1), max_size=4),
+                               min_size=1, max_size=6)):
+        added = np.zeros(n, dtype=bool)
+        added[cells] = True
+        masks.append(added)
+    return stencil, masks
+
+
 class TestAddToMaskConvolutionProperty:
     """Random growth batches against a fresh direct convolution, bit for bit."""
 
@@ -298,6 +318,11 @@ class TestAddToMaskConvolutionProperty:
     @settings(derandomize=True, database=None, deadline=None, max_examples=40)
     @given(growing_masks(dim=2))
     def test_two_dimensional_indicator(self, case):
+        self.check(*case)
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=60)
+    @given(sparse_growth_1d())
+    def test_one_dimensional_bands_clear_of_the_edges(self, case):
         self.check(*case)
 
 

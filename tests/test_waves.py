@@ -5,8 +5,18 @@ import numpy as np
 import pytest
 
 import satspread as ss
+from satspread import waves
 
-from oracles import C_STAR_LINEAR_1D, c_star_quadrature_root
+from oracles import C_STAR_LINEAR_1D, c_star_quadrature_root, shoot_profile_direct
+
+#: One law of each kind ``shoot_profile`` can meet, each with the growth cap.
+LAWS = {
+    "linear": ss.linear_growth(1.0),
+    "logistic-2": ss.logistic_growth(1.0, 2.0),
+    "logistic-3.7": ss.logistic_growth(0.8, 3.7),
+    "tabulated": ss.tabulated_growth([0.0, 0.3, 0.6, 1.0], [0.0, 0.5, 0.8, 1.0]),
+    "scaled": ss.logistic_growth(1.0, 3.0).scaled(1.7),
+}
 
 
 def test_frozen_oracle_value_regenerates():
@@ -155,3 +165,52 @@ class TestExportWave:
         assert vals[0] == 1.0
         assert 0.0 < vals[1] < 1.0
         assert vals[2] == 0.0
+
+
+@pytest.fixture(scope="module", params=[1, 2], ids=["1d", "2d"])
+def indicator_profile(request, front_profile_1d):
+    if request.param == 1:
+        return front_profile_1d
+    kernel, _ = ss.build_kernel("indicator_ball", 0.8, 2, 0.1)
+    return ss.front_profile(kernel, sample_spacing=0.8 / 50)
+
+
+@pytest.mark.parametrize("name", sorted(LAWS))
+class TestFloatShooterAgainstArrayOracle:
+    """The float RK4 loop against the same loop on numpy values, bit for bit."""
+
+    def test_profiles_across_the_bracket(self, name, indicator_profile):
+        law, ell = LAWS[name], indicator_profile.ell
+        c_lo = law.g1 * indicator_profile.integral_zero_to_ell()
+        c_hi = ell * law.sup
+        for c in np.linspace(0.8 * c_lo, 1.2 * c_hi, 6):
+            for s_max in (ell, 2.0 * ell):
+                fast = ss.shoot_profile(c, law, indicator_profile, s_max=s_max,
+                                        ode_step=ell / 230)
+                direct = shoot_profile_direct(c, law, indicator_profile,
+                                              s_max=s_max, ode_step=ell / 230)
+                assert np.array_equal(fast.s, direct.s)
+                assert np.array_equal(fast.phi, direct.phi)
+                assert fast.phi_at_ell == direct.phi_at_ell
+
+    def test_default_step_profile(self, name, indicator_profile):
+        law, ell = LAWS[name], indicator_profile.ell
+        c = 0.5 * ell * law.sup
+        fast = ss.shoot_profile(c, law, indicator_profile)
+        direct = shoot_profile_direct(c, law, indicator_profile)
+        assert np.array_equal(fast.phi, direct.phi)
+        assert fast.phi_at_ell == direct.phi_at_ell
+
+    def test_minimal_speed_equals_oracle_bisection(self, name, indicator_profile,
+                                                   monkeypatch):
+        law, step = LAWS[name], indicator_profile.ell / 230
+        fast = ss.find_c_star(law, indicator_profile, tol=1e-7, ode_step=step)
+        monkeypatch.setattr(waves, "shoot_profile", shoot_profile_direct)
+        direct = ss.find_c_star(law, indicator_profile, tol=1e-7, ode_step=step)
+        assert fast == direct
+
+
+def test_minimal_speed_at_default_step_equals_oracle_bisection(
+        linear_g, front_profile_1d, c_star_result, monkeypatch):
+    monkeypatch.setattr(waves, "shoot_profile", shoot_profile_direct)
+    assert ss.find_c_star(linear_g, front_profile_1d) == c_star_result
