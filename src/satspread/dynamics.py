@@ -3,14 +3,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterator
+from typing import Callable, Iterator, NamedTuple
 
 import numpy as np
 
 from .errors import InvariantViolation
 from .growth import GrowthLaw
 from .kernels import (ConvolutionStencil, add_to_mask_convolution, convolve_dense,
-                      convolve_field)
+                      convolve_field, convolve_mask)
 
 MODEL_KINDS = ("gamma", "singular", "generalized_singular")
 
@@ -125,6 +125,10 @@ def _check_stepping(u: GridField, params: ModelParams, stencil: ConvolutionStenc
     cap = stability_cap(params.model, growth, params.gamma)
     if params.dt > cap * (1 + 1e-12):
         raise ValueError(f"dt={params.dt} exceeds the stability cap {cap:.6g}")
+    # The stepping band leaves out cells with u = 0 and K * 1_S = 0, where the
+    # rhs is g(0); a directly built GrowthLaw has not been verified.
+    if growth.fn(0.0) != 0.0:
+        raise ValueError("growth must vanish at zero density: g(0) != 0")
 
 
 def saturated_mask(values: np.ndarray, saturation_eps: float = 0.0) -> np.ndarray:
@@ -147,10 +151,10 @@ def rhs_gamma(u: GridField, stencil: ConvolutionStencil, growth: GrowthLaw,
     return (g * (1.0 - conv_p) + conv_gp) * (1.0 - p)
 
 
-def _saturated_bracket(values: np.ndarray, mask_conv: np.ndarray, growth: GrowthLaw,
+def _saturated_bracket(values: np.ndarray, conv: np.ndarray, growth: GrowthLaw,
                        generalized: bool) -> np.ndarray:
-    """Evolution bracket of the saturated models, given ``mask_conv = K * 1_S``."""
-    conv = np.clip(mask_conv, 0.0, 1.0)
+    """Evolution bracket of the saturated models, given ``conv = K * 1_S``
+    clipped to [0, 1]."""
     g = np.asarray(growth(values), dtype=float)
     if generalized:
         if growth.gain is None:
@@ -159,30 +163,61 @@ def _saturated_bracket(values: np.ndarray, mask_conv: np.ndarray, growth: Growth
     return g * (1.0 - conv) + growth.g1 * conv
 
 
+class _Band(NamedTuple):
+    """Cells where the saturated-model rhs can be nonzero, with the terms of
+    that rhs which change only when a cell joins ``S``."""
+
+    cells: np.ndarray  # flat indices
+    conv: np.ndarray  # K * 1_S at the cells, clipped to [0, 1]
+    unsaturated: np.ndarray  # 1 - 1_S at the cells
+
+
+def _band(sat: np.ndarray, mask_conv: np.ndarray, values: np.ndarray) -> _Band:
+    """The stepping band of the saturated models, given ``mask_conv = K * 1_S``.
+
+    It holds the unsaturated cells with ``u > 0`` or ``K * 1_S > 0``, dilated
+    by one cell along each axis, which adds the saturated cells that border
+    each front.  Elsewhere the rhs is exactly 0: ``g(0) = 0`` and
+    ``K * 1_S = 0`` off ``S``, and the factor ``1 - 1_S`` on ``S``.
+    """
+    # A -0.0 density steps to 0.0, so it counts as live too.
+    live = ~sat & ((values > 0.0) | (mask_conv > 0.0) | np.signbit(values))
+    grown = live.copy()
+    for axis in range(live.ndim):
+        head = (slice(None),) * axis
+        grown[head + (slice(1, None),)] |= live[head + (slice(None, -1),)]
+        grown[head + (slice(None, -1),)] |= live[head + (slice(1, None),)]
+    cells = grown.ravel().nonzero()[0]
+    return _Band(cells, np.clip(mask_conv.ravel()[cells], 0.0, 1.0),
+                 1.0 - sat.ravel()[cells])
+
+
 def rhs_singular(u: GridField, stencil: ConvolutionStencil, growth: GrowthLaw,
                  saturation_eps: float = 0.0, generalized: bool = False,
-                 mask_conv: np.ndarray | None = None,
-                 mask: np.ndarray | None = None) -> np.ndarray:
+                 band: _Band | None = None) -> np.ndarray:
     """Right-hand side of the saturated-dispersal model; zero on the saturated set.
 
-    ``mask`` (the saturated set of ``u``) and ``mask_conv`` (its ``K * 1_S``)
-    come from a caller that keeps them up to date, or else are derived here.
+    ``band``, kept up to date by ``_euler_steps``, holds every cell where the
+    rhs can be nonzero and its ``K * 1_S``: the rhs is evaluated at those
+    cells only and is 0.0 elsewhere.  Without it, ``K * 1_S`` is convolved here.
     """
-    if mask is None:
+    if band is None:
         mask = saturated_mask(u.values, saturation_eps)
-    if mask_conv is None:
-        mask_conv = convolve_field(stencil, mask.astype(float))
-    return _saturated_bracket(u.values, mask_conv, growth, generalized) * (1.0 - mask)
+        return (_saturated_bracket(u.values, convolve_mask(stencil, mask), growth,
+                                   generalized) * (1.0 - mask))
+    rhs = np.zeros(u.values.size)
+    rhs[band.cells] = (_saturated_bracket(u.values.ravel()[band.cells], band.conv,
+                                          growth, generalized) * band.unsaturated)
+    return rhs.reshape(u.shape)
 
 
 def model_rhs(u: GridField, params: ModelParams, stencil: ConvolutionStencil,
-              growth: GrowthLaw, mask_conv: np.ndarray | None = None,
-              mask: np.ndarray | None = None) -> np.ndarray:
+              growth: GrowthLaw, band: _Band | None = None) -> np.ndarray:
     if params.model == "gamma":
         return rhs_gamma(u, stencil, growth, params.gamma)
     return rhs_singular(u, stencil, growth, params.saturation_eps,
                         generalized=params.model == "generalized_singular",
-                        mask_conv=mask_conv, mask=mask)
+                        band=band)
 
 
 def step(u: GridField, params: ModelParams, stencil: ConvolutionStencil,
@@ -207,24 +242,38 @@ def _euler_steps(u0: GridField, params: ModelParams, stencil: ConvolutionStencil
                  growth: GrowthLaw) -> Iterator[tuple]:
     """Clamped explicit Euler steps from ``u0`` to ``params.t_end``.
 
-    Yields ``(u, rhs, clamped, newly)`` after each step: the advanced field,
-    the right-hand side it was advanced with, the cells clamped at the ceiling
-    and the cells that joined the saturated set ``S``.  The steps are whole
-    ``dt`` steps plus one shorter last step when ``t_end`` is not a multiple
-    of ``dt``.
+    Yields ``(u, before, after, rhs, clamped, newly)`` after each step: the
+    advanced field; on the band of cells the step wrote, their densities
+    before and after, their right-hand side and which of them were clamped at
+    the ceiling; and the flat indices of the cells that joined the saturated
+    set ``S``.  Every cell off the band kept its density and had rhs 0.0.
+    Each ``u`` owns its ``values``.  The steps are whole ``dt`` steps plus
+    one shorter last step when ``t_end`` is not a multiple of ``dt``.
 
     For the saturated models the only nonlocal term is ``K * 1_S``, and ``S``
     only grows.  So ``K * 1_S`` is convolved once and then updated at the
-    cells that join ``S``; a cell leaving ``S`` raises ``InvariantViolation``,
-    and so does a density outside [0, 1] or NaN.
+    cells that join ``S``, and only the cells of ``_band`` are stepped: off
+    them the rhs is exactly 0, so every bit is that of a full-grid step.  A
+    cell with ``u = 0`` and ``K * 1_S = 0`` keeps rhs 0, so the band changes
+    only on steps where a cell joins ``S``, and is rebuilt there.  The gamma
+    model steps the whole box: its FFT convolution of ``u^gamma`` must see
+    the whole field.  A cell leaving ``S`` raises ``InvariantViolation``, and
+    so does a density outside [0, 1] or NaN; both are checked on every cell
+    the step wrote.
     """
     _check_stepping(u0, params, stencil, growth)
     u = u0
     eps = params.saturation_eps
     sat = saturated_mask(u.values, eps)
-    # K * 1_S for the saturated models, brought up to date as cells join S.
-    mask_conv = (None if params.model == "gamma"
-                 else convolve_field(stencil, sat.astype(float)))
+    if params.model == "gamma":
+        # The whole box, as a slice: its gathers are views.
+        mask_conv, band, cells = None, None, slice(None)
+    else:
+        # K * 1_S, brought up to date as cells join S.
+        mask_conv = convolve_field(stencil, sat.astype(float))
+        band = _band(sat, mask_conv, u.values)
+        cells = band.cells
+    sat_band = sat.ravel()[cells]
 
     n_full = int(math.floor(params.t_end / params.dt + 1e-12))
     remainder = params.t_end - n_full * params.dt
@@ -232,30 +281,42 @@ def _euler_steps(u0: GridField, params: ModelParams, stencil: ConvolutionStencil
         remainder = 0.0
     for k in range(n_full + (1 if remainder else 0)):
         dt_k = params.dt if k < n_full else remainder
-        rhs = model_rhs(u, params, stencil, growth, mask_conv=mask_conv, mask=sat)
-        proposed = u.values + dt_k * rhs
+        rhs = model_rhs(u, params, stencil, growth, band=band).ravel()[cells]
+        before = u.values.ravel()[cells]
+        proposed = before + dt_k * rhs
         clamped = proposed > 1.0
-        new_values = np.minimum(proposed, 1.0)
+        after = np.minimum(proposed, 1.0)
         # min propagates NaN, which fails the test; the clamp caps the max at 1.
-        lo = float(new_values.min())
+        lo = float(after.min(initial=np.inf))
         if not lo >= 0.0:
             raise InvariantViolation(
                 f"density left [0, 1] at t={u.time + dt_k:.6g}"
-                f" (min {lo}, max {float(new_values.max())})")
+                f" (min {lo}, max {float(after.max())})")
 
+        values = u.values.copy()
+        values.ravel()[cells] = after
         # The check above is this field's range check: skip __post_init__'s.
         u, prev = object.__new__(GridField), u
-        u.__dict__.update(prev.__dict__, values=new_values, time=prev.time + dt_k)
-        new_sat = saturated_mask(new_values, eps)
-        if np.any(sat & ~new_sat):
-            raise InvariantViolation(
-                f"{np.count_nonzero(sat & ~new_sat)} cells left the saturated set"
-                f" at t={u.time:.6g}")
-        newly = new_sat & ~sat
-        sat = new_sat
-        if mask_conv is not None:
-            add_to_mask_convolution(stencil, mask_conv, sat, newly)
-        yield u, rhs, clamped, newly
+        u.__dict__.update(prev.__dict__, values=values, time=prev.time + dt_k)
+        # Band cells whose membership of S changed: leaving S raises, and
+        # joining it is an event.
+        newly = flips = (saturated_mask(after, eps) != sat_band).nonzero()[0]
+        if flips.size:
+            left = np.count_nonzero(sat_band[flips])
+            if left:
+                raise InvariantViolation(
+                    f"{left} cells left the saturated set at t={u.time:.6g}")
+            if band is not None:
+                newly = cells[flips]
+            added = np.zeros(sat.shape, dtype=bool)
+            added.ravel()[newly] = True
+            sat |= added
+            if band is not None:
+                add_to_mask_convolution(stencil, mask_conv, sat, added)
+                band = _band(sat, mask_conv, values)
+                cells = band.cells
+            sat_band = sat.ravel()[cells]
+        yield u, before, after, rhs, clamped, newly
 
 
 @dataclass
@@ -284,35 +345,33 @@ def run(u0: GridField, params: ModelParams, stencil: ConvolutionStencil,
     at the final time.  Saturation times use the first-crossing convention:
     the recorded time is the end of the step on which a cell first reaches
     the (eps-adjusted) ceiling.  The steps and their invariant checks are
-    those of ``_euler_steps``.
+    those of ``_euler_steps``.  The monitors are updated from the band of
+    cells each step wrote: off it the density did not change and the rhs was
+    0.0, so the running minima, maxima and counts are those of the whole grid.
     """
     u = u0.copy()
     sat_time = np.where(saturated_mask(u.values, params.saturation_eps), 0.0, np.inf)
 
     # "mask_monotonicity_violations" stays 0: a shrinking S raises instead.
-    monitors = {"min_u": float(u.values.min()), "max_u": float(u.values.max()),
-                "max_rhs": 0.0, "time_monotonicity_gap": 0.0,
-                "mask_monotonicity_violations": 0.0, "max_lipschitz": 0.0}
-    if record_lipschitz:
-        monitors["max_lipschitz"] = discrete_lipschitz(u)
+    min_u, max_u = float(u.values.min()), float(u.values.max())
+    max_rhs = gap = 0.0
+    lipschitz = discrete_lipschitz(u) if record_lipschitz else 0.0
 
     times = [u.time]
     snapshots = [u.values.copy()]
     next_snapshot = snapshot_interval if snapshot_interval else math.inf
     clamped_total = 0
     last_recorded = True
-    for new, rhs, clamped, newly in _euler_steps(u, params, stencil, growth):
+    for u, before, after, rhs, clamped, newly in _euler_steps(u, params, stencil, growth):
         clamped_total += int(np.count_nonzero(clamped))
-        monitors["min_u"] = min(monitors["min_u"], float(new.values.min()))
-        monitors["max_u"] = max(monitors["max_u"], float(new.values.max()))
-        monitors["max_rhs"] = max(monitors["max_rhs"], float(rhs.max(initial=0.0)))
-        gap = float((u.values - new.values).max(initial=0.0))
-        monitors["time_monotonicity_gap"] = max(monitors["time_monotonicity_gap"], gap)
-        u = new
-        sat_time[newly] = u.time
+        min_u = min(min_u, float(after.min(initial=np.inf)))
+        max_u = max(max_u, float(after.max(initial=-np.inf)))
+        max_rhs = max(max_rhs, float(rhs.max(initial=0.0)))
+        gap = max(gap, float((before - after).max(initial=0.0)))
+        if newly.size:
+            sat_time.ravel()[newly] = u.time
         if record_lipschitz:
-            monitors["max_lipschitz"] = max(monitors["max_lipschitz"],
-                                            discrete_lipschitz(u))
+            lipschitz = max(lipschitz, discrete_lipschitz(u))
 
         last_recorded = u.time >= next_snapshot - 1e-12
         if last_recorded:
@@ -324,6 +383,9 @@ def run(u0: GridField, params: ModelParams, stencil: ConvolutionStencil,
         times.append(u.time)
         snapshots.append(u.values.copy())
 
+    monitors = {"min_u": min_u, "max_u": max_u, "max_rhs": max_rhs,
+                "time_monotonicity_gap": gap, "mask_monotonicity_violations": 0.0,
+                "max_lipschitz": lipschitz}
     return RunResult(final=u, saturation_time=sat_time, times=times,
                      snapshots=snapshots, clamped_total=clamped_total,
                      monitors=monitors)
@@ -342,9 +404,8 @@ def obstacle_residual(u_before: GridField, u_after: GridField, dt: float,
         raise ValueError("dt must be positive")
     du = (u_after.values - u_before.values) / dt
     mask = saturated_mask(u_after.values, saturation_eps)
-    bracket = _saturated_bracket(
-        u_after.values, convolve_field(stencil, mask.astype(float)), growth,
-        generalized=False)
+    bracket = _saturated_bracket(u_after.values, convolve_mask(stencil, mask), growth,
+                                 generalized=False)
     return np.maximum(u_after.values - 1.0, du - bracket)
 
 

@@ -235,6 +235,20 @@ class TestStep:
         with pytest.raises(ValueError, match="stability cap"):
             ss.step(field1d(np.zeros(33)), params, st, linear_g)
 
+    @pytest.mark.parametrize("model", ["singular", "gamma"])
+    def test_growth_not_vanishing_at_zero_rejected(self, small1d, model):
+        # A directly built law skips the factory's checks; the stepping band
+        # leaves out cells where the rhs is g(0), so g(0) must be exactly 0.
+        _, st = small1d
+        law = ss.GrowthLaw(kind="linear", params=(1.0,), r=1.0, lipschitz=1.0,
+                           sup=1.0, g1=1.0, monotone_cap=True,
+                           fn=lambda u: 1.0 * u + 1e-16)
+        u0 = ss.grid_field(2.0, 0.125, 1, seed_plateau(0.5, 0.25))
+        params = ss.ModelParams(model=model, dt=0.01, t_end=0.1, gamma=2.0)
+        for stepper in (ss.step, ss.run):
+            with pytest.raises(ValueError, match="g\\(0\\) != 0"):
+                stepper(u0, params, st, law)
+
     def test_clamping_reported_and_exact(self, small1d, linear_g):
         _, st = small1d
         vals = np.full(33, 0.995)
@@ -344,6 +358,18 @@ class TestRun:
         res = ss.run(u0, params, st, linear_g, snapshot_interval=1.0)
         for earlier, later in zip(res.snapshots, res.snapshots[1:]):
             assert np.all(later >= earlier)
+
+    def test_negative_zero_out_of_reach_steps_to_zero(self, small1d, linear_g):
+        # A full-grid step turns -0.0 into 0.0 (-0.0 + dt * 0.0); the stepping
+        # band must hold such a cell even out of reach of S.
+        _, st = small1d
+        u0 = ss.grid_field(2.0, 0.125, 1, seed_plateau(0.5, 0.25))
+        u0.values[0] = -0.0
+        params = ss.ModelParams(model="singular", dt=0.1, t_end=0.2)
+        res = ss.run(u0, params, st, linear_g)
+        final, _ = step_loop(u0, params, st, linear_g)
+        assert not np.signbit(final[0])
+        assert np.array_equal(np.signbit(res.final.values), np.signbit(final))
 
 
 def step_loop(u0, params, stencil, growth):

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import satspread as ss
+from satspread.growth import _verify
 
 
 class TestLinear:
@@ -67,6 +68,20 @@ class TestTabulated:
         with pytest.raises(ss.GrowthError):
             # interior zero breaks the linear lower bound g(u) >= r u
             ss.tabulated_growth([0.0, 0.5, 1.0], [0.0, 0.0, 1.0])
+
+
+def offset_linear_law(offset: float) -> ss.GrowthLaw:
+    """Unit linear law plus a constant, built without the factory checks."""
+    return ss.GrowthLaw(kind="linear", params=(1.0,), r=1.0, lipschitz=1.0,
+                        sup=1.0 + offset, g1=1.0 + offset, monotone_cap=True,
+                        fn=lambda u: 1.0 * u + offset)
+
+
+def test_growth_must_vanish_exactly_at_zero():
+    # 1e-16 used to pass as "zero"; the stepping band needs g(0) == 0.0.
+    with pytest.raises(ss.GrowthError, match="vanish at zero density"):
+        _verify(offset_linear_law(1e-16))
+    assert _verify(offset_linear_law(0.0)).fn(0.0) == 0.0
 
 
 class TestGain:

@@ -1,0 +1,96 @@
+"""Property tests: the banded Euler core of run() against a direct step() loop."""
+from __future__ import annotations
+
+import numpy as np
+from hypothesis import given, settings, strategies as st
+
+import satspread as ss
+
+from conftest import seed_plateau
+
+DX = 0.125
+#: Box radii: 0.5 and 0.875 give boxes shorter than the 17-tap 1-d stencil
+#: (ell = 1, dx = 1/8); the small boxes saturate up to their edge.
+BOXES = {1: (0.5, 0.875, 1.5, 2.5, 4.0), 2: (0.875, 1.25, 2.0)}
+STENCILS = {dim: ss.build_kernel("indicator_ball", 1.0, dim, DX)[1] for dim in (1, 2)}
+
+
+@st.composite
+def growth_laws(draw):
+    kind = draw(st.sampled_from(["linear", "logistic", "tabulated"]))
+    rate = draw(st.floats(0.5, 2.0))
+    if kind == "linear":
+        return ss.linear_growth(rate)
+    if kind == "logistic":
+        return ss.logistic_growth(rate, draw(st.floats(2.0, 5.0)))
+    # A capped table: positive values with g(1) the largest, so g <= g(1).
+    inner = draw(st.lists(st.sampled_from([0.2, 0.4, 0.6, 0.8]), max_size=3,
+                          unique=True))
+    nodes = [0.0, *sorted(inner), 1.0]
+    values = draw(st.lists(st.floats(0.1, 2.0), min_size=len(nodes) - 1,
+                           max_size=len(nodes) - 1))
+    values[-1] = max(values)
+    law = ss.tabulated_growth(nodes, [0.0, *values])
+    assert law.monotone_cap
+    return law
+
+
+@st.composite
+def cases(draw):
+    dim = draw(st.sampled_from([1, 1, 2]))
+    box = draw(st.sampled_from(BOXES[dim]))
+    radius = draw(st.floats(0.0, 1.5))
+    ramp = draw(st.floats(0.05, 1.0))
+    height = draw(st.one_of(st.just(1.0), st.floats(0.5, 1.0)))
+    growth = draw(growth_laws())
+    model = draw(st.sampled_from(ss.dynamics.MODEL_KINDS))
+    gamma = None
+    if model == "generalized_singular":
+        growth = growth.with_gain(ss.constant_gain(draw(st.floats(0.1, 1.0))))
+    if model == "gamma":
+        gamma = draw(st.floats(1.0, 8.0))
+    eps = draw(st.sampled_from([0.0, 1e-6]))
+    dt = ss.stability_cap(model, growth, gamma) * draw(st.sampled_from([1.0, 0.5]))
+    n_steps = draw(st.integers(1, 40))
+    params = ss.ModelParams(model=model, dt=dt, t_end=n_steps * dt, gamma=gamma,
+                            saturation_eps=eps)
+    plateau = seed_plateau(radius, ramp)
+    u0 = ss.grid_field(box, DX, dim, lambda r: height * plateau(r))
+    return u0, params, STENCILS[dim], growth, n_steps
+
+
+def direct_loop(u0, params, stencil, growth, n_steps):
+    """step() n times with full-grid monitors and first-crossing times."""
+    u = u0
+    eps = params.saturation_eps
+    sat_time = np.where(ss.saturated_mask(u.values, eps), 0.0, np.inf)
+    monitors = {"min_u": float(u.values.min()), "max_u": float(u.values.max()),
+                "max_rhs": 0.0, "time_monotonicity_gap": 0.0}
+    clamped_total = 0
+    for _ in range(n_steps):
+        rhs = ss.model_rhs(u, params, stencil, growth)
+        new, clamped = ss.step(u, params, stencil, growth)
+        clamped_total += int(np.count_nonzero(clamped))
+        monitors["min_u"] = min(monitors["min_u"], float(new.values.min()))
+        monitors["max_u"] = max(monitors["max_u"], float(new.values.max()))
+        monitors["max_rhs"] = max(monitors["max_rhs"], float(rhs.max(initial=0.0)))
+        monitors["time_monotonicity_gap"] = max(
+            monitors["time_monotonicity_gap"], float((u.values - new.values).max()))
+        u = new
+        sat_time[ss.saturated_mask(u.values, eps) & np.isinf(sat_time)] = u.time
+    return u, sat_time, monitors, clamped_total
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=80)
+@given(cases())
+def test_run_equals_direct_step_loop(case):
+    u0, params, stencil, growth, n_steps = case
+    res = ss.run(u0, params, stencil, growth)
+    final, sat_time, monitors, clamped_total = direct_loop(u0, params, stencil,
+                                                           growth, n_steps)
+    assert res.final.time == final.time
+    assert np.array_equal(res.final.values, final.values)
+    assert np.array_equal(res.saturation_time, sat_time)
+    assert res.clamped_total == clamped_total
+    for key, value in monitors.items():
+        assert res.monitors[key] == value, key
