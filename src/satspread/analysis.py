@@ -3,7 +3,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -233,6 +232,9 @@ def gamma_convergence_study(u0: GridField, gamma_list: Sequence[float],
         return dt, res.final.values
 
     if max_workers > 1:
+        # Imported here: the import costs every CLI start-up about 10 ms.
+        from concurrent.futures import ThreadPoolExecutor
+
         with ThreadPoolExecutor(max_workers=max_workers) as pool:
             outcomes = list(pool.map(gamma_final, gammas))
     else:

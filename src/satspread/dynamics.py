@@ -242,13 +242,14 @@ def _euler_steps(u0: GridField, params: ModelParams, stencil: ConvolutionStencil
                  growth: GrowthLaw) -> Iterator[tuple]:
     """Clamped explicit Euler steps from ``u0`` to ``params.t_end``.
 
-    Yields ``(u, before, after, rhs, clamped, newly)`` after each step: the
-    advanced field; on the band of cells the step wrote, their densities
-    before and after, their right-hand side and which of them were clamped at
-    the ceiling; and the flat indices of the cells that joined the saturated
-    set ``S``.  Every cell off the band kept its density and had rhs 0.0.
-    Each ``u`` owns its ``values``.  The steps are whole ``dt`` steps plus
-    one shorter last step when ``t_end`` is not a multiple of ``dt``.
+    Yields ``(u, before, after, rhs, clamped, newly, written)`` after each
+    step: the advanced field; on the band of cells the step wrote, their
+    densities before and after, their right-hand side and which of them were
+    clamped at the ceiling; the flat indices of the cells that joined the
+    saturated set ``S``; and the band, as flat indices or as ``slice(None)``
+    for the whole box.  Every cell off the band kept its density and had rhs
+    0.0.  Each ``u`` owns its ``values``.  The steps are whole ``dt`` steps
+    plus one shorter last step when ``t_end`` is not a multiple of ``dt``.
 
     For the saturated models the only nonlocal term is ``K * 1_S``, and ``S``
     only grows.  So ``K * 1_S`` is convolved once and then updated at the
@@ -282,6 +283,8 @@ def _euler_steps(u0: GridField, params: ModelParams, stencil: ConvolutionStencil
     for k in range(n_full + (1 if remainder else 0)):
         dt_k = params.dt if k < n_full else remainder
         rhs = model_rhs(u, params, stencil, growth, band=band).ravel()[cells]
+        # The band this step writes; an event below replaces it.
+        written = cells
         before = u.values.ravel()[cells]
         proposed = before + dt_k * rhs
         clamped = proposed > 1.0
@@ -316,7 +319,7 @@ def _euler_steps(u0: GridField, params: ModelParams, stencil: ConvolutionStencil
                 band = _band(sat, mask_conv, values)
                 cells = band.cells
             sat_band = sat.ravel()[cells]
-        yield u, before, after, rhs, clamped, newly
+        yield u, before, after, rhs, clamped, newly, written
 
 
 @dataclass
@@ -348,6 +351,9 @@ def run(u0: GridField, params: ModelParams, stencil: ConvolutionStencil,
     those of ``_euler_steps``.  The monitors are updated from the band of
     cells each step wrote: off it the density did not change and the rhs was
     0.0, so the running minima, maxima and counts are those of the whole grid.
+    Only slopes between a written cell and a neighbour can change, so the
+    running maximum slope scans the written cells' bounding box, dilated by
+    one cell.
     """
     u = u0.copy()
     sat_time = np.where(saturated_mask(u.values, params.saturation_eps), 0.0, np.inf)
@@ -356,13 +362,15 @@ def run(u0: GridField, params: ModelParams, stencil: ConvolutionStencil,
     min_u, max_u = float(u.values.min()), float(u.values.max())
     max_rhs = gap = 0.0
     lipschitz = discrete_lipschitz(u) if record_lipschitz else 0.0
+    band = window = None
 
     times = [u.time]
     snapshots = [u.values.copy()]
     next_snapshot = snapshot_interval if snapshot_interval else math.inf
     clamped_total = 0
     last_recorded = True
-    for u, before, after, rhs, clamped, newly in _euler_steps(u, params, stencil, growth):
+    for u, before, after, rhs, clamped, newly, written in _euler_steps(
+            u, params, stencil, growth):
         clamped_total += int(np.count_nonzero(clamped))
         min_u = min(min_u, float(after.min(initial=np.inf)))
         max_u = max(max_u, float(after.max(initial=-np.inf)))
@@ -371,7 +379,9 @@ def run(u0: GridField, params: ModelParams, stencil: ConvolutionStencil,
         if newly.size:
             sat_time.ravel()[newly] = u.time
         if record_lipschitz:
-            lipschitz = max(lipschitz, discrete_lipschitz(u))
+            if written is not band:  # a new band, after an event
+                band, window = written, _around(written, u.shape)
+            lipschitz = max(lipschitz, _max_slope(u.values[window]) / u.spacing)
 
         last_recorded = u.time >= next_snapshot - 1e-12
         if last_recorded:
@@ -409,13 +419,27 @@ def obstacle_residual(u_before: GridField, u_after: GridField, dt: float,
     return np.maximum(u_after.values - 1.0, du - bracket)
 
 
+def _around(cells: np.ndarray | slice, shape: tuple[int, ...]) -> tuple[slice, ...]:
+    """Bounding box of the flat indices ``cells``, dilated by one cell and
+    clipped to ``shape``: it holds every pair of adjacent cells that touches
+    one of them.  ``slice(None)``, every cell, gives the whole box."""
+    if isinstance(cells, slice):
+        return (cells,)
+    if cells.size == 0:
+        return (slice(0, 0),) * len(shape)
+    return tuple(slice(max(int(a.min()) - 1, 0), int(a.max()) + 2)
+                 for a in np.unravel_index(cells, shape))
+
+
+def _max_slope(values: np.ndarray) -> float:
+    """Largest absolute difference between adjacent cells, in density units."""
+    return max(float(np.abs(np.diff(values, axis=axis)).max(initial=0.0))
+               for axis in range(values.ndim))
+
+
 def discrete_lipschitz(u: GridField) -> float:
     """Largest absolute slope between adjacent cells."""
-    worst = 0.0
-    for axis in range(u.dim):
-        if u.shape[axis] > 1:
-            worst = max(worst, float(np.max(np.abs(np.diff(u.values, axis=axis)))))
-    return worst / u.spacing
+    return _max_slope(u.values) / u.spacing
 
 
 def gradient_tv_surrogate(stencil: ConvolutionStencil) -> float:

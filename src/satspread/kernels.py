@@ -253,16 +253,29 @@ def convolve_field(stencil: ConvolutionStencil, values: np.ndarray) -> np.ndarra
     scaled and added per nonzero tap, in reversed row-major tap order: the
     order of ``scipy.ndimage.convolve``, which the tests hold it to bit for
     bit.  Each output is thus a left-to-right sum of ``weight * value`` terms.
+    The sum runs only on the bounding box of the field's nonzero cells,
+    dilated by ``reach`` and clipped to the box: every term of an output
+    outside it is a signed zero, and a sum of signed zeros started at +0.0
+    is +0.0, which is what that output is left at.  A field without nonzero
+    cells thus costs no tap at all.
     """
     values = _as_field(stencil, values)
     if stencil.dim == 1:
         return _convolve_1d(stencil, values)
+    out = np.zeros_like(values)
+    rows = np.flatnonzero(values.any(axis=1))
+    if rows.size == 0:
+        return out
+    cols = np.flatnonzero(values.any(axis=0))
     r, dense = stencil.reach, stencil.dense
     nx, ny = values.shape
+    i0, i1 = max(rows[0] - r, 0), min(rows[-1] + r + 1, nx)
+    j0, j1 = max(cols[0] - r, 0), min(cols[-1] + r + 1, ny)
     padded = np.pad(values, r)
-    out = np.zeros_like(values)
+    box = out[i0:i1, j0:j1]
     for p, q in reversed(np.argwhere(dense).tolist()):
-        out += dense[p, q] * padded[2 * r - p:2 * r - p + nx, 2 * r - q:2 * r - q + ny]
+        box += dense[p, q] * padded[i0 + 2 * r - p:i1 + 2 * r - p,
+                                    j0 + 2 * r - q:j1 + 2 * r - q]
     return out
 
 

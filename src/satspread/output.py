@@ -41,7 +41,14 @@ def write_csv(path: Path, header: list[str], columns: list[np.ndarray],
     """Comma-separated columns with a header row and LF endings.
 
     Leading comment lines carry the schema version and the resolved config so
-    every artifact is self-describing.
+    every artifact is self-describing.  Every value is written as a double in
+    ``"%.16e"``: 17 significant digits in scientific notation round-trip
+    every double.  Each distinct value of a column is formatted once, with the
+    separator that follows it, and the texts are placed by index.  Values are
+    told apart by bit pattern, so -0.0 and NaN payloads keep their own text,
+    and every byte is that of formatting each value in turn.  A snapshot holds
+    a few hundred distinct values in 90,601 cells; a column whose values are
+    all distinct costs about a third more than formatting each value in turn.
     """
     columns = [np.asarray(c) for c in columns]
     if len(header) != len(columns):
@@ -54,11 +61,16 @@ def write_csv(path: Path, header: list[str], columns: list[np.ndarray],
         lines.append("# config=" + json.dumps(_jsonable(config), sort_keys=True,
                                               separators=(",", ":")))
     lines.append(",".join(header))
-    # 17 significant digits in scientific notation round-trip every double;
-    # one template for the whole table formats it in a single call.
-    row = ",".join(["%.16e"] * len(columns)) + "\n"
-    table = np.stack([np.asarray(c, dtype=float) for c in columns], axis=1)
-    body = (row * n) % tuple(table.ravel().tolist())
+    cells = np.empty((n, len(columns)), dtype=object)
+    for j, column in enumerate(columns):
+        bits, inverse = np.unique(np.asarray(column, dtype=float).view(np.uint64),
+                                  return_inverse=True)
+        # One template formats the distinct values in a single call; "\0",
+        # which no formatted double contains, only delimits their texts.
+        template = "%.16e" + ("\n" if j == len(columns) - 1 else ",") + "\0"
+        texts = (template * bits.size % tuple(bits.view(float).tolist())).split("\0")
+        cells[:, j] = np.array(texts, dtype=object)[inverse]
+    body = "".join(cells.ravel().tolist())
     Path(path).write_text("\n".join(lines) + "\n" + body, encoding="utf-8",
                           newline="\n")
 

@@ -6,11 +6,14 @@ the numbers can be regenerated.
 """
 from __future__ import annotations
 
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 from scipy import integrate, optimize
 
+from satspread.output import SCHEMA_VERSION, _jsonable
 from satspread.waves import DEFAULT_STEP_FRACTION, WaveProfile
 
 # Minimal spreading speed for g(u) = u, 1-d indicator kernel with radius 1.
@@ -92,6 +95,40 @@ def brute_convolve(stencil, values: np.ndarray) -> np.ndarray:
                     acc += w * values[a, b]
             out[i, j] = acc
     return out
+
+
+def convolve_field_direct(stencil, values: np.ndarray) -> np.ndarray:
+    """The 2-d shifted-slice sum over the whole box, as a bit-for-bit oracle.
+
+    One zero-padded slice per nonzero tap, in reversed row-major tap order,
+    is added to every output of the box.
+    """
+    values = np.asarray(values, dtype=float)
+    r, dense = stencil.reach, stencil.dense
+    nx, ny = values.shape
+    padded = np.pad(values, r)
+    out = np.zeros_like(values)
+    for p, q in reversed(np.argwhere(dense).tolist()):
+        out += dense[p, q] * padded[2 * r - p:2 * r - p + nx, 2 * r - q:2 * r - q + ny]
+    return out
+
+
+def write_csv_one_template(path: Path, header: list[str], columns,
+                           config: dict | None = None) -> None:
+    """The CSV writer with one ``"%.16e"`` template for the whole table, as a
+    byte-for-byte oracle: every value is formatted in turn."""
+    columns = [np.asarray(c) for c in columns]
+    n = len(columns[0])
+    lines = [f"# schema_version={SCHEMA_VERSION}"]
+    if config is not None:
+        lines.append("# config=" + json.dumps(_jsonable(config), sort_keys=True,
+                                              separators=(",", ":")))
+    lines.append(",".join(header))
+    row = ",".join(["%.16e"] * len(columns)) + "\n"
+    table = np.stack([np.asarray(c, dtype=float) for c in columns], axis=1)
+    body = (row * n) % tuple(table.ravel().tolist())
+    Path(path).write_text("\n".join(lines) + "\n" + body, encoding="utf-8",
+                          newline="\n")
 
 
 def lipschitz_initial_data(rng: np.random.Generator, shape, spacing: float,

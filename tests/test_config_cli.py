@@ -4,14 +4,18 @@ from __future__ import annotations
 import json
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import satspread as ss
 from satspread import cli
 from satspread.cli import main
+
+from oracles import write_csv_one_template
 
 BASE = """
 [model]
@@ -218,7 +222,51 @@ class TestSimulateCommand:
         assert sidecar["order"] == "row-major"
 
 
+#: Bit patterns the float columns draw often: +-0.0, +-inf, subnormals,
+#: 3-digit exponents, and NaN payloads of either sign, quiet and signalling.
+SPECIAL_BITS = (*np.array([0.0, -0.0, np.inf, -np.inf, 5e-324, -5e-324,
+                           2.225073858507201e-308, 1e-100, -1e300,
+                           1.7976931348623157e308]).view(np.uint64).tolist(),
+                0x7FF8000000000000, 0xFFF8000000000000, 0x7FF8000000000001,
+                0x7FF0000000000001, 0xFFF4000000000000)
+
+
+@st.composite
+def csv_columns(draw):
+    """1 to 3 columns of 0 to 40 rows, each drawn from a pool of 1 to 8
+    values, so values repeat heavily: float64 bit patterns, int64 values
+    (above 2**53 too) or bools."""
+    n = draw(st.integers(0, 40))
+    columns = []
+    for _ in range(draw(st.integers(1, 3))):
+        kind = draw(st.sampled_from(["float", "int", "bool"]))
+        if kind == "float":
+            bits = st.one_of(st.sampled_from(SPECIAL_BITS), st.integers(0, 2 ** 64 - 1))
+            pool = np.array(draw(st.lists(bits, min_size=1, max_size=8)),
+                            dtype=np.uint64).view(np.float64)
+        elif kind == "int":
+            ints = st.one_of(st.integers(2 ** 53, 2 ** 63 - 1),
+                             st.integers(-2 ** 63, 2 ** 63 - 1), st.integers(-9, 9))
+            pool = np.array(draw(st.lists(ints, min_size=1, max_size=8)),
+                            dtype=np.int64)
+        else:
+            pool = np.array([False, True])
+        picks = draw(st.lists(st.integers(0, len(pool) - 1), min_size=n, max_size=n))
+        columns.append(pool[np.array(picks, dtype=int)])
+    return columns
+
+
 class TestArtifactFormat:
+    @settings(derandomize=True, database=None, deadline=None, max_examples=150)
+    @given(csv_columns(), st.sampled_from([None, {"k": 1}]))
+    def test_csv_bytes_equal_one_template(self, columns, config):
+        header = [f"c{j}" for j in range(len(columns))]
+        with tempfile.TemporaryDirectory() as tmp:
+            ours, oracle = Path(tmp) / "ours.csv", Path(tmp) / "oracle.csv"
+            ss.output.write_csv(ours, header, columns, config=config)
+            write_csv_one_template(oracle, header, columns, config=config)
+            assert ours.read_bytes() == oracle.read_bytes()
+
     def test_csv_bytes_pinned(self, tmp_path):
         path = tmp_path / "t.csv"
         ss.output.write_csv(path, ["n", "flag", "x"],
@@ -245,6 +293,15 @@ class TestArtifactFormat:
         done = subprocess.run([sys.executable, "-c", code], capture_output=True,
                               text=True, check=True)
         assert done.stdout.split("\n")[:2] == ["False", "[]"]
+
+    def test_cli_import_leaves_out_the_thread_pool(self):
+        # only a converge study with --threads above 1 starts a thread pool
+        src = str(Path(ss.__file__).resolve().parents[1])
+        code = (f"import sys; sys.path.insert(0, {src!r}); import satspread.cli; "
+                "print('concurrent.futures' in sys.modules)")
+        done = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                              text=True, check=True)
+        assert done.stdout.strip() == "False"
 
     def test_indicator_subcommands_run_without_scipy(self, tmp_path):
         # 1-d front profiles are exact and 2-d indicator runs never integrate;

@@ -11,7 +11,8 @@ import satspread as ss
 from satspread.analysis import _dilate_one_cell
 
 from oracles import (CONE_1D_H_HALF, CONE_2D_H_HALF, H2D_INDICATOR_HALF,
-                     brute_convolve, h1d_indicator, h2d_indicator, riemann_h2d)
+                     brute_convolve, convolve_field_direct, h1d_indicator,
+                     h2d_indicator, riemann_h2d)
 
 
 def cone_profile(rho):
@@ -348,6 +349,43 @@ def stencil_fields(draw, dim):
         rng.uniform(size=shape) ** 3,
         rng.normal(size=shape)]))
     return stencil, field
+
+
+@st.composite
+def confined_fields(draw):
+    """A 2-d field of ``stencil_fields`` confined to a drawn support: a
+    sub-block (flush with an edge or a corner of the box as often as not),
+    one cell, or no cell; -0.0 is written at some zero cells in and out of
+    the support."""
+    stencil, field = draw(stencil_fields(dim=2))
+    nx, ny = field.shape
+    keep = np.zeros(field.shape, dtype=bool)
+    support = draw(st.sampled_from(["block", "cell", "none"]))
+    if support == "block":
+        i0 = draw(st.one_of(st.just(0), st.integers(0, nx - 1)))
+        i1 = draw(st.one_of(st.just(nx), st.integers(i0 + 1, nx)))
+        j0 = draw(st.one_of(st.just(0), st.integers(0, ny - 1)))
+        j1 = draw(st.one_of(st.just(ny), st.integers(j0 + 1, ny)))
+        keep[i0:i1, j0:j1] = True
+    elif support == "cell":
+        keep[draw(st.integers(0, nx - 1)), draw(st.integers(0, ny - 1))] = True
+    field = np.where(keep, field, 0.0)
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    field[(field == 0.0) & (rng.uniform(size=field.shape) < 0.3)] = -0.0
+    return stencil, field
+
+
+class TestSupportBox:
+    """The 2-d convolution, summed on its support's box only, against the
+    whole-box sum: same bits, the sign of zero included."""
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=80)
+    @given(confined_fields())
+    def test_bit_identical_to_the_whole_box_sum(self, case):
+        stencil, field = case
+        assert np.array_equal(
+            ss.convolve_field(stencil, field).view(np.uint64),
+            convolve_field_direct(stencil, field).view(np.uint64))
 
 
 class TestScipyOracle:

@@ -59,13 +59,16 @@ def cases(draw):
     return u0, params, STENCILS[dim], growth, n_steps
 
 
-def direct_loop(u0, params, stencil, growth, n_steps):
-    """step() n times with full-grid monitors and first-crossing times."""
+def direct_loop(u0, params, stencil, growth, n_steps, record_lipschitz=False):
+    """step() n times with full-grid monitors and first-crossing times; with
+    ``record_lipschitz``, also the running max of ``discrete_lipschitz``."""
     u = u0
     eps = params.saturation_eps
     sat_time = np.where(ss.saturated_mask(u.values, eps), 0.0, np.inf)
     monitors = {"min_u": float(u.values.min()), "max_u": float(u.values.max()),
                 "max_rhs": 0.0, "time_monotonicity_gap": 0.0}
+    if record_lipschitz:
+        monitors["max_lipschitz"] = ss.discrete_lipschitz(u)
     clamped_total = 0
     for _ in range(n_steps):
         rhs = ss.model_rhs(u, params, stencil, growth)
@@ -78,6 +81,9 @@ def direct_loop(u0, params, stencil, growth, n_steps):
             monitors["time_monotonicity_gap"], float((u.values - new.values).max()))
         u = new
         sat_time[ss.saturated_mask(u.values, eps) & np.isinf(sat_time)] = u.time
+        if record_lipschitz:
+            monitors["max_lipschitz"] = max(monitors["max_lipschitz"],
+                                            ss.discrete_lipschitz(u))
     return u, sat_time, monitors, clamped_total
 
 
@@ -94,3 +100,28 @@ def test_run_equals_direct_step_loop(case):
     assert res.clamped_total == clamped_total
     for key, value in monitors.items():
         assert res.monitors[key] == value, key
+
+
+def shifted(u, cells):
+    """``u`` moved by ``cells`` along axis 0 and zero-filled: the data sit
+    off centre, and one front may reach or cross the box edge."""
+    values = np.zeros_like(u.values)
+    cells = max(-len(values), min(cells, len(values)))
+    if cells >= 0:
+        values[cells:] = u.values[:len(values) - cells]
+    else:
+        values[:cells] = u.values[-cells:]
+    return ss.GridField(values, u.spacing, u.origin, u.time)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=60)
+@given(cases(), st.integers(-24, 24))
+def test_lipschitz_monitor_equals_direct_running_max(case, shift):
+    u0, params, stencil, growth, n_steps = case
+    u0 = shifted(u0, shift)
+    res = ss.run(u0, params, stencil, growth, record_lipschitz=True)
+    final, _, monitors, _ = direct_loop(u0, params, stencil, growth, n_steps,
+                                        record_lipschitz=True)
+    assert np.array_equal(res.final.values, final.values)
+    assert res.monitors["max_lipschitz"] == monitors["max_lipschitz"]
+
