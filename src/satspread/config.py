@@ -141,6 +141,8 @@ def _initial_spec(section: str, items: dict) -> dict:
     for key in required:
         if key not in spec:
             raise ConfigError(f"[{section}] {key} is required for initial = {kind}")
+    if kind == "gaussian_bump" and spec["sigma"] <= 0:
+        raise ConfigError(f"[{section}] sigma must be positive")
     return spec
 
 
@@ -187,6 +189,9 @@ def load_config(path: str | Path, command: str = "simulate") -> RunConfig:
     box_radius = domain["box_radius"]
     if box_radius <= 0:
         raise ConfigError("[domain] box_radius must be positive")
+    if int(round(box_radius / stencil.grid_spacing)) < 1:
+        raise ConfigError(f"[domain] box_radius = {box_radius} holds no cell per"
+                          f" side at dx = {stencil.grid_spacing}")
     initial_spec = _initial_spec("domain", domain)
     high_spec = None
     if command == "compare":
@@ -194,8 +199,9 @@ def load_config(path: str | Path, command: str = "simulate") -> RunConfig:
 
     output = sections.get("output", {})
     snap = output.get("snapshot_interval")
-    if snap is not None and snap <= 0:
-        raise ConfigError("[output] snapshot_interval must be positive")
+    if snap is not None and snap < params.dt:
+        raise ConfigError(f"[output] snapshot_interval = {snap} is below"
+                          f" dt = {params.dt}")
 
     warnings = []
     support_radius = _support_radius(initial_spec, ell)

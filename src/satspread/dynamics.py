@@ -193,31 +193,24 @@ def _band(sat: np.ndarray, mask_conv: np.ndarray, values: np.ndarray) -> _Band:
 
 
 def rhs_singular(u: GridField, stencil: ConvolutionStencil, growth: GrowthLaw,
-                 saturation_eps: float = 0.0, generalized: bool = False,
-                 band: _Band | None = None) -> np.ndarray:
-    """Right-hand side of the saturated-dispersal model; zero on the saturated set.
-
-    ``band``, kept up to date by ``_euler_steps``, holds every cell where the
-    rhs can be nonzero and its ``K * 1_S``: the rhs is evaluated at those
-    cells only and is 0.0 elsewhere.  Without it, ``K * 1_S`` is convolved here.
-    """
-    if band is None:
-        mask = saturated_mask(u.values, saturation_eps)
-        return (_saturated_bracket(u.values, convolve_mask(stencil, mask), growth,
-                                   generalized) * (1.0 - mask))
-    rhs = np.zeros(u.values.size)
-    rhs[band.cells] = (_saturated_bracket(u.values.ravel()[band.cells], band.conv,
-                                          growth, generalized) * band.unsaturated)
-    return rhs.reshape(u.shape)
+                 saturation_eps: float = 0.0, generalized: bool = False) -> np.ndarray:
+    """Right-hand side of the saturated-dispersal model; zero on the saturated set."""
+    mask = saturated_mask(u.values, saturation_eps)
+    return (_saturated_bracket(u.values, convolve_mask(stencil, mask), growth,
+                               generalized) * (1.0 - mask))
 
 
 def model_rhs(u: GridField, params: ModelParams, stencil: ConvolutionStencil,
               growth: GrowthLaw, band: _Band | None = None) -> np.ndarray:
+    """Right-hand side of ``params.model`` at ``u``; given the ``_Band`` of
+    ``_euler_steps``, that of a saturated model at the band's cells only."""
     if params.model == "gamma":
         return rhs_gamma(u, stencil, growth, params.gamma)
-    return rhs_singular(u, stencil, growth, params.saturation_eps,
-                        generalized=params.model == "generalized_singular",
-                        band=band)
+    generalized = params.model == "generalized_singular"
+    if band is None:
+        return rhs_singular(u, stencil, growth, params.saturation_eps, generalized)
+    return (_saturated_bracket(u.values.ravel()[band.cells], band.conv, growth,
+                               generalized) * band.unsaturated)
 
 
 def step(u: GridField, params: ModelParams, stencil: ConvolutionStencil,
@@ -246,10 +239,12 @@ def _euler_steps(u0: GridField, params: ModelParams, stencil: ConvolutionStencil
     step: the advanced field; on the band of cells the step wrote, their
     densities before and after, their right-hand side and which of them were
     clamped at the ceiling; the flat indices of the cells that joined the
-    saturated set ``S``; and the band, as flat indices or as ``slice(None)``
-    for the whole box.  Every cell off the band kept its density and had rhs
-    0.0.  Each ``u`` owns its ``values``.  The steps are whole ``dt`` steps
-    plus one shorter last step when ``t_end`` is not a multiple of ``dt``.
+    saturated set ``S``; and the band, as flat indices.  Every cell off the
+    band kept its density and had rhs 0.0.  ``u`` is one copy of ``u0``,
+    advanced in place: every step writes its band into it, so a caller that
+    keeps a state across steps copies it, and ``u0`` is never written.  The
+    steps are whole ``dt`` steps plus one shorter last step when ``t_end`` is
+    not a multiple of ``dt``.
 
     For the saturated models the only nonlocal term is ``K * 1_S``, and ``S``
     only grows.  So ``K * 1_S`` is convolved once and then updated at the
@@ -263,12 +258,14 @@ def _euler_steps(u0: GridField, params: ModelParams, stencil: ConvolutionStencil
     the step wrote.
     """
     _check_stepping(u0, params, stencil, growth)
-    u = u0
+    u = u0.copy()
+    flat = u.values.ravel()
     eps = params.saturation_eps
     sat = saturated_mask(u.values, eps)
     if params.model == "gamma":
-        # The whole box, as a slice: its gathers are views.
-        mask_conv, band, cells = None, None, slice(None)
+        # The whole box, as indices: a slice would gather ``before`` as a view
+        # of the cells this step overwrites.
+        mask_conv, band, cells = None, None, np.arange(flat.size)
     else:
         # K * 1_S, brought up to date as cells join S.
         mask_conv = convolve_field(stencil, sat.astype(float))
@@ -282,10 +279,10 @@ def _euler_steps(u0: GridField, params: ModelParams, stencil: ConvolutionStencil
         remainder = 0.0
     for k in range(n_full + (1 if remainder else 0)):
         dt_k = params.dt if k < n_full else remainder
-        rhs = model_rhs(u, params, stencil, growth, band=band).ravel()[cells]
+        rhs = model_rhs(u, params, stencil, growth, band).ravel()
         # The band this step writes; an event below replaces it.
         written = cells
-        before = u.values.ravel()[cells]
+        before = flat[cells]
         proposed = before + dt_k * rhs
         clamped = proposed > 1.0
         after = np.minimum(proposed, 1.0)
@@ -295,12 +292,8 @@ def _euler_steps(u0: GridField, params: ModelParams, stencil: ConvolutionStencil
             raise InvariantViolation(
                 f"density left [0, 1] at t={u.time + dt_k:.6g}"
                 f" (min {lo}, max {float(after.max())})")
-
-        values = u.values.copy()
-        values.ravel()[cells] = after
-        # The check above is this field's range check: skip __post_init__'s.
-        u, prev = object.__new__(GridField), u
-        u.__dict__.update(prev.__dict__, values=values, time=prev.time + dt_k)
+        flat[cells] = after
+        u.time += dt_k
         # Band cells whose membership of S changed: leaving S raises, and
         # joining it is an event.
         newly = flips = (saturated_mask(after, eps) != sat_band).nonzero()[0]
@@ -309,14 +302,13 @@ def _euler_steps(u0: GridField, params: ModelParams, stencil: ConvolutionStencil
             if left:
                 raise InvariantViolation(
                     f"{left} cells left the saturated set at t={u.time:.6g}")
-            if band is not None:
-                newly = cells[flips]
+            newly = cells[flips]
             added = np.zeros(sat.shape, dtype=bool)
             added.ravel()[newly] = True
             sat |= added
             if band is not None:
                 add_to_mask_convolution(stencil, mask_conv, sat, added)
-                band = _band(sat, mask_conv, values)
+                band = _band(sat, mask_conv, u.values)
                 cells = band.cells
             sat_band = sat.ravel()[cells]
         yield u, before, after, rhs, clamped, newly, written
@@ -353,9 +345,11 @@ def run(u0: GridField, params: ModelParams, stencil: ConvolutionStencil,
     0.0, so the running minima, maxima and counts are those of the whole grid.
     Only slopes between a written cell and a neighbour can change, so the
     running maximum slope scans the written cells' bounding box, dilated by
-    one cell.
+    one cell.  A snapshot interval below ``dt`` (or NaN) is rejected.
     """
-    u = u0.copy()
+    if snapshot_interval is not None and not snapshot_interval >= params.dt:
+        raise ValueError(f"snapshot_interval={snapshot_interval} is below dt={params.dt}")
+    u = u0.copy()  # the final field if there is no step
     sat_time = np.where(saturated_mask(u.values, params.saturation_eps), 0.0, np.inf)
 
     # "mask_monotonicity_violations" stays 0: a shrinking S raises instead.
@@ -419,12 +413,10 @@ def obstacle_residual(u_before: GridField, u_after: GridField, dt: float,
     return np.maximum(u_after.values - 1.0, du - bracket)
 
 
-def _around(cells: np.ndarray | slice, shape: tuple[int, ...]) -> tuple[slice, ...]:
+def _around(cells: np.ndarray, shape: tuple[int, ...]) -> tuple[slice, ...]:
     """Bounding box of the flat indices ``cells``, dilated by one cell and
     clipped to ``shape``: it holds every pair of adjacent cells that touches
-    one of them.  ``slice(None)``, every cell, gives the whole box."""
-    if isinstance(cells, slice):
-        return (cells,)
+    one of them."""
     if cells.size == 0:
         return (slice(0, 0),) * len(shape)
     return tuple(slice(max(int(a.min()) - 1, 0), int(a.max()) + 2)

@@ -197,6 +197,30 @@ class TestSimulateCommand:
                      "--out", str(tmp_path / "o")]) == 2
         assert "dt" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("edits,message", [
+        # 0.4 cells per side: the grid would have none
+        ({"box_radius = 4.0": "box_radius = 0.02"}, "[domain] box_radius"),
+        ({"initial = ball_plateau\nheight = 1.0\nradius = 1.0\nramp = 0.5":
+          "initial = gaussian_bump\nheight = 1.0\nsigma = 0\ncutoff = 1.0"},
+         "[domain] sigma"),
+        # far below dt = 0.05, it would be absorbed in the next snapshot time;
+        # t_end = 0 so that a run that took it ends at once instead of hanging
+        ({"snapshot_interval = 0.5": "snapshot_interval = 1e-15",
+          "t_end = 1.0": "t_end = 0.0"}, "[output] snapshot_interval"),
+        ({"snapshot_interval = 0.5": "snapshot_interval = 0.01"},
+         "[output] snapshot_interval"),
+    ], ids=["box-below-one-cell", "sigma-zero", "snapshot-absorbed",
+            "snapshot-below-dt"])
+    def test_bad_domain_or_output_value_exits_2(self, tmp_path, capsys, edits,
+                                                message):
+        text = BASE
+        for old, new in edits.items():
+            text = text.replace(old, new)
+        cfg_path = write_config(tmp_path, text)
+        assert main(["simulate", "--config", str(cfg_path),
+                     "--out", str(tmp_path / "o")]) == 2
+        assert f"config error: {message}" in capsys.readouterr().err
+
     def test_missing_config_exits_3(self, tmp_path):
         assert main(["simulate", "--config", str(tmp_path / "absent.ini"),
                      "--out", str(tmp_path / "o")]) == 3

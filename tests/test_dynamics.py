@@ -269,6 +269,16 @@ class TestRun:
         assert np.all(np.isinf(res.saturation_time))
         assert res.clamped_total == 0
 
+    @pytest.mark.parametrize("interval", [1e-15, 0.05, 0.0, -1.0, float("nan")])
+    def test_snapshot_interval_below_dt_rejected(self, small1d, linear_g, interval):
+        # t_end = 0: a run that took the interval would end at once, not hang
+        _, st = small1d
+        u0 = ss.grid_field(2.0, 0.125, 1, seed_plateau(0.5, 0.25))
+        params = ss.ModelParams(model="singular", dt=0.1, t_end=0.0)
+        with pytest.raises(ValueError, match="snapshot_interval"):
+            ss.run(u0, params, st, linear_g, snapshot_interval=interval)
+        assert len(ss.run(u0, params, st, linear_g, snapshot_interval=0.1).times) == 1
+
     def test_monotonicity_and_bounds_monitors(self, small1d, linear_g):
         _, st = small1d
         u0 = ss.grid_field(4.0, 0.125, 1, seed_plateau(1.0, 0.5))
@@ -445,9 +455,10 @@ class TestRunningMaskConvolution:
         _, st = small1d
         u0 = ss.grid_field(2.0, 0.125, 1, seed_plateau(0.5, 0.25))
         params = ss.ModelParams(model="singular", dt=0.1, t_end=1.0)
-        # an rhs that pulls saturated cells down
+        # an rhs, on the band run steps, that pulls saturated cells down
         monkeypatch.setattr(ss.dynamics, "model_rhs",
-                            lambda u, *a, **k: -1.0 * (u.values >= 1.0))
+                            lambda u, params, stencil, growth, band:
+                            -1.0 * (u.values.ravel()[band.cells] >= 1.0))
         with pytest.raises(ss.InvariantViolation, match="left the saturated set"):
             ss.run(u0, params, st, linear_g)
 

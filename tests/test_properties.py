@@ -125,3 +125,43 @@ def test_lipschitz_monitor_equals_direct_running_max(case, shift):
     assert np.array_equal(res.final.values, final.values)
     assert res.monitors["max_lipschitz"] == monitors["max_lipschitz"]
 
+
+def bits(values):
+    """The bit patterns of ``values``: equal bits, not just equal numbers."""
+    return np.ascontiguousarray(values, dtype=float).view(np.uint64)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=60)
+@given(cases())
+def test_euler_steps_yield_contract(case):
+    """Each step writes ``min(before + dt * rhs, 1)`` on the band it yields,
+    ``before`` is the previous field there, the rest of the field keeps its
+    bits, and no entry point writes ``u0``."""
+    u0, params, stencil, growth, n_steps = case
+    kept = u0.values.copy()
+    prev = u0.copy()
+    eps = params.saturation_eps
+    n = 0
+    for u, before, after, rhs, clamped, newly, written in ss.dynamics._euler_steps(
+            u0, params, stencil, growth):
+        n += 1
+        assert u.time == prev.time + params.dt
+        assert np.array_equal(bits(before), bits(prev.values.ravel()[written]))
+        proposed = before + params.dt * rhs
+        assert np.array_equal(bits(after), bits(np.minimum(proposed, 1.0)))
+        assert np.array_equal(clamped, proposed > 1.0)
+        assert np.array_equal(bits(u.values.ravel()[written]), bits(after))
+        off = np.ones(u.values.size, dtype=bool)
+        off[written] = False
+        assert np.array_equal(bits(u.values.ravel()[off]),
+                              bits(prev.values.ravel()[off]))
+        joined = ss.saturated_mask(u.values, eps) & ~ss.saturated_mask(prev.values, eps)
+        assert np.array_equal(np.sort(newly), joined.ravel().nonzero()[0])
+        prev = u.copy()
+    assert n == n_steps
+
+    lower = ss.GridField(0.5 * u0.values, u0.spacing, u0.origin)
+    ss.run(u0, params, stencil, growth, record_lipschitz=True)
+    ss.comparison_harness(lower, u0, params, stencil, growth)
+    ss.gamma_convergence_study(u0, [1.0, 2.0], stencil, growth, horizon=params.dt)
+    assert np.array_equal(bits(u0.values), bits(kept)) and u0.time == 0.0
