@@ -143,6 +143,8 @@ def _initial_spec(section: str, items: dict) -> dict:
             raise ConfigError(f"[{section}] {key} is required for initial = {kind}")
     if kind == "gaussian_bump" and spec["sigma"] <= 0:
         raise ConfigError(f"[{section}] sigma must be positive")
+    if kind == "wave_envelope" and spec["speed_factor"] <= 0:
+        raise ConfigError(f"[{section}] speed_factor must be positive")
     return spec
 
 

@@ -62,6 +62,47 @@ def h2d_indicator(s, ell: float = 1.0):
     return (np.arccos(z) - z * np.sqrt(1.0 - z * z)) / np.pi
 
 
+def _quad(f, a: float, b: float, points=()) -> float:
+    inner = [x for x in points if a < x < b]
+    if b <= a:
+        return 0.0
+    return integrate.quad(f, a, b, points=inner or None, epsabs=1e-14,
+                          epsrel=1e-14, limit=500)[0]
+
+
+def quad_kernel_mass(kernel) -> float:
+    """Mass of a normalized kernel's continuum profile, one scalar quad."""
+    if kernel.dim == 1:
+        return 2.0 * _quad(lambda z: float(kernel.profile(z)), 0.0, kernel.radius)
+    return 2.0 * math.pi * _quad(lambda z: float(kernel.profile(z)) * z,
+                                 0.0, kernel.radius)
+
+
+def quad_front_profile(kernel, s: float) -> float:
+    """Front profile h(s), 0 <= s <= ell, by per-point adaptive quadrature."""
+    if kernel.dim == 1:
+        return _quad(lambda z: float(kernel.profile(z)), s, kernel.radius)
+    return _quad(lambda rho: float(kernel.profile(rho)) * rho * 2.0
+                 * math.acos(min(s / rho, 1.0)), s, kernel.radius)
+
+
+def quad_ball_on_ray(kernel, R: float, s: float) -> float:
+    """K * 1_{B_R} at |x| = R + s, 0 <= s, by per-point adaptive quadrature.
+
+    The circle of radius rho around x meets B_R in an arc of half-angle
+    acos((x^2 + rho^2 - R^2) / (2 x rho)) when that cosine lies in [-1, 1].
+    """
+    x = R + s
+
+    def arc(rho):
+        cos_lim = (x * x + rho * rho - R * R) / (2.0 * x * rho)
+        if cos_lim >= 1.0:
+            return 0.0
+        return float(kernel.profile(rho)) * rho * 2.0 * math.acos(max(cos_lim, -1.0))
+
+    return _quad(arc, s, kernel.radius, points=(2.0 * R + s,))
+
+
 def riemann_h2d(s: float, ell: float = 1.0, cells_per_ell: int = 2000) -> float:
     """2-d midpoint Riemann sum of the indicator kernel mass ahead of a front."""
     d = ell / cells_per_ell

@@ -209,8 +209,14 @@ class TestSimulateCommand:
           "t_end = 1.0": "t_end = 0.0"}, "[output] snapshot_interval"),
         ({"snapshot_interval = 0.5": "snapshot_interval = 0.01"},
          "[output] snapshot_interval"),
+        ({"initial = ball_plateau\nheight = 1.0\nradius = 1.0\nramp = 0.5":
+          "initial = wave_envelope\nspeed_factor = 0\noffset = -1.0"},
+         "[domain] speed_factor"),
+        ({"initial = ball_plateau\nheight = 1.0\nradius = 1.0\nramp = 0.5":
+          "initial = wave_envelope\nspeed_factor = -1\noffset = -1.0"},
+         "[domain] speed_factor"),
     ], ids=["box-below-one-cell", "sigma-zero", "snapshot-absorbed",
-            "snapshot-below-dt"])
+            "snapshot-below-dt", "wave-speed-zero", "wave-speed-negative"])
     def test_bad_domain_or_output_value_exits_2(self, tmp_path, capsys, edits,
                                                 message):
         text = BASE
@@ -308,15 +314,18 @@ class TestArtifactFormat:
             b"0.0000000000000000e+00,0.0000000000000000e+00,1.0000000000000001e-01\n")
 
     def test_cli_import_leaves_out_quadrature(self):
-        # no stepping or start-up path integrates or needs scipy at all, so
-        # neither scipy.integrate nor any other scipy module gets loaded
+        # no stepping or start-up path integrates, so no scipy module gets
+        # loaded, nor the quadrature rule's numpy.polynomial (which numpy 2
+        # loads on first use only)
         src = str(Path(ss.__file__).resolve().parents[1])
-        code = (f"import sys; sys.path.insert(0, {src!r}); import satspread.cli; "
+        code = (f"import sys; sys.path.insert(0, {src!r}); import numpy; "
+                "bare = 'numpy.polynomial' in sys.modules; import satspread.cli; "
                 "print('scipy.integrate' in sys.modules); "
-                "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+                "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')); "
+                "print('numpy.polynomial' in sys.modules and not bare)")
         done = subprocess.run([sys.executable, "-c", code], capture_output=True,
                               text=True, check=True)
-        assert done.stdout.split("\n")[:2] == ["False", "[]"]
+        assert done.stdout.split("\n")[:3] == ["False", "[]", "False"]
 
     def test_cli_import_leaves_out_the_thread_pool(self):
         # only a converge study with --threads above 1 starts a thread pool
@@ -328,27 +337,49 @@ class TestArtifactFormat:
         assert done.stdout.strip() == "False"
 
     def test_indicator_subcommands_run_without_scipy(self, tmp_path):
-        # 1-d front profiles are exact and 2-d indicator runs never integrate;
-        # a None entry in sys.modules makes any scipy import raise
-        two_d = BASE.replace("dim = 1", "dim = 2").replace(
-            "dx = 0.05", "dx = 0.25").replace("t_end = 1.0", "t_end = 0.5")
+        # scipy is a test oracle only: every subcommand in 1-d and 2-d, and
+        # custom kernels with their front profiles and cap inequality, run
+        # while a None entry in sys.modules makes any scipy import raise
         speed = BASE.replace("box_radius = 4.0", "box_radius = 14.0").replace(
             "t_end = 1.0", "t_end = 12.0") + "\n[study]\ntolerance = 0.08\n"
         converge = BASE.replace("t_end = 1.0", "t_end = 2.0").replace(
             "dx = 0.05", "dx = 0.125") + "\n[study]\ngamma_list = 4,16\nthreshold = 0.2\n"
         compare = BASE + ("\n[domain_high]\ninitial = ball_plateau\nheight = 1.0\n"
                           "radius = 1.0\nramp = 0.5\n")
-        runs = [[command, "--config", str(write_config(tmp_path, text, f"{command}.ini")),
-                 "--out", str(tmp_path / command)]
-                for command, text in (("simulate", two_d), ("speed", speed),
-                                      ("converge", converge), ("compare", compare))]
+        configs = [(command, 1, text) for command, text in (
+            ("simulate", BASE), ("speed", speed), ("converge", converge),
+            ("compare", compare), ("wave", BASE))]
+        configs += [(command, 2, text.replace("dim = 1", "dim = 2").replace(
+            "dx = 0.05", "dx = 0.25").replace("dx = 0.125", "dx = 0.25"))
+            for command, _, text in configs]
+        runs = [[command, "--config",
+                 str(write_config(tmp_path, text, f"{command}{dim}.ini")),
+                 "--out", str(tmp_path / f"{command}{dim}")]
+                for command, dim, text in configs]
         src = str(Path(ss.__file__).resolve().parents[1])
-        code = (f"import sys; sys.path.insert(0, {src!r}); sys.modules['scipy'] = None; "
-                "from satspread.cli import main; "
-                f"print([main(argv) for argv in {runs!r}])")
+        code = f"""
+import sys
+sys.path.insert(0, {src!r})
+sys.modules["scipy"] = None
+import numpy as np
+import satspread as ss
+from satspread.cli import main
+
+print([main(argv) for argv in {runs!r}])
+cone = lambda rho: np.clip(1.0 - rho, 0.0, None)
+for dim in (1, 2):
+    kernel, _ = ss.build_kernel("custom_radial", 1.0, dim, 0.05, profile=cone)
+    print(round(float(ss.front_profile(kernel)(0.0)), 12))
+    try:
+        print(ss.check_cap_inequality(kernel, 0.5, [100.0]).least_nonviolating_radius)
+    except ss.KernelError as exc:
+        print(exc)
+"""
         done = subprocess.run([sys.executable, "-c", code], capture_output=True,
                               text=True, check=True)
-        assert done.stdout.strip() == "[0, 0, 0, 0]", done.stderr
+        assert done.stdout.splitlines() == [
+            "[0, 0, 0, 0, 0, 0, 0, 0, 0, 0]", "0.5",
+            "cap inequality check is for dim 2 kernels", "0.5", "100.0"], done.stderr
 
 
 class TestWaveCommand:

@@ -12,7 +12,8 @@ from satspread.analysis import _dilate_one_cell
 
 from oracles import (CONE_1D_H_HALF, CONE_2D_H_HALF, H2D_INDICATOR_HALF,
                      brute_convolve, convolve_field_direct, h1d_indicator,
-                     h2d_indicator, riemann_h2d)
+                     h2d_indicator, quad_ball_on_ray, quad_front_profile,
+                     quad_kernel_mass, riemann_h2d)
 
 
 def cone_profile(rho):
@@ -480,6 +481,35 @@ class TestFrontProfile:
         assert front_profile_1d.integral_zero_to_ell() == pytest.approx(0.25, abs=1e-12)
 
 
+class TestQuadratureOracles:
+    """The numpy quadrature rule against closed forms and per-point
+    ``scipy.integrate.quad``."""
+
+    def test_d2_indicator_matches_closed_form(self):
+        kernel, _ = ss.build_kernel("indicator_ball", 1.0, 2, 0.05)
+        prof = ss.front_profile(kernel)
+        assert np.max(np.abs(prof.samples - h2d_indicator(prof.s))) <= 1e-14
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_cone_profile_and_mass_match_quad(self, dim):
+        kernel, _ = ss.build_kernel("custom_radial", 1.0, dim, 0.05, profile=cone_profile)
+        assert abs(quad_kernel_mass(kernel) - 1.0) <= 1e-12
+        prof = ss.front_profile(kernel)
+        half = prof.s >= 0.0
+        s, h = prof.s[half][::5], prof.samples[half][::5]
+        expected = [quad_front_profile(kernel, x) for x in s]
+        assert np.max(np.abs(h - expected)) <= 1e-12
+
+    @pytest.mark.parametrize("kind,profile", [("indicator_ball", None),
+                                              ("custom_radial", cone_profile)])
+    @pytest.mark.parametrize("R", [0.3, 0.5, 2.0, 8.0])
+    def test_ball_convolution_on_ray_matches_quad(self, kind, profile, R):
+        kernel, _ = ss.build_kernel(kind, 1.0, 2, 0.1, profile=profile)
+        s = np.linspace(0.0, 1.0, 41)
+        expected = [quad_ball_on_ray(kernel, R, x) for x in s]
+        assert np.max(np.abs(ss.ball_convolution_on_ray(kernel, R, s) - expected)) <= 1e-11
+
+
 @pytest.fixture(scope="module")
 def kernel2d():
     kernel, _ = ss.build_kernel("indicator_ball", 1.0, 2, 0.1)
@@ -529,3 +559,24 @@ class TestCapInequality:
             ss.check_cap_inequality(kernel2d, 1.5, [2.0])
         with pytest.raises(ss.KernelError):
             ss.check_cap_inequality(kernel2d, 0.5, [5.0, 2.0])
+
+    def test_negative_radius_rejected(self, kernel2d):
+        with pytest.raises(ss.KernelError, match="ball radius"):
+            ss.check_cap_inequality(kernel2d, 0.5, [-1.0, 2.0])
+
+    def test_zero_radius_rejected(self, kernel2d):
+        with pytest.raises(ss.KernelError, match="ball radius"):
+            ss.check_cap_inequality(kernel2d, 0.5, [0.0, 2.0])
+        with pytest.raises(ss.KernelError, match="ball radius"):
+            ss.ball_convolution_on_ray(kernel2d, 0.0, np.array([0.5]))
+
+    @pytest.mark.parametrize("R", [np.inf, np.nan])
+    def test_non_finite_radius_rejected(self, kernel2d, R):
+        with pytest.raises(ss.KernelError, match="ball radius"):
+            ss.ball_convolution_on_ray(kernel2d, R, np.array([0.5]))
+
+    def test_point_at_or_behind_the_centre_rejected(self, kernel2d):
+        with pytest.raises(ss.KernelError, match="R \\+ s > 0"):
+            ss.ball_convolution_on_ray(kernel2d, 0.5, np.array([0.2, -0.5]))
+        with pytest.raises(ss.KernelError, match="R \\+ s > 0"):
+            ss.ball_convolution_on_ray(kernel2d, 0.5, np.array([-0.7]))
