@@ -57,8 +57,13 @@ class GridField:
         return np.stack(grids, axis=-1)
 
     def radii(self) -> np.ndarray:
-        """Distance of each cell center from the coordinate origin."""
-        return np.linalg.norm(self.coords(), axis=-1)
+        """Distance of each cell center from the coordinate origin.
+
+        The squared axis coordinates are added in axis order on their open
+        mesh, the arithmetic of ``np.linalg.norm(self.coords(), axis=-1)``
+        without its stack of coordinates."""
+        return np.sqrt(sum(np.ix_(*(self.axis_coords(a) ** 2
+                                    for a in range(self.dim)))))
 
     def copy(self) -> "GridField":
         return GridField(self.values.copy(), self.spacing, self.origin.copy(),
@@ -172,21 +177,33 @@ class _Band(NamedTuple):
     unsaturated: np.ndarray  # 1 - 1_S at the cells
 
 
-def _band(sat: np.ndarray, mask_conv: np.ndarray, values: np.ndarray) -> _Band:
+def _band(sat: np.ndarray, mask_conv: np.ndarray, values: np.ndarray,
+          grown: np.ndarray, box: tuple[slice, ...]) -> _Band:
     """The stepping band of the saturated models, given ``mask_conv = K * 1_S``.
 
     It holds the unsaturated cells with ``u > 0`` or ``K * 1_S > 0``, dilated
     by one cell along each axis, which adds the saturated cells that border
     each front.  Elsewhere the rhs is exactly 0: ``g(0) = 0`` and
     ``K * 1_S = 0`` off ``S``, and the factor ``1 - 1_S`` on ``S``.
+
+    ``grown`` is the band as a mask of the whole grid.  Only its cells in
+    ``box``, a tuple of slices, are recomputed in place, from the cells of
+    ``box`` and their neighbours; the rest are kept.  Called on the whole
+    grid with ``grown`` all False, this builds the band from scratch.
     """
+    # The cells of the box read their neighbours: one cell more per side.
+    near = tuple(slice(max(b.start - 1, 0), b.stop + 1) for b in box)
+    v = values[near]
     # A -0.0 density steps to 0.0, so it counts as live too.
-    live = ~sat & ((values > 0.0) | (mask_conv > 0.0) | np.signbit(values))
-    grown = live.copy()
+    live = (v > 0.0) | (mask_conv[near] > 0.0) | np.signbit(v)
+    live &= ~sat[near]
+    dilated = live.copy()
     for axis in range(live.ndim):
         head = (slice(None),) * axis
-        grown[head + (slice(1, None),)] |= live[head + (slice(None, -1),)]
-        grown[head + (slice(None, -1),)] |= live[head + (slice(1, None),)]
+        dilated[head + (slice(1, None),)] |= live[head + (slice(None, -1),)]
+        dilated[head + (slice(None, -1),)] |= live[head + (slice(1, None),)]
+    grown[box] = dilated[tuple(slice(b.start - a.start, b.stop - a.start)
+                               for a, b in zip(near, box))]
     cells = grown.ravel().nonzero()[0]
     return _Band(cells, np.clip(mask_conv.ravel()[cells], 0.0, 1.0),
                  1.0 - sat.ravel()[cells])
@@ -251,11 +268,16 @@ def _euler_steps(u0: GridField, params: ModelParams, stencil: ConvolutionStencil
     cells that join ``S``, and only the cells of ``_band`` are stepped: off
     them the rhs is exactly 0, so every bit is that of a full-grid step.  A
     cell with ``u = 0`` and ``K * 1_S = 0`` keeps rhs 0, so the band changes
-    only on steps where a cell joins ``S``, and is rebuilt there.  The gamma
-    model steps the whole box: its FFT convolution of ``u^gamma`` must see
-    the whole field.  A cell leaving ``S`` raises ``InvariantViolation``, and
-    so does a density outside [0, 1] or NaN; both are checked on every cell
-    the step wrote.
+    only on steps where a cell joins ``S``.  There ``S`` and ``K * 1_S``
+    change only within ``reach`` cells of the new cells, so the band is
+    recomputed on their bounding box dilated by ``reach + 1`` (the band's
+    halo adds one cell) and kept elsewhere.  The kept band may hold cells
+    that a full rebuild would drop: cells that held -0.0, and so were live,
+    but now hold 0.0 with ``K * 1_S = 0``, and their neighbours.  Their rhs
+    is exactly 0, and 0.0 steps to 0.0.  The gamma model steps the whole
+    box: its FFT convolution of ``u^gamma`` must see the whole field.  A cell
+    leaving ``S`` raises ``InvariantViolation``, and so does a density
+    outside [0, 1] or NaN; both are checked on every cell the step wrote.
     """
     _check_stepping(u0, params, stencil, growth)
     u = u0.copy()
@@ -267,9 +289,11 @@ def _euler_steps(u0: GridField, params: ModelParams, stencil: ConvolutionStencil
         # of the cells this step overwrites.
         mask_conv, band, cells = None, None, np.arange(flat.size)
     else:
-        # K * 1_S, brought up to date as cells join S.
+        # K * 1_S and the band, brought up to date as cells join S.
         mask_conv = convolve_field(stencil, sat.astype(float))
-        band = _band(sat, mask_conv, u.values)
+        grown = np.zeros(sat.shape, dtype=bool)
+        band = _band(sat, mask_conv, u.values, grown,
+                     tuple(slice(0, n) for n in sat.shape))
         cells = band.cells
     sat_band = sat.ravel()[cells]
 
@@ -303,12 +327,11 @@ def _euler_steps(u0: GridField, params: ModelParams, stencil: ConvolutionStencil
                 raise InvariantViolation(
                     f"{left} cells left the saturated set at t={u.time:.6g}")
             newly = cells[flips]
-            added = np.zeros(sat.shape, dtype=bool)
-            added.ravel()[newly] = True
-            sat |= added
+            sat.ravel()[newly] = True
             if band is not None:
-                add_to_mask_convolution(stencil, mask_conv, sat, added)
-                band = _band(sat, mask_conv, u.values)
+                add_to_mask_convolution(stencil, mask_conv, sat, newly)
+                band = _band(sat, mask_conv, u.values, grown,
+                             _around(newly, sat.shape, stencil.reach + 1))
                 cells = band.cells
             sat_band = sat.ravel()[cells]
         yield u, before, after, rhs, clamped, newly, written
@@ -374,7 +397,7 @@ def run(u0: GridField, params: ModelParams, stencil: ConvolutionStencil,
             sat_time.ravel()[newly] = u.time
         if record_lipschitz:
             if written is not band:  # a new band, after an event
-                band, window = written, _around(written, u.shape)
+                band, window = written, _around(written, u.shape, 1)
             lipschitz = max(lipschitz, _max_slope(u.values[window]) / u.spacing)
 
         last_recorded = u.time >= next_snapshot - 1e-12
@@ -413,13 +436,13 @@ def obstacle_residual(u_before: GridField, u_after: GridField, dt: float,
     return np.maximum(u_after.values - 1.0, du - bracket)
 
 
-def _around(cells: np.ndarray, shape: tuple[int, ...]) -> tuple[slice, ...]:
-    """Bounding box of the flat indices ``cells``, dilated by one cell and
-    clipped to ``shape``: it holds every pair of adjacent cells that touches
-    one of them."""
+def _around(cells: np.ndarray, shape: tuple[int, ...], by: int) -> tuple[slice, ...]:
+    """Bounding box of the flat indices ``cells``, dilated by ``by`` cells and
+    clipped to ``shape``.  Dilated by one cell, it holds every pair of
+    adjacent cells that touches one of them."""
     if cells.size == 0:
         return (slice(0, 0),) * len(shape)
-    return tuple(slice(max(int(a.min()) - 1, 0), int(a.max()) + 2)
+    return tuple(slice(max(int(a.min()) - by, 0), int(a.max()) + by + 1)
                  for a in np.unravel_index(cells, shape))
 
 

@@ -319,44 +319,50 @@ def convolve_dense(stencil: ConvolutionStencil, *fields: np.ndarray) -> np.ndarr
 
 
 def add_to_mask_convolution(stencil: ConvolutionStencil, conv: np.ndarray,
-                            mask: np.ndarray, added: np.ndarray) -> None:
-    """Update ``conv`` in place after the cells of ``added`` joined ``mask``.
+                            mask: np.ndarray, cells: np.ndarray) -> None:
+    """Update ``conv`` in place after the cells ``cells`` joined ``mask``.
 
-    On entry ``conv`` holds ``convolve_field(stencil, mask & ~added)``; on exit
-    it holds ``convolve_field(stencil, mask)``.
+    ``cells`` holds their flat indices in ascending order.  On entry ``conv``
+    holds ``convolve_field`` of ``mask`` without them; on exit it holds
+    ``convolve_field(stencil, mask)``.  The work grows with the new cells
+    and their reach; no step scans the box for them.
 
     - 2-d: ``convolve_field`` adds one term per tap, left to right, so the
       stencil, clipped at the box edge (the zero extension), is added at each
-      new cell, in O(added cells x taps).  A mask cell under an indicator
+      new cell, in O(new cells x taps).  A mask cell under an indicator
       kernel adds the one weight ``w`` exactly, so every output is ``w`` added
       ``k`` times in either path: bit-identical.  Other kernels add their
       weights in joining order, not tap order, and agree to within rounding.
-    - 1-d: the outputs within reach of the new cells are recomputed by the
-      direct path on the window of the mask they read.  Each output then sums
-      the same inputs with the same dot product as in ``convolve_field``, so
-      the result is bit-identical for every kernel.  A band clear of the box
-      edges takes ``mode="valid"``: only its own outputs, each the same
-      all-taps dot product as in ``mode="full"``.  A window clipped at both
-      box edges is the whole box, which covers a box shorter than the stencil.
+    - 1-d: the new cells are grouped where their reaches meet, and the outputs
+      within reach of each group are recomputed by the direct path on the
+      window of the mask they read.  Each output then sums the same inputs
+      with the same dot product as in ``convolve_field``, so the result is
+      bit-identical for every kernel.  A group clear of the box edges takes
+      ``mode="valid"``: only its own outputs, each the same all-taps dot
+      product as in ``mode="full"``.  A window clipped at both box edges is
+      the whole box, which covers a box shorter than the stencil.
     """
     r = stencil.reach
+    cells = cells.tolist()
     if stencil.dim == 2:
         dense = stencil.dense
         nx, ny = conv.shape
-        for i, j in np.argwhere(added).tolist():
+        for cell in cells:
+            i, j = divmod(cell, ny)
             i0, i1 = max(i - r, 0), min(i + r + 1, nx)
             j0, j1 = max(j - r, 0), min(j + r + 1, ny)
             conv[i0:i1, j0:j1] += dense[i0 - i + r:i1 - i + r, j0 - j + r:j1 - j + r]
         return
-    cells = np.flatnonzero(added)
-    if cells.size == 0:
-        return
     n = conv.shape[0]
     # Merge the reaches of nearby cells, so one step costs at most about one
     # full convolution.
-    gap = np.diff(cells) > 2 * r + 1
-    for first, last in zip(cells[np.append(True, gap)].tolist(),
-                           cells[np.append(gap, True)].tolist()):
+    groups = []
+    for cell in cells:
+        if groups and cell - groups[-1][1] <= 2 * r + 1:
+            groups[-1][1] = cell
+        else:
+            groups.append([cell, cell])
+    for first, last in groups:
         lo, hi = max(first - r, 0), min(last + r + 1, n)
         w0, w1 = max(lo - r, 0), min(hi + r, n)
         window = mask[w0:w1].astype(float)

@@ -261,18 +261,30 @@ SPECIAL_BITS = (*np.array([0.0, -0.0, np.inf, -np.inf, 5e-324, -5e-324,
                 0x7FF0000000000001, 0xFFF4000000000000)
 
 
+#: Pairs of doubles that compare equal (or are both NaN) but differ in bits.
+TWIN_BITS = ((0x0000000000000000, 0x8000000000000000),
+             (0x7FF8000000000000, 0x7FF8000000000001),
+             (0x7FF8000000000000, 0xFFF8000000000000))
+
+
 @st.composite
 def csv_columns(draw):
-    """1 to 3 columns of 0 to 40 rows, each drawn from a pool of 1 to 8
-    values, so values repeat heavily: float64 bit patterns, int64 values
-    (above 2**53 too) or bools."""
-    n = draw(st.integers(0, 40))
-    columns = []
+    """1 to 3 columns of 0 to 40 rows, each column drawn from a pool of 1 to 8
+    values, so values repeat heavily: float64 bit patterns, a pair of twin
+    doubles, equal but for their bits, int64 values (above 2**53 too) or
+    bools.  The rows may then be repeated in runs, one of which can span the
+    whole table, and drawn cells of a twin column swapped for the other twin,
+    which breaks a run in that column only."""
+    n = draw(st.one_of(st.sampled_from([0, 1]), st.integers(0, 40)))
+    pools, picks, kinds = [], [], []
     for _ in range(draw(st.integers(1, 3))):
-        kind = draw(st.sampled_from(["float", "int", "bool"]))
+        kind = draw(st.sampled_from(["float", "twins", "int", "bool"]))
         if kind == "float":
             bits = st.one_of(st.sampled_from(SPECIAL_BITS), st.integers(0, 2 ** 64 - 1))
             pool = np.array(draw(st.lists(bits, min_size=1, max_size=8)),
+                            dtype=np.uint64).view(np.float64)
+        elif kind == "twins":
+            pool = np.array(draw(st.sampled_from(TWIN_BITS)),
                             dtype=np.uint64).view(np.float64)
         elif kind == "int":
             ints = st.one_of(st.integers(2 ** 53, 2 ** 63 - 1),
@@ -281,9 +293,18 @@ def csv_columns(draw):
                             dtype=np.int64)
         else:
             pool = np.array([False, True])
-        picks = draw(st.lists(st.integers(0, len(pool) - 1), min_size=n, max_size=n))
-        columns.append(pool[np.array(picks, dtype=int)])
-    return columns
+        kinds.append(kind)
+        pools.append(pool)
+        picks.append(np.array(draw(st.lists(st.integers(0, len(pool) - 1),
+                                            min_size=n, max_size=n)), dtype=int))
+    if n and draw(st.booleans()):
+        rows = np.repeat(np.arange(n), draw(st.lists(st.integers(1, 30),
+                                                     min_size=n, max_size=n)))
+        picks = [pick[rows] for pick in picks]
+        for kind, pick in zip(kinds, picks):
+            if kind == "twins":
+                pick[draw(st.lists(st.integers(0, len(rows) - 1), max_size=3))] ^= 1
+    return [pool[pick] for pool, pick in zip(pools, picks)]
 
 
 class TestArtifactFormat:
@@ -296,6 +317,18 @@ class TestArtifactFormat:
             ss.output.write_csv(ours, header, columns, config=config)
             write_csv_one_template(oracle, header, columns, config=config)
             assert ours.read_bytes() == oracle.read_bytes()
+
+    @pytest.mark.parametrize("kind", [np.float64, np.float32, float])
+    def test_json_writes_non_finite_values_as_strings(self, tmp_path, kind):
+        def reject(constant):
+            raise ValueError(f"{constant} is not JSON")
+
+        path = tmp_path / "t.json"
+        values = [kind("inf"), kind("-inf"), kind("nan"), kind(0.5)]
+        ss.output.write_json(path, {"v": values, "x": values[2]})
+        body = json.loads(path.read_text(), parse_constant=reject)
+        assert body["v"] == ["inf", "-inf", "nan", 0.5]
+        assert body["x"] == "nan"
 
     def test_csv_bytes_pinned(self, tmp_path):
         path = tmp_path / "t.csv"

@@ -72,6 +72,15 @@ class TestGridField:
         assert u.radii()[0, 0] == pytest.approx(np.sqrt(8.0))
         assert u.axis_coords(0)[0] == -2.0
 
+    @pytest.mark.parametrize("dim,spacing,origin", [
+        (1, 0.1, None), (1, 0.0125, [-3.3]), (2, 0.1, None), (2, 0.125, [-3.3, 0.7])])
+    def test_radii_bits_equal_norm_of_coords(self, dim, spacing, origin):
+        u = ss.grid_field(2.5, spacing, dim)
+        if origin is not None:
+            u = ss.GridField(u.values, spacing, origin)
+        expected = np.linalg.norm(u.coords(), axis=-1)
+        assert np.array_equal(u.radii().view(np.uint64), expected.view(np.uint64))
+
 
 class TestModelParams:
     def test_validation(self):

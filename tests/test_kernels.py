@@ -208,7 +208,7 @@ class TestAddToMaskConvolution:
         for _ in range(batches):
             added = (rng.uniform(size=shape) < rng.uniform(0.0, 0.2)) & ~mask
             mask |= added
-            ss.add_to_mask_convolution(stencil, conv, mask, added)
+            ss.add_to_mask_convolution(stencil, conv, mask, np.flatnonzero(added))
         return conv, ss.convolve_field(stencil, mask.astype(float))
 
     @pytest.mark.parametrize("dim,shape", [(1, (301,)), (2, (41, 37))])
@@ -244,7 +244,7 @@ class TestAddToMaskConvolution:
             added = np.zeros(shape, dtype=bool)
             added[cell] = True
             mask |= added
-            ss.add_to_mask_convolution(stencil, conv, mask, added)
+            ss.add_to_mask_convolution(stencil, conv, mask, np.flatnonzero(added))
             assert np.array_equal(conv, ss.convolve_field(stencil, mask.astype(float)))
 
 
@@ -309,7 +309,7 @@ class TestAddToMaskConvolutionProperty:
         for added in batches:
             added = added & ~mask
             mask |= added
-            ss.add_to_mask_convolution(stencil, conv, mask, added)
+            ss.add_to_mask_convolution(stencil, conv, mask, np.flatnonzero(added))
             assert np.array_equal(conv, ss.convolve_field(stencil, mask.astype(float)))
 
     @settings(derandomize=True, database=None, deadline=None, max_examples=60)

@@ -56,6 +56,15 @@ def cases(draw):
                             saturation_eps=eps)
     plateau = seed_plateau(radius, ramp)
     u0 = ss.grid_field(box, DX, dim, lambda r: height * plateau(r))
+    if draw(st.booleans()):
+        # A second plateau off centre along axis 0, possibly steep or low, so
+        # that the two plateaus' fronts join S at different steps.
+        centre = np.zeros(dim)
+        centre[0] = draw(st.floats(-box, box))
+        other = seed_plateau(draw(st.floats(0.0, 0.5)), draw(st.floats(0.05, 1.0)))
+        values = draw(st.floats(0.1, 1.0)) * other(
+            np.linalg.norm(u0.coords() - centre, axis=-1))
+        u0 = ss.GridField(np.maximum(u0.values, values), DX, u0.origin)
     return u0, params, STENCILS[dim], growth, n_steps
 
 
@@ -165,3 +174,33 @@ def test_euler_steps_yield_contract(case):
     ss.comparison_harness(lower, u0, params, stencil, growth)
     ss.gamma_convergence_study(u0, [1.0, 2.0], stencil, growth, horizon=params.dt)
     assert np.array_equal(bits(u0.values), bits(kept)) and u0.time == 0.0
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=60)
+@given(cases(), st.booleans())
+def test_band_after_each_event_equals_full_rebuild(case, negative_zeros):
+    """The band that ``_euler_steps`` keeps, recomputed after an event only
+    around the new cells, is the band rebuilt from scratch on the whole grid,
+    apart from cells at +0.0 with ``K * 1_S = 0``, where the rhs is exactly 0:
+    cells that started at -0.0 (so were live) and have stepped to 0.0 far
+    from every event, and their neighbours."""
+    u0, params, stencil, growth, n_steps = case
+    if negative_zeros:
+        u0 = ss.GridField(np.where(u0.values == 0.0, -0.0, u0.values), u0.spacing,
+                          u0.origin)
+    rebuilt = None
+    for u, before, after, rhs, clamped, newly, written in ss.dynamics._euler_steps(
+            u0, params, stencil, growth):
+        if rebuilt is not None:
+            cells, values, conv = rebuilt
+            assert np.isin(cells, written).all()
+            kept = np.setdiff1d(written, cells)
+            assert np.array_equal(bits(values[kept]), bits(np.zeros(kept.size)))
+            assert not conv[kept].any()
+            rebuilt = None
+        if newly.size and params.model != "gamma":
+            sat = ss.saturated_mask(u.values, params.saturation_eps)
+            conv = ss.convolve_field(stencil, sat.astype(float))
+            band = ss.dynamics._band(sat, conv, u.values, np.zeros(sat.shape, dtype=bool),
+                                     tuple(slice(0, n) for n in sat.shape))
+            rebuilt = band.cells, u.values.ravel().copy(), conv.ravel()
