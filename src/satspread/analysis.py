@@ -1,10 +1,7 @@
 """Experiment harnesses: front tracking, spreading speed, comparison, stiff limit."""
-from __future__ import annotations
-
 import itertools
 import math
-from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -17,8 +14,7 @@ from .waves import WaveProfile, sample_wave
 SUPPORT_FLOOR = 1e-12
 
 
-@dataclass(frozen=True)
-class FrontTrack:
+class FrontTrack(NamedTuple):
     """Per-snapshot radii of the saturated set and of the support.
 
     Empty sets are reported as -inf so the sequences stay monotone once the
@@ -31,8 +27,7 @@ class FrontTrack:
     direction: np.ndarray | None = None
 
 
-@dataclass(frozen=True)
-class SpeedEstimate:
+class SpeedEstimate(NamedTuple):
     fitted_speed: float
     fit_window: tuple[float, float]
     residual: float
@@ -93,8 +88,7 @@ def estimate_speed(track: FrontTrack, window_fraction: float = 0.5,
                          residual=resid, reference_c_star=reference_c_star)
 
 
-@dataclass(frozen=True)
-class ComparisonReport:
+class ComparisonReport(NamedTuple):
     max_violation: float
     passed: bool
     n_steps: int
@@ -123,8 +117,7 @@ def comparison_harness(u0_low: GridField, u0_high: GridField,
                             n_steps=n_steps, tolerance=tolerance)
 
 
-@dataclass(frozen=True)
-class CounterexampleReport:
+class CounterexampleReport(NamedTuple):
     crossed: bool
     first_crossing_time: float
     min_probe_gap: float
@@ -196,8 +189,7 @@ def comparison_counterexample(kernel: Kernel, stencil: ConvolutionStencil,
                                 horizon=horizon)
 
 
-@dataclass(frozen=True)
-class GammaConvergenceStudy:
+class GammaConvergenceStudy(NamedTuple):
     gammas: tuple[float, ...]
     dts: tuple[float, ...]
     distances: tuple[float, ...]
@@ -254,8 +246,7 @@ def gamma_convergence_study(u0: GridField, gamma_list: Sequence[float],
                                  strictly_decreasing=decreasing, passed=passed)
 
 
-@dataclass(frozen=True)
-class ConfinementReport:
+class ConfinementReport(NamedTuple):
     violations_per_snapshot: tuple[int, ...]
     total_violations: int
     coverage_snapshot: int | None

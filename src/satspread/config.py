@@ -1,9 +1,6 @@
 """Run configuration: INI-style files with strict key validation."""
-from __future__ import annotations
-
 import configparser
 import math
-from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -41,22 +38,26 @@ _REQUIRED_SECTIONS = ("model", "kernel", "growth", "domain")
 _INITIAL_KINDS = ("ball_plateau", "gaussian_bump", "wave_envelope", "constant")
 
 
-@dataclass
 class RunConfig:
     """Validated configuration with resolved model objects."""
 
-    model: ModelParams
-    kernel: Kernel
-    stencil: ConvolutionStencil
-    growth: GrowthLaw
-    box_radius: float
-    initial_spec: dict
-    initial_high_spec: dict | None
-    output_dir: str
-    snapshot_interval: float | None
-    study: dict
-    raw: dict = field(default_factory=dict)
-    warnings: list[str] = field(default_factory=list)
+    def __init__(self, model: ModelParams, kernel: Kernel,
+                 stencil: ConvolutionStencil, growth: GrowthLaw, box_radius: float,
+                 initial_spec: dict, initial_high_spec: dict | None,
+                 output_dir: str, snapshot_interval: float | None, study: dict,
+                 raw: dict | None = None, warnings: list[str] | None = None):
+        self.model = model
+        self.kernel = kernel
+        self.stencil = stencil
+        self.growth = growth
+        self.box_radius = box_radius
+        self.initial_spec = initial_spec
+        self.initial_high_spec = initial_high_spec
+        self.output_dir = output_dir
+        self.snapshot_interval = snapshot_interval
+        self.study = study
+        self.raw = {} if raw is None else raw
+        self.warnings = [] if warnings is None else warnings
 
 
 def _typed(section: str, key: str, raw: str):

@@ -1,8 +1,5 @@
 """Time integration of the pressure-limited growth models on uniform grids."""
-from __future__ import annotations
-
 import math
-from dataclasses import dataclass
 from typing import Callable, Iterator, NamedTuple
 
 import numpy as np
@@ -18,18 +15,15 @@ MODEL_KINDS = ("gamma", "singular", "generalized_singular")
 _CAP_FACTOR = 0.1
 
 
-@dataclass
 class GridField:
     """Density sample on a uniform grid over a box, values kept in [0, 1]."""
 
-    values: np.ndarray
-    spacing: float
-    origin: np.ndarray
-    time: float = 0.0
-
-    def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=float)
-        self.origin = np.atleast_1d(np.asarray(self.origin, dtype=float))
+    def __init__(self, values: np.ndarray, spacing: float, origin: np.ndarray,
+                 time: float = 0.0):
+        self.values = np.asarray(values, dtype=float)
+        self.spacing = spacing
+        self.origin = np.atleast_1d(np.asarray(origin, dtype=float))
+        self.time = time
         if self.values.ndim not in (1, 2):
             raise ValueError("fields must be 1-d or 2-d")
         if len(self.origin) != self.values.ndim:
@@ -86,17 +80,23 @@ def grid_field(box_radius: float, spacing: float, dim: int,
                      spacing, origin, time)
 
 
-@dataclass(frozen=True)
-class ModelParams:
-    """Model selection and stepping parameters."""
-
+class _ModelFields(NamedTuple):
     model: str
     dt: float
     t_end: float
     gamma: float | None = None
     saturation_eps: float = 0.0
 
-    def __post_init__(self):
+
+class ModelParams(_ModelFields):
+    """Model selection and stepping parameters, checked when built."""
+
+    __slots__ = ()
+    # ``_replace`` builds through ``_make``, so it runs the checks too.
+    _make = classmethod(lambda cls, fields: cls(*fields))
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if self.model not in MODEL_KINDS:
             raise ValueError(f"unknown model {self.model!r}")
         if self.model == "gamma":
@@ -108,6 +108,7 @@ class ModelParams:
             raise ValueError("t_end must be nonnegative")
         if not 0.0 <= self.saturation_eps <= 1e-6:
             raise ValueError("saturation_eps must lie in [0, 1e-6]")
+        return self
 
 
 def stability_cap(model: str, growth: GrowthLaw, gamma: float | None = None) -> float:
@@ -193,9 +194,7 @@ def _band(sat: np.ndarray, mask_conv: np.ndarray, values: np.ndarray,
     """
     # The cells of the box read their neighbours: one cell more per side.
     near = tuple(slice(max(b.start - 1, 0), b.stop + 1) for b in box)
-    v = values[near]
-    # A -0.0 density steps to 0.0, so it counts as live too.
-    live = (v > 0.0) | (mask_conv[near] > 0.0) | np.signbit(v)
+    live = (values[near] > 0.0) | (mask_conv[near] > 0.0)
     live &= ~sat[near]
     dilated = live.copy()
     for axis in range(live.ndim):
@@ -271,16 +270,16 @@ def _euler_steps(u0: GridField, params: ModelParams, stencil: ConvolutionStencil
     only on steps where a cell joins ``S``.  There ``S`` and ``K * 1_S``
     change only within ``reach`` cells of the new cells, so the band is
     recomputed on their bounding box dilated by ``reach + 1`` (the band's
-    halo adds one cell) and kept elsewhere.  The kept band may hold cells
-    that a full rebuild would drop: cells that held -0.0, and so were live,
-    but now hold 0.0 with ``K * 1_S = 0``, and their neighbours.  Their rhs
-    is exactly 0, and 0.0 steps to 0.0.  The gamma model steps the whole
-    box: its FFT convolution of ``u^gamma`` must see the whole field.  A cell
-    leaving ``S`` raises ``InvariantViolation``, and so does a density
-    outside [0, 1] or NaN; both are checked on every cell the step wrote.
+    halo adds one cell) and kept elsewhere.  The copy holds 0.0 where ``u0``
+    holds -0.0, as a step would write there, and no step writes -0.0, so a
+    vacuum is never live.  The gamma model steps the whole box: its FFT
+    convolution of ``u^gamma`` must see the whole field.  A cell leaving
+    ``S`` raises ``InvariantViolation``, and so does a density outside
+    [0, 1] or NaN; both are checked on every cell the step wrote.
     """
     _check_stepping(u0, params, stencil, growth)
     u = u0.copy()
+    np.add(u.values, 0.0, out=u.values)  # -0.0 + 0.0 is 0.0
     flat = u.values.ravel()
     eps = params.saturation_eps
     sat = saturated_mask(u.values, eps)
@@ -337,16 +336,18 @@ def _euler_steps(u0: GridField, params: ModelParams, stencil: ConvolutionStencil
         yield u, before, after, rhs, clamped, newly, written
 
 
-@dataclass
 class RunResult:
     """Trajectory summary with snapshots, saturation times and invariant monitors."""
 
-    final: GridField
-    saturation_time: np.ndarray
-    times: list[float]
-    snapshots: list[np.ndarray]
-    clamped_total: int
-    monitors: dict[str, float]
+    def __init__(self, final: GridField, saturation_time: np.ndarray,
+                 times: list[float], snapshots: list[np.ndarray],
+                 clamped_total: int, monitors: dict[str, float]):
+        self.final = final
+        self.saturation_time = saturation_time
+        self.times = times
+        self.snapshots = snapshots
+        self.clamped_total = clamped_total
+        self.monitors = monitors
 
     @property
     def masks(self) -> list[np.ndarray]:
@@ -366,9 +367,10 @@ def run(u0: GridField, params: ModelParams, stencil: ConvolutionStencil,
     those of ``_euler_steps``.  The monitors are updated from the band of
     cells each step wrote: off it the density did not change and the rhs was
     0.0, so the running minima, maxima and counts are those of the whole grid.
-    Only slopes between a written cell and a neighbour can change, so the
-    running maximum slope scans the written cells' bounding box, dilated by
-    one cell.  A snapshot interval below ``dt`` (or NaN) is rejected.
+    A slope changes only next to a cell whose density changed.  That cell is
+    live, and the band holds it and its neighbours, so the running maximum
+    slope scans the bounding box of the band the step wrote.  A snapshot
+    interval below ``dt`` (or NaN) is rejected.
     """
     if snapshot_interval is not None and not snapshot_interval >= params.dt:
         raise ValueError(f"snapshot_interval={snapshot_interval} is below dt={params.dt}")
@@ -397,7 +399,7 @@ def run(u0: GridField, params: ModelParams, stencil: ConvolutionStencil,
             sat_time.ravel()[newly] = u.time
         if record_lipschitz:
             if written is not band:  # a new band, after an event
-                band, window = written, _around(written, u.shape, 1)
+                band, window = written, _around(written, u.shape, 0)
             lipschitz = max(lipschitz, _max_slope(u.values[window]) / u.spacing)
 
         last_recorded = u.time >= next_snapshot - 1e-12
@@ -438,8 +440,7 @@ def obstacle_residual(u_before: GridField, u_after: GridField, dt: float,
 
 def _around(cells: np.ndarray, shape: tuple[int, ...], by: int) -> tuple[slice, ...]:
     """Bounding box of the flat indices ``cells``, dilated by ``by`` cells and
-    clipped to ``shape``.  Dilated by one cell, it holds every pair of
-    adjacent cells that touches one of them."""
+    clipped to ``shape``."""
     if cells.size == 0:
         return (slice(0, 0),) * len(shape)
     return tuple(slice(max(int(a.min()) - by, 0), int(a.max()) + by + 1)

@@ -1,8 +1,5 @@
 """Growth laws with certified constants, plus optional gain laws."""
-from __future__ import annotations
-
-from dataclasses import dataclass, field, replace
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -15,8 +12,7 @@ class GrowthError(ValueError):
     """Growth specification violates the model assumptions."""
 
 
-@dataclass(frozen=True)
-class GainLaw:
+class GainLaw(NamedTuple):
     """Secondary rate applied to the saturated-neighborhood term.
 
     Must be nonnegative with a positive value at zero density, which is what
@@ -25,7 +21,7 @@ class GainLaw:
 
     kind: str
     sup: float
-    fn: Callable[[np.ndarray], np.ndarray] = field(repr=False)
+    fn: Callable[[np.ndarray], np.ndarray]
 
     def __call__(self, u):
         return self.fn(u)
@@ -48,8 +44,7 @@ def tabulated_gain(u_nodes, values) -> GainLaw:
     return GainLaw(kind="tabulated", sup=float(values.max()), fn=fn)
 
 
-@dataclass(frozen=True)
-class GrowthLaw:
+class GrowthLaw(NamedTuple):
     """Rate of growth g on [0, 1] together with certified constants.
 
     ``r`` bounds g(u) >= r*u from below on (0, 1]; ``lipschitz`` bounds |g'|;
@@ -69,21 +64,22 @@ class GrowthLaw:
     g1: float
     monotone_cap: bool
     gain: GainLaw | None = None
-    fn: Callable[[np.ndarray], np.ndarray] = field(repr=False, default=None)
+    fn: Callable[[np.ndarray], np.ndarray] = None
 
     def __call__(self, u):
         return self.fn(np.asarray(u, dtype=float))
 
     def with_gain(self, gain: GainLaw) -> "GrowthLaw":
-        return replace(self, gain=gain)
+        return self._replace(gain=gain)
 
     def scaled(self, factor: float) -> "GrowthLaw":
         """Multiply the rate by a positive factor (rescales time)."""
         if factor <= 0:
             raise GrowthError("scale factor must be positive")
-        return replace(self, params=self.params + (factor,), r=self.r * factor,
-                       lipschitz=self.lipschitz * factor, sup=self.sup * factor,
-                       g1=self.g1 * factor, fn=lambda u, _f=self.fn, _a=factor: _a * _f(u))
+        return self._replace(params=self.params + (factor,), r=self.r * factor,
+                             lipschitz=self.lipschitz * factor, sup=self.sup * factor,
+                             g1=self.g1 * factor,
+                             fn=lambda u, _f=self.fn, _a=factor: _a * _f(u))
 
 
 def _check_table(u_nodes: np.ndarray, values: np.ndarray) -> None:

@@ -1,9 +1,6 @@
 """Radial dispersal kernels, their grid stencils, and planar front profiles."""
-from __future__ import annotations
-
 import math
-from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -34,8 +31,7 @@ class QuadratureError(RuntimeError):
         self.achieved = achieved
 
 
-@dataclass(frozen=True)
-class Kernel:
+class Kernel(NamedTuple):
     """Radially symmetric dispersal weight supported in a ball of radius ``radius``.
 
     ``profile`` maps radial distance to the continuum density, normalized so
@@ -48,20 +44,19 @@ class Kernel:
     kind: str
     radius: float
     dim: int
-    profile: Callable[[np.ndarray], np.ndarray] = field(repr=False)
+    profile: Callable[[np.ndarray], np.ndarray]
     normalization: float = 1.0
 
 
-@dataclass(frozen=True)
-class ConvolutionStencil:
+class ConvolutionStencil(NamedTuple):
     """Discrete realization of convolution against the kernel on a uniform grid."""
 
-    offsets: np.ndarray = field(repr=False)  # (n, dim) integer grid offsets
-    weights: np.ndarray = field(repr=False)  # (n,) weights summing to 1
+    offsets: np.ndarray  # (n, dim) integer grid offsets
+    weights: np.ndarray  # (n,) weights summing to 1
     grid_spacing: float = 0.0
     dim: int = 1
     radius: float = 0.0
-    dense: np.ndarray = field(repr=False, default=None)  # centered weight array
+    dense: np.ndarray = None  # centered weight array
 
     @property
     def reach(self) -> int:
@@ -69,8 +64,7 @@ class ConvolutionStencil:
         return (self.dense.shape[0] - 1) // 2
 
 
-@dataclass(frozen=True)
-class FrontKernelProfile:
+class FrontKernelProfile(NamedTuple):
     """Planar front reduction of the kernel: mass ahead of a half-space edge.
 
     ``samples[i] = h(s[i])`` on a uniform grid of [-ell, ell]; h is extended by
@@ -78,8 +72,8 @@ class FrontKernelProfile:
     """
 
     ell: float
-    s: np.ndarray = field(repr=False)
-    samples: np.ndarray = field(repr=False)
+    s: np.ndarray
+    samples: np.ndarray
 
     def __call__(self, x):
         return np.interp(x, self.s, self.samples, left=1.0, right=0.0)
@@ -441,8 +435,7 @@ def ball_convolution_on_ray(kernel: Kernel, ball_radius: float,
                     0.0, np.minimum(-s, ell), "cap inequality"))
 
 
-@dataclass(frozen=True)
-class CapInequalityReport:
+class CapInequalityReport(NamedTuple):
     """Worst-case gap between the damped front profile and the ball convolution."""
 
     delta: float

@@ -1,6 +1,4 @@
 """Deterministic CSV/JSON artifact writers."""
-from __future__ import annotations
-
 import json
 import math
 import operator

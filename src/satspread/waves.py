@@ -1,8 +1,6 @@
 """Traveling-wave profiles via shooting and the minimal speed via sign bisection."""
-from __future__ import annotations
-
 import math
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -18,8 +16,7 @@ DEFAULT_SPEED_TOL = 1e-8
 _MINIMAL_TOL = 1e-6
 
 
-@dataclass(frozen=True)
-class WaveProfile:
+class WaveProfile(NamedTuple):
     """Wave profile phi(s) on [0, s_max] with phi = 1 for s <= 0.
 
     Values may go negative past a sign change; that excursion is the signal
@@ -27,8 +24,8 @@ class WaveProfile:
     """
 
     c: float
-    s: np.ndarray = field(repr=False)
-    phi: np.ndarray = field(repr=False)
+    s: np.ndarray
+    phi: np.ndarray
     ell: float = 0.0
     phi_at_ell: float = 0.0
 
@@ -42,8 +39,7 @@ class WaveProfile:
         return np.interp(x, self.s, self.phi, left=1.0, right=self.phi[-1])
 
 
-@dataclass(frozen=True)
-class MinimalSpeedResult:
+class MinimalSpeedResult(NamedTuple):
     """Minimal spreading speed with its certified bracket and analytic bounds."""
 
     c_star: float

@@ -369,6 +369,19 @@ class TestArtifactFormat:
                               text=True, check=True)
         assert done.stdout.strip() == "False"
 
+    def test_import_surface(self):
+        # the CLI import builds no dataclass, and it binds the three solve
+        # entry points that perfbench's launcher hooks by name
+        src = str(Path(ss.__file__).resolve().parents[1])
+        code = (f"import sys; sys.path.insert(0, {src!r}); import numpy; "
+                "bare = 'dataclasses' in sys.modules; import satspread.cli as cli; "
+                "print('dataclasses' in sys.modules and not bare); "
+                "print([n for n in ('run', 'front_profile', 'gamma_convergence_study')"
+                " if n not in vars(cli)])")
+        done = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                              text=True, check=True)
+        assert done.stdout.split("\n")[:2] == ["False", "[]"]
+
     def test_indicator_subcommands_run_without_scipy(self, tmp_path):
         # scipy is a test oracle only: every subcommand in 1-d and 2-d, and
         # custom kernels with their front profiles and cap inequality, run

@@ -1,8 +1,6 @@
 """Stepping, invariants and diagnostics of the two models."""
 from __future__ import annotations
 
-import dataclasses
-
 import numpy as np
 import pytest
 
@@ -475,7 +473,7 @@ class TestRunningMaskConvolution:
     def test_nan_in_the_run_raises(self, small1d, linear_g, model):
         _, st = small1d
         # NaN weights make every convolution NaN; min(x, nan) used to drop it
-        broken = dataclasses.replace(st, dense=st.dense * np.nan)
+        broken = st._replace(dense=st.dense * np.nan)
         u0 = ss.grid_field(2.0, 0.125, 1, seed_plateau(0.5, 0.25))
         params = ss.ModelParams(model=model, dt=0.01, t_end=0.1, gamma=2.0)
         with pytest.raises(ss.InvariantViolation, match="left \\[0, 1\\]"):

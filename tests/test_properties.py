@@ -204,3 +204,20 @@ def test_band_after_each_event_equals_full_rebuild(case, negative_zeros):
             band = ss.dynamics._band(sat, conv, u.values, np.zeros(sat.shape, dtype=bool),
                                      tuple(slice(0, n) for n in sat.shape))
             rebuilt = band.cells, u.values.ravel().copy(), conv.ravel()
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=40)
+@given(cases())
+def test_negative_zero_vacuum_steps_as_positive_zero(case):
+    """A run started from a -0.0 vacuum writes the band and every bit of the
+    same run started from +0.0, from the first step on: the vacuum never
+    enters the band."""
+    u0, params, stencil, growth, n_steps = case
+    signed = ss.GridField(np.where(u0.values == 0.0, -0.0, u0.values), u0.spacing,
+                          u0.origin)
+    steps = zip(ss.dynamics._euler_steps(u0, params, stencil, growth),
+                ss.dynamics._euler_steps(signed, params, stencil, growth))
+    for (u, before, *_, written), (v, before_signed, *_, written_signed) in steps:
+        assert np.array_equal(written, written_signed)
+        assert np.array_equal(bits(before), bits(before_signed))
+        assert np.array_equal(bits(u.values), bits(v.values))
