@@ -8,7 +8,7 @@ import numpy as np
 from .dynamics import (GridField, ModelParams, RunResult, _euler_steps,
                        rhs_singular, run, stability_cap)
 from .growth import GrowthLaw
-from .kernels import ConvolutionStencil, Kernel, convolve_field, front_profile
+from .kernels import ConvolutionStencil, Kernel, front_profile
 from .waves import WaveProfile, sample_wave
 
 SUPPORT_FLOOR = 1e-12
@@ -254,33 +254,53 @@ class ConfinementReport(NamedTuple):
     annulus_bound: float
 
 
+def _reduce_shifts(reduce, values: np.ndarray, offsets, fill) -> np.ndarray:
+    """``reduce`` (a binary ufunc) of ``values[x + o]`` over the rows ``o`` of
+    ``offsets``, at every ``x``, reading ``fill`` outside the box."""
+    r = int(np.abs(offsets).max(initial=0))
+    padded = np.pad(values, r, constant_values=fill)
+    out = np.full(values.shape, fill)
+    for o in offsets:
+        reduce(out, padded[tuple(slice(r + a, r + a + n) for a, n in zip(o, out.shape))],
+               out=out)
+    return out
+
+
+def _box(dim: int) -> np.ndarray:
+    """The 3**dim offsets of the 3-wide box."""
+    return np.array(list(itertools.product((-1, 0, 1), repeat=dim)))
+
+
 def _dilate_one_cell(mask: np.ndarray) -> np.ndarray:
     """Binary dilation by the 3-wide box: the OR of the 3**dim shifted slices."""
-    padded = np.pad(mask, 1)
-    out = np.zeros_like(mask)
-    for shift in itertools.product(range(3), repeat=mask.ndim):
-        out |= padded[tuple(slice(s, s + n) for s, n in zip(shift, mask.shape))]
-    return out
+    return _reduce_shifts(np.logical_or, mask, _box(mask.ndim), False)
 
 
 def support_confinement_check(result: RunResult, stencil: ConvolutionStencil,
                               support_floor: float = SUPPORT_FLOOR,
                               slack_cells: int = 1) -> ConfinementReport:
     """Verify the support stays in the initial support plus stencil reach of
-    the saturated set, with one grid cell of slack for the cell/continuum gap."""
+    the saturated set, with one grid cell of slack for the cell/continuum gap.
+
+    The weights are nonnegative, so ``K * 1_S(t) > 0`` exactly where a nonzero
+    tap hits a cell with ``saturation_time <= t``: where ``reached <= t``, with
+    ``reached`` the least ``saturation_time`` under the taps."""
     initial_support = result.snapshots[0] > support_floor
     radii = result.final.radii()
+    # convolve_field is a convolution: the tap at index k reads x + reach - k
+    reached = _reduce_shifts(np.minimum, result.saturation_time,
+                             stencil.reach - np.argwhere(stencil.dense), np.inf)
+    near_initial = initial_support
+    for _ in range(slack_cells):
+        near_initial = _dilate_one_cell(near_initial)
+        reached = _reduce_shifts(np.minimum, reached, _box(reached.ndim), np.inf)
 
     violations = []
     coverage_idx: int | None = None
     max_annulus = -math.inf
-    for idx, (snap, mask) in enumerate(zip(result.snapshots, result.masks)):
-        allowed = initial_support.copy()
-        if mask.any():
-            # the weights are positive: the sum is positive where a tap hits S
-            allowed |= convolve_field(stencil, mask) > 0.0
-        for _ in range(slack_cells):
-            allowed = _dilate_one_cell(allowed)
+    for idx, (snap, mask, t) in enumerate(zip(result.snapshots, result.masks,
+                                              result.times)):
+        allowed = near_initial | (reached <= t)
         bad = (snap > support_floor) & ~allowed
         violations.append(int(np.count_nonzero(bad)))
 

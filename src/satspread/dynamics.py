@@ -175,12 +175,15 @@ class _Band(NamedTuple):
 
     cells: np.ndarray  # flat indices
     conv: np.ndarray  # K * 1_S at the cells, clipped to [0, 1]
+    free: np.ndarray  # 1 - K * 1_S at the cells
+    spill: np.ndarray  # g(1) * K * 1_S at the cells
     unsaturated: np.ndarray  # 1 - 1_S at the cells
 
 
 def _band(sat: np.ndarray, mask_conv: np.ndarray, values: np.ndarray,
-          grown: np.ndarray, box: tuple[slice, ...]) -> _Band:
-    """The stepping band of the saturated models, given ``mask_conv = K * 1_S``.
+          grown: np.ndarray, box: tuple[slice, ...], g1: float = 1.0) -> _Band:
+    """The stepping band of the saturated models, given ``mask_conv = K * 1_S``
+    and ``g1 = g(1)``.
 
     It holds the unsaturated cells with ``u > 0`` or ``K * 1_S > 0``, dilated
     by one cell along each axis, which adds the saturated cells that border
@@ -204,8 +207,8 @@ def _band(sat: np.ndarray, mask_conv: np.ndarray, values: np.ndarray,
     grown[box] = dilated[tuple(slice(b.start - a.start, b.stop - a.start)
                                for a, b in zip(near, box))]
     cells = grown.ravel().nonzero()[0]
-    return _Band(cells, np.clip(mask_conv.ravel()[cells], 0.0, 1.0),
-                 1.0 - sat.ravel()[cells])
+    conv = np.clip(mask_conv.ravel()[cells], 0.0, 1.0)
+    return _Band(cells, conv, 1.0 - conv, g1 * conv, 1.0 - sat.ravel()[cells])
 
 
 def rhs_singular(u: GridField, stencil: ConvolutionStencil, growth: GrowthLaw,
@@ -217,16 +220,21 @@ def rhs_singular(u: GridField, stencil: ConvolutionStencil, growth: GrowthLaw,
 
 
 def model_rhs(u: GridField, params: ModelParams, stencil: ConvolutionStencil,
-              growth: GrowthLaw, band: _Band | None = None) -> np.ndarray:
+              growth: GrowthLaw, band: _Band | None = None,
+              values: np.ndarray | None = None) -> np.ndarray:
     """Right-hand side of ``params.model`` at ``u``; given the ``_Band`` of
-    ``_euler_steps``, that of a saturated model at the band's cells only."""
+    ``_euler_steps`` and ``values``, the densities at its cells, that of a
+    saturated model at the band's cells only."""
     if params.model == "gamma":
         return rhs_gamma(u, stencil, growth, params.gamma)
-    generalized = params.model == "generalized_singular"
     if band is None:
-        return rhs_singular(u, stencil, growth, params.saturation_eps, generalized)
-    return (_saturated_bracket(u.values.ravel()[band.cells], band.conv, growth,
-                               generalized) * band.unsaturated)
+        return rhs_singular(u, stencil, growth, params.saturation_eps,
+                            params.model == "generalized_singular")
+    if params.model == "generalized_singular":
+        return _saturated_bracket(values, band.conv, growth, True) * band.unsaturated
+    # _saturated_bracket's operations, with the band's constant terms
+    return (np.asarray(growth(values), dtype=float) * band.free
+            + band.spill) * band.unsaturated
 
 
 def step(u: GridField, params: ModelParams, stencil: ConvolutionStencil,
@@ -258,19 +266,22 @@ def _euler_steps(u0: GridField, params: ModelParams, stencil: ConvolutionStencil
     saturated set ``S``; and the band, as flat indices.  Every cell off the
     band kept its density and had rhs 0.0.  ``u`` is one copy of ``u0``,
     advanced in place: every step writes its band into it, so a caller that
-    keeps a state across steps copies it, and ``u0`` is never written.  The
-    steps are whole ``dt`` steps plus one shorter last step when ``t_end`` is
-    not a multiple of ``dt``.
+    keeps a state across steps copies it, and ``u0`` is never written.  While
+    the band stands, a step's ``before`` is the last step's ``after``, the same
+    array, so neither is written after it is yielded.  The steps are whole
+    ``dt`` steps plus one shorter last step when ``t_end`` is not a multiple
+    of ``dt``.
 
     For the saturated models the only nonlocal term is ``K * 1_S``, and ``S``
     only grows.  So ``K * 1_S`` is convolved once and then updated at the
-    cells that join ``S``, and only the cells of ``_band`` are stepped: off
-    them the rhs is exactly 0, so every bit is that of a full-grid step.  A
-    cell with ``u = 0`` and ``K * 1_S = 0`` keeps rhs 0, so the band changes
-    only on steps where a cell joins ``S``.  There ``S`` and ``K * 1_S``
-    change only within ``reach`` cells of the new cells, so the band is
-    recomputed on their bounding box dilated by ``reach + 1`` (the band's
-    halo adds one cell) and kept elsewhere.  The copy holds 0.0 where ``u0``
+    cells that join ``S``, the rhs terms that depend on it alone are kept with
+    the band, and only the cells of ``_band`` are stepped: off them the rhs
+    is exactly 0, so every bit is that of a full-grid step.  A cell with
+    ``u = 0`` and ``K * 1_S = 0`` keeps rhs 0, so the band changes only on
+    steps where a cell joins ``S``.  There ``S`` and ``K * 1_S`` change only
+    within ``reach`` cells of the new cells, so the band is recomputed on
+    their bounding box dilated by ``reach + 1`` (the band's halo adds one
+    cell) and kept elsewhere.  The copy holds 0.0 where ``u0``
     holds -0.0, as a step would write there, and no step writes -0.0, so a
     vacuum is never live.  The gamma model steps the whole box: its FFT
     convolution of ``u^gamma`` must see the whole field.  A cell leaving
@@ -281,8 +292,8 @@ def _euler_steps(u0: GridField, params: ModelParams, stencil: ConvolutionStencil
     u = u0.copy()
     np.add(u.values, 0.0, out=u.values)  # -0.0 + 0.0 is 0.0
     flat = u.values.ravel()
-    eps = params.saturation_eps
-    sat = saturated_mask(u.values, eps)
+    ceiling = 1.0 - params.saturation_eps
+    sat = u.values >= ceiling
     if params.model == "gamma":
         # The whole box, as indices: a slice would gather ``before`` as a view
         # of the cells this step overwrites.
@@ -292,7 +303,7 @@ def _euler_steps(u0: GridField, params: ModelParams, stencil: ConvolutionStencil
         mask_conv = convolve_field(stencil, sat.astype(float))
         grown = np.zeros(sat.shape, dtype=bool)
         band = _band(sat, mask_conv, u.values, grown,
-                     tuple(slice(0, n) for n in sat.shape))
+                     tuple(slice(0, n) for n in sat.shape), growth.g1)
         cells = band.cells
     sat_band = sat.ravel()[cells]
 
@@ -300,17 +311,20 @@ def _euler_steps(u0: GridField, params: ModelParams, stencil: ConvolutionStencil
     remainder = params.t_end - n_full * params.dt
     if remainder < 1e-12 * params.dt:
         remainder = 0.0
+    before = None
     for k in range(n_full + (1 if remainder else 0)):
         dt_k = params.dt if k < n_full else remainder
-        rhs = model_rhs(u, params, stencil, growth, band).ravel()
-        # The band this step writes; an event below replaces it.
+        # The band this step writes; an event below replaces it.  While it
+        # stands, the last step's ``after`` holds its densities.
         written = cells
-        before = flat[cells]
+        if before is None:
+            before = flat[cells]
+        rhs = model_rhs(u, params, stencil, growth, band, before).ravel()
         proposed = before + dt_k * rhs
         clamped = proposed > 1.0
         after = np.minimum(proposed, 1.0)
         # min propagates NaN, which fails the test; the clamp caps the max at 1.
-        lo = float(after.min(initial=np.inf))
+        lo = float(np.minimum.reduce(after, initial=np.inf))
         if not lo >= 0.0:
             raise InvariantViolation(
                 f"density left [0, 1] at t={u.time + dt_k:.6g}"
@@ -319,7 +333,7 @@ def _euler_steps(u0: GridField, params: ModelParams, stencil: ConvolutionStencil
         u.time += dt_k
         # Band cells whose membership of S changed: leaving S raises, and
         # joining it is an event.
-        newly = flips = (saturated_mask(after, eps) != sat_band).nonzero()[0]
+        newly = flips = ((after >= ceiling) != sat_band).nonzero()[0]
         if flips.size:
             left = np.count_nonzero(sat_band[flips])
             if left:
@@ -330,10 +344,11 @@ def _euler_steps(u0: GridField, params: ModelParams, stencil: ConvolutionStencil
             if band is not None:
                 add_to_mask_convolution(stencil, mask_conv, sat, newly)
                 band = _band(sat, mask_conv, u.values, grown,
-                             _around(newly, sat.shape, stencil.reach + 1))
+                             _around(newly, sat.shape, stencil.reach + 1), growth.g1)
                 cells = band.cells
             sat_band = sat.ravel()[cells]
         yield u, before, after, rhs, clamped, newly, written
+        before = after if cells is written else None
 
 
 class RunResult:
@@ -391,10 +406,11 @@ def run(u0: GridField, params: ModelParams, stencil: ConvolutionStencil,
     for u, before, after, rhs, clamped, newly, written in _euler_steps(
             u, params, stencil, growth):
         clamped_total += int(np.count_nonzero(clamped))
-        min_u = min(min_u, float(after.min(initial=np.inf)))
-        max_u = max(max_u, float(after.max(initial=-np.inf)))
-        max_rhs = max(max_rhs, float(rhs.max(initial=0.0)))
-        gap = max(gap, float((before - after).max(initial=0.0)))
+        # ufunc reductions: ndarray.min and .max add a Python-level wrapper
+        min_u = min(min_u, float(np.minimum.reduce(after, initial=np.inf)))
+        max_u = max(max_u, float(np.maximum.reduce(after, initial=-np.inf)))
+        max_rhs = max(max_rhs, float(np.maximum.reduce(rhs, initial=0.0)))
+        gap = max(gap, float(np.maximum.reduce(before - after, initial=0.0)))
         if newly.size:
             sat_time.ravel()[newly] = u.time
         if record_lipschitz:

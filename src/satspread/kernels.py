@@ -1,4 +1,5 @@
 """Radial dispersal kernels, their grid stencils, and planar front profiles."""
+import functools
 import math
 from typing import Callable, NamedTuple, Sequence
 
@@ -286,8 +287,10 @@ def convolve_dense(stencil: ConvolutionStencil, *fields: np.ndarray) -> np.ndarr
     """Convolve several dense fields with zero extension; returns them stacked.
 
     In 2-d the fields go through one zero-padded ``rfft2``: each axis is
-    padded to ``cells + 2 * reach``, so no output wraps around, and the
-    centred slice of the inverse transform is the zero-extension convolution.
+    padded to the least length ``>= cells + 2 * reach`` whose only prime
+    factors are 2, 3 and 5, a fast FFT length.  No output wraps around, and
+    the centred slice of the inverse transform is the zero-extension
+    convolution.  The stencil's transform is computed once per padded shape.
     It agrees with ``convolve_field`` to rounding, not in every bit.  Outputs
     within ``FFT_ZERO_FLOOR`` of 0, relative to the field's largest output,
     are set to exactly 0: there the direct sum is 0 or below rounding, and
@@ -303,13 +306,34 @@ def convolve_dense(stencil: ConvolutionStencil, *fields: np.ndarray) -> np.ndarr
         return np.stack([_convolve_1d(stencil, v) for v in values])
     r = stencil.reach
     nx, ny = values[0].shape
-    shape = (nx + 2 * r, ny + 2 * r)
+    shape = (_fast_length(nx + 2 * r), _fast_length(ny + 2 * r))
     spectrum = (np.fft.rfft2(np.stack(values), s=shape)
-                * np.fft.rfft2(stencil.dense, s=shape))
+                * _stencil_spectrum(stencil.dense.tobytes(), stencil.dense.shape, shape))
     out = np.fft.irfft2(spectrum, s=shape)[:, r:r + nx, r:r + ny]
     magnitude = np.abs(out)
     out[magnitude <= FFT_ZERO_FLOOR * magnitude.max(axis=(1, 2), keepdims=True)] = 0.0
     return out
+
+
+def _fast_length(n: int) -> int:
+    """The least length ``>= n`` whose only prime factors are 2, 3 and 5."""
+    while True:
+        m = n
+        for p in (2, 3, 5):
+            while m % p == 0:
+                m //= p
+        if m == 1:
+            return n
+        n += 1
+
+
+@functools.lru_cache(maxsize=8)
+def _stencil_spectrum(dense: bytes, taps: tuple[int, int],
+                      shape: tuple[int, int]) -> np.ndarray:
+    """``rfft2`` of the 2-d stencil weights ``dense`` (their bytes) at ``shape``."""
+    spectrum = np.fft.rfft2(np.frombuffer(dense).reshape(taps), s=shape)
+    spectrum.flags.writeable = False
+    return spectrum
 
 
 def add_to_mask_convolution(stencil: ConvolutionStencil, conv: np.ndarray,

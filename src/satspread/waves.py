@@ -1,4 +1,5 @@
 """Traveling-wave profiles via shooting and the minimal speed via sign bisection."""
+import functools
 import math
 from typing import NamedTuple
 
@@ -12,6 +13,8 @@ from .kernels import FrontKernelProfile
 DEFAULT_STEP_FRACTION = 1.0 / 2000
 #: Default bracket-width tolerance of the speed bisection.
 DEFAULT_SPEED_TOL = 1e-8
+#: Most regula falsi shots that ``find_c_star`` spends before its replay.
+_LOCATE_SHOTS = 16
 #: |phi(ell)| below this marks a profile as the minimal (semi-compact) wave.
 _MINIMAL_TOL = 1e-6
 
@@ -114,6 +117,12 @@ def find_c_star(growth: GrowthLaw, profile: FrontKernelProfile,
     strict, so the profile must cross zero left of ell at the lower end and
     stay positive at the upper end; anything else indicates a growth law
     outside the assumptions or an under-resolved front profile.
+
+    The bisection is replayed: Illinois regula falsi narrows the root to
+    ``[a, b]``, ``phi(a) <= 0 < phi(b)``, and as phi_c(ell) grows with c (see
+    ``monotone_in_c_check``) only midpoints inside ``(a, b)`` are shot.  The
+    final ends are shot too; unless they straddle the root, plain bisection
+    runs from the analytic bounds.  The result is that of plain bisection.
     """
     if not tol > 0:
         raise ValueError("tolerance must be positive")
@@ -125,6 +134,7 @@ def find_c_star(growth: GrowthLaw, profile: FrontKernelProfile,
     if not 0 < c_lo < c_hi:
         raise BracketError(f"degenerate analytic bounds ({c_lo}, {c_hi})")
 
+    @functools.cache
     def phi_ell(c: float) -> float:
         return shoot_profile(c, growth, profile, s_max=ell,
                              ode_step=ode_step).phi_at_ell
@@ -137,13 +147,35 @@ def find_c_star(growth: GrowthLaw, profile: FrontKernelProfile,
             f"{phi_lo:.6g} at c={c_lo:.6g} and {phi_hi:.6g} at c={c_hi:.6g}")
     bounds = (c_lo, c_hi)
 
-    while c_hi - c_lo > tol:
-        mid = 0.5 * (c_lo + c_hi)
-        phi_mid = phi_ell(mid)
-        if phi_mid > 0.0:
-            c_hi, phi_hi = mid, phi_mid
+    # Illinois: the secant through (a, fa) and (b, fb), halving the f of an
+    # end that is kept twice in a row.
+    a, b, fa, fb, side = c_lo, c_hi, phi_lo, phi_hi, 0
+    for _ in range(_LOCATE_SHOTS):
+        if b - a <= tol:
+            break
+        c = b - fb * (b - a) / (fb - fa)
+        if not a < c < b:
+            c = 0.5 * (a + b)
+        fc = phi_ell(c)
+        if fc > 0.0:
+            b, fb, fa, side = c, fc, 0.5 * fa if side > 0 else fa, 1
         else:
-            c_lo, phi_lo = mid, phi_mid
+            a, fa, fb, side = c, fc, 0.5 * fb if side < 0 else fb, -1
+
+    def bisect(a: float, b: float) -> tuple[float, float]:
+        # shoots the midpoints in (a, b) only: all of them from the bounds
+        lo, hi = bounds
+        while hi - lo > tol:
+            mid = 0.5 * (lo + hi)
+            if a < mid < b:
+                a, b = (a, mid) if phi_ell(mid) > 0.0 else (mid, b)
+            lo, hi = (lo, mid) if mid >= b else (mid, hi)
+        return lo, hi
+
+    c_lo, c_hi = bisect(a, b)
+    if not phi_ell(c_lo) <= 0.0 < phi_ell(c_hi):
+        c_lo, c_hi = bisect(*bounds)
+    phi_lo, phi_hi = phi_ell(c_lo), phi_ell(c_hi)
     c_star = 0.5 * (c_lo + c_hi)
 
     wave = shoot_profile(c_star, growth, profile, s_max=ell, ode_step=ode_step)

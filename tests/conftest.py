@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 import satspread as ss
 
@@ -12,6 +13,26 @@ from oracles import C_STAR_LINEAR_1D
 def seed_plateau(radius: float, ramp: float):
     """Lipschitz compact seed: saturated ball with a linear ramp to zero."""
     return lambda r: np.clip((radius + ramp - r) / ramp, 0.0, 1.0)
+
+
+@st.composite
+def growth_laws(draw):
+    kind = draw(st.sampled_from(["linear", "logistic", "tabulated"]))
+    rate = draw(st.floats(0.5, 2.0))
+    if kind == "linear":
+        return ss.linear_growth(rate)
+    if kind == "logistic":
+        return ss.logistic_growth(rate, draw(st.floats(2.0, 5.0)))
+    # A capped table: positive values with g(1) the largest, so g <= g(1).
+    inner = draw(st.lists(st.sampled_from([0.2, 0.4, 0.6, 0.8]), max_size=3,
+                          unique=True))
+    nodes = [0.0, *sorted(inner), 1.0]
+    values = draw(st.lists(st.floats(0.1, 2.0), min_size=len(nodes) - 1,
+                           max_size=len(nodes) - 1))
+    values[-1] = max(values)
+    law = ss.tabulated_growth(nodes, [0.0, *values])
+    assert law.monotone_cap
+    return law
 
 
 @pytest.fixture(scope="session")

@@ -13,8 +13,13 @@ from pathlib import Path
 import numpy as np
 from scipy import integrate, optimize
 
+from satspread import waves
+from satspread.analysis import _dilate_one_cell
+from satspread.errors import BracketError, ScientificError
+from satspread.kernels import convolve_field
 from satspread.output import SCHEMA_VERSION, _jsonable
-from satspread.waves import DEFAULT_STEP_FRACTION, WaveProfile
+from satspread.waves import (DEFAULT_SPEED_TOL, DEFAULT_STEP_FRACTION,
+                             MinimalSpeedResult, WaveProfile)
 
 # Minimal spreading speed for g(u) = u, 1-d indicator kernel with radius 1.
 # Route 1: the profile equation -c phi' = phi (1 - h) + h with h = (1-s)/2 is
@@ -246,3 +251,70 @@ def shoot_profile_direct(c: float, growth, profile, s_max: float | None = None,
         phi[j + 1] = y
 
     return WaveProfile(c=c, s=s, phi=phi, ell=ell, phi_at_ell=float(phi[per_ell]))
+
+
+def find_c_star_bisection(growth, profile, tol: float = DEFAULT_SPEED_TOL,
+                          ode_step: float | None = None) -> MinimalSpeedResult:
+    """``find_c_star`` as plain sign bisection that shoots every midpoint, as
+    a bit-for-bit oracle of its bisection replay.  It shoots through
+    ``waves.shoot_profile``, so a test's patch of that applies here too."""
+    ell = profile.ell
+    c_lo = growth.g1 * profile.integral_zero_to_ell()
+    c_hi = ell * growth.sup
+    if not 0 < c_lo < c_hi:
+        raise BracketError(f"degenerate analytic bounds ({c_lo}, {c_hi})")
+
+    def phi_ell(c: float) -> float:
+        return waves.shoot_profile(c, growth, profile, s_max=ell,
+                                   ode_step=ode_step).phi_at_ell
+
+    phi_lo = phi_ell(c_lo)
+    phi_hi = phi_ell(c_hi)
+    if not (phi_lo < 0.0 < phi_hi):
+        raise BracketError("bracket failure")
+    bounds = (c_lo, c_hi)
+    while c_hi - c_lo > tol:
+        mid = 0.5 * (c_lo + c_hi)
+        phi_mid = phi_ell(mid)
+        if phi_mid > 0.0:
+            c_hi, phi_hi = mid, phi_mid
+        else:
+            c_lo, phi_lo = mid, phi_mid
+    c_star = 0.5 * (c_lo + c_hi)
+
+    wave = waves.shoot_profile(c_star, growth, profile, s_max=ell, ode_step=ode_step)
+    interior_min = float(wave.phi[(wave.s > 0.0) & (wave.s < ell)].min())
+    if interior_min <= 0.0:
+        raise ScientificError(
+            f"minimal profile not positive inside (0, ell): min {interior_min:.3e}")
+    return MinimalSpeedResult(c_star=c_star, bracket=(c_lo, c_hi), tol=tol,
+                              analytic_bounds=bounds, phi_ell_lo=phi_lo,
+                              phi_ell_hi=phi_hi, interior_min=interior_min,
+                              ode_step=ode_step if ode_step is not None
+                              else ell * DEFAULT_STEP_FRACTION)
+
+
+def support_confinement_per_snapshot(result, stencil, support_floor: float = 1e-12,
+                                     slack_cells: int = 1) -> tuple:
+    """``support_confinement_check`` with one convolution of the saturated
+    set per snapshot, as an oracle of its rule on saturation times."""
+    initial_support = result.snapshots[0] > support_floor
+    radii = result.final.radii()
+    violations = []
+    coverage_idx = None
+    max_annulus = -math.inf
+    for idx, (snap, mask) in enumerate(zip(result.snapshots, result.masks)):
+        allowed = initial_support.copy()
+        if mask.any():
+            allowed |= convolve_field(stencil, mask) > 0.0
+        for _ in range(slack_cells):
+            allowed = _dilate_one_cell(allowed)
+        violations.append(int(np.count_nonzero((snap > support_floor) & ~allowed)))
+        if coverage_idx is None and bool(mask[initial_support].all()):
+            coverage_idx = idx
+        if coverage_idx is not None and mask.any():
+            width = float(radii[snap > support_floor].max(initial=-math.inf)
+                          - radii[mask].max())
+            max_annulus = max(max_annulus, width)
+    return (tuple(violations), int(sum(violations)), coverage_idx, max_annulus,
+            stencil.radius + stencil.grid_spacing)

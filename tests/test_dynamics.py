@@ -464,8 +464,8 @@ class TestRunningMaskConvolution:
         params = ss.ModelParams(model="singular", dt=0.1, t_end=1.0)
         # an rhs, on the band run steps, that pulls saturated cells down
         monkeypatch.setattr(ss.dynamics, "model_rhs",
-                            lambda u, params, stencil, growth, band:
-                            -1.0 * (u.values.ravel()[band.cells] >= 1.0))
+                            lambda u, params, stencil, growth, band, values:
+                            -1.0 * (values >= 1.0))
         with pytest.raises(ss.InvariantViolation, match="left the saturated set"):
             ss.run(u0, params, st, linear_g)
 

@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 import satspread as ss
 from satspread.analysis import _dilate_one_cell
+from satspread.kernels import _fast_length, _stencil_spectrum
 
 from oracles import (CONE_1D_H_HALF, CONE_2D_H_HALF, H2D_INDICATOR_HALF,
                      brute_convolve, convolve_field_direct, h1d_indicator,
@@ -194,6 +195,59 @@ class TestConvolveDense:
         _, stencil = ss.build_kernel("indicator_ball", 1.0, 2, 0.125)
         with pytest.raises(ValueError, match="axes"):
             ss.convolve_dense(stencil, np.zeros(33))
+
+    def test_fast_lengths(self):
+        smooth = sorted(2 ** i * 3 ** j * 5 ** k for i in range(9) for j in range(6)
+                        for k in range(4))
+        for n in range(1, 257):
+            assert _fast_length(n) == min(m for m in smooth if m >= n)
+        # stiff2d's 65 cells under 17 taps keep their padded length
+        assert _fast_length(65 + 2 * 8) == 81
+
+    def test_fast_padded_length_within_rounding(self):
+        """81 cells under 9 taps pad to 90, not 89: the bound of the tests
+        above, and exact zeros out of reach."""
+        _, stencil = ss.build_kernel("indicator_ball", 1.0, 2, 0.25)
+        assert stencil.dense.shape == (9, 9) and _fast_length(81 + 8) == 90
+        rng = np.random.default_rng(81)
+        field = sparse_field(rng, (81, 81), zero_frac=0.9)
+        field[:40] = 0.0
+        got = ss.convolve_dense(stencil, field)[0]
+        direct = ss.convolve_field(stencil, field)
+        assert np.max(np.abs(got - direct)) <= 1e-14
+        assert np.all(got[direct == 0.0] == 0.0)
+
+
+class TestStencilSpectrum:
+    """The cached stencil transform of the 2-d ``convolve_dense``."""
+
+    def test_cold_and_warm_cache_give_the_same_bits(self):
+        _, stencil = ss.build_kernel("custom_radial", 1.0, 2, 0.125, profile=cone_profile)
+        field = np.random.default_rng(5).uniform(size=(33, 21))
+        _stencil_spectrum.cache_clear()
+        cold = ss.convolve_dense(stencil, field)
+        warm = ss.convolve_dense(stencil, field)
+        assert _stencil_spectrum.cache_info().hits == 1
+        assert np.array_equal(cold.view(np.int64), warm.view(np.int64))
+
+    def test_stencils_of_one_shape_never_share_a_spectrum(self):
+        stencils = [ss.build_kernel(kind, 1.0, 2, 0.125, profile=cone_profile)[1]
+                    for kind in ("indicator_ball", "custom_radial")]
+        assert stencils[0].dense.shape == stencils[1].dense.shape
+        field = np.random.default_rng(6).uniform(size=(33, 33))
+        for first, second in (stencils, stencils[::-1]):
+            _stencil_spectrum.cache_clear()
+            ss.convolve_dense(first, field)
+            warm = ss.convolve_dense(second, field)
+            _stencil_spectrum.cache_clear()
+            cold = ss.convolve_dense(second, field)
+            assert np.array_equal(warm.view(np.int64), cold.view(np.int64))
+        spectra = [_stencil_spectrum(s.dense.tobytes(), s.dense.shape, (50, 50))
+                   for s in stencils]
+        assert not np.array_equal(*spectra)
+        for stencil, spectrum in zip(stencils, spectra):
+            assert np.array_equal(spectrum, np.fft.rfft2(stencil.dense, s=(50, 50)))
+            assert not spectrum.flags.writeable
 
 
 class TestAddToMaskConvolution:

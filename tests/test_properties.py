@@ -6,33 +6,20 @@ from hypothesis import given, settings, strategies as st
 
 import satspread as ss
 
-from conftest import seed_plateau
+from conftest import growth_laws, seed_plateau
+from oracles import support_confinement_per_snapshot
 
 DX = 0.125
 #: Box radii: 0.5 and 0.875 give boxes shorter than the 17-tap 1-d stencil
 #: (ell = 1, dx = 1/8); the small boxes saturate up to their edge.
 BOXES = {1: (0.5, 0.875, 1.5, 2.5, 4.0), 2: (0.875, 1.25, 2.0)}
 STENCILS = {dim: ss.build_kernel("indicator_ball", 1.0, dim, DX)[1] for dim in (1, 2)}
-
-
-@st.composite
-def growth_laws(draw):
-    kind = draw(st.sampled_from(["linear", "logistic", "tabulated"]))
-    rate = draw(st.floats(0.5, 2.0))
-    if kind == "linear":
-        return ss.linear_growth(rate)
-    if kind == "logistic":
-        return ss.logistic_growth(rate, draw(st.floats(2.0, 5.0)))
-    # A capped table: positive values with g(1) the largest, so g <= g(1).
-    inner = draw(st.lists(st.sampled_from([0.2, 0.4, 0.6, 0.8]), max_size=3,
-                          unique=True))
-    nodes = [0.0, *sorted(inner), 1.0]
-    values = draw(st.lists(st.floats(0.1, 2.0), min_size=len(nodes) - 1,
-                           max_size=len(nodes) - 1))
-    values[-1] = max(values)
-    law = ss.tabulated_growth(nodes, [0.0, *values])
-    assert law.monotone_cap
-    return law
+#: A radial kernel that vanishes on the annulus 0.3 <= rho <= 0.7: some taps
+#: inside the stencil's reach are exactly 0.
+HOLLOW = {dim: ss.build_kernel(
+    "custom_radial", 1.0, dim, DX,
+    profile=lambda rho: np.clip(np.abs(rho - 0.5) - 0.2, 0.0, None) ** 4)[1]
+    for dim in (1, 2)}
 
 
 @st.composite
@@ -221,3 +208,28 @@ def test_negative_zero_vacuum_steps_as_positive_zero(case):
         assert np.array_equal(written, written_signed)
         assert np.array_equal(bits(before), bits(before_signed))
         assert np.array_equal(bits(u.values), bits(v.values))
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=80)
+@given(cases(), st.booleans(), st.integers(0, 2), st.sampled_from([1, 3]),
+       st.one_of(st.none(), st.integers(0, 2 ** 32 - 1)))
+def test_confinement_from_saturation_times_equals_per_snapshot(case, hollow, slack,
+                                                               every, scramble):
+    """The confinement report read off saturation times is the one that
+    convolves the saturated set of every snapshot.  With ``scramble``, the
+    snapshots after the first are thinned and sprinkled with random mass, so
+    that supports cross the allowed set's edge wherever it lies."""
+    u0, params, stencil, growth, n_steps = case
+    if hollow:
+        stencil = HOLLOW[u0.dim]
+        assert np.count_nonzero(stencil.dense) < np.count_nonzero(STENCILS[u0.dim].dense)
+    result = ss.run(u0, params, stencil, growth, snapshot_interval=every * params.dt)
+    if scramble is not None:
+        rng = np.random.default_rng(scramble)
+        snapshots = [snap * (rng.uniform(size=snap.shape) < 0.2)
+                     + rng.uniform(size=snap.shape) * (rng.uniform(size=snap.shape) < 0.1)
+                     for snap in result.snapshots[1:]]
+        result = ss.RunResult(result.final, result.saturation_time, result.times,
+                              result.snapshots[:1] + snapshots, 0, {})
+    assert (tuple(ss.support_confinement_check(result, stencil, slack_cells=slack))
+            == support_confinement_per_snapshot(result, stencil, slack_cells=slack))

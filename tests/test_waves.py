@@ -3,11 +3,14 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import satspread as ss
 from satspread import waves
 
-from oracles import C_STAR_LINEAR_1D, c_star_quadrature_root, shoot_profile_direct
+from conftest import growth_laws
+from oracles import (C_STAR_LINEAR_1D, c_star_quadrature_root, find_c_star_bisection,
+                     shoot_profile_direct)
 
 #: One law of each kind ``shoot_profile`` can meet, each with the growth cap.
 LAWS = {
@@ -214,3 +217,85 @@ def test_minimal_speed_at_default_step_equals_oracle_bisection(
         linear_g, front_profile_1d, c_star_result, monkeypatch):
     monkeypatch.setattr(waves, "shoot_profile", shoot_profile_direct)
     assert ss.find_c_star(linear_g, front_profile_1d) == c_star_result
+
+
+#: Indicator front profiles and a coarse shooting step, for the replay oracle.
+PROFILES = {dim: ss.front_profile(ss.build_kernel("indicator_ball", 1.0, dim, 0.125)[0])
+            for dim in (1, 2)}
+REPLAY_STEP = 1.0 / 250
+
+
+def search_outcome(search, *args, **kwargs):
+    """The search's result with every float as its bits, or its error."""
+    try:
+        result = search(*args, **kwargs)
+    except ss.ScientificError as exc:
+        return type(exc), str(exc)
+    return tuple(tuple(map(float.hex, f)) if isinstance(f, tuple) else float.hex(f)
+                 for f in result)
+
+
+def counting_shots(monkeypatch):
+    """Patch ``waves.shoot_profile`` to record each speed shot; returns the list."""
+    speeds = []
+    shoot = waves.shoot_profile
+
+    def counted(c, *args, **kwargs):
+        speeds.append(c)
+        return shoot(c, *args, **kwargs)
+
+    monkeypatch.setattr(waves, "shoot_profile", counted)
+    return speeds
+
+
+class TestBisectionReplay:
+    """``find_c_star`` against plain bisection that shoots every midpoint."""
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=40)
+    @given(growth_laws(), st.sampled_from([1, 2]), st.sampled_from([1e-6, 1e-8, 1e-10]))
+    def test_equals_plain_bisection(self, law, dim, tol):
+        profile = PROFILES[dim]
+        assert (search_outcome(ss.find_c_star, law, profile, tol=tol, ode_step=REPLAY_STEP)
+                == search_outcome(find_c_star_bisection, law, profile, tol=tol,
+                                  ode_step=REPLAY_STEP))
+
+    def test_fewer_shots_than_plain_bisection(self, linear_g, monkeypatch):
+        speeds = counting_shots(monkeypatch)
+        ss.find_c_star(linear_g, PROFILES[1], ode_step=REPLAY_STEP)
+        replayed = len(speeds)
+        speeds.clear()
+        find_c_star_bisection(linear_g, PROFILES[1], ode_step=REPLAY_STEP)
+        assert replayed <= 20 < len(speeds)
+
+    def test_non_monotone_phi_falls_back_to_plain_bisection(self, linear_g, monkeypatch):
+        """phi(ell) forced negative at the midpoints right of the root, which
+        plain bisection shoots and regula falsi does not: the replay's final
+        bracket fails its certificate, and the fallback returns what plain
+        bisection returns under the same phi, not the monotone result."""
+        profile = PROFILES[1]
+        monotone = ss.find_c_star(linear_g, profile, ode_step=REPLAY_STEP)
+        c_lo, c_hi = monotone.analytic_bounds
+        assert (c_lo, c_hi) == (0.25, 1.0)  # so every midpoint is a multiple of 2**-40
+        shoot = waves.shoot_profile
+
+        def non_monotone(c, *args, **kwargs):
+            wave = shoot(c, *args, **kwargs)
+            if monotone.c_star < c < c_hi and (c * 2.0 ** 40).is_integer():
+                return wave._replace(phi_at_ell=-1.0)
+            return wave
+
+        monkeypatch.setattr(waves, "shoot_profile", non_monotone)
+        fast = search_outcome(ss.find_c_star, linear_g, profile, ode_step=REPLAY_STEP)
+        plain = search_outcome(find_c_star_bisection, linear_g, profile,
+                               ode_step=REPLAY_STEP)
+        assert fast == plain != search_outcome(lambda: monotone)
+
+    def test_tolerance_wider_than_the_bracket_takes_no_midpoint(self, linear_g,
+                                                                 monkeypatch):
+        speeds = counting_shots(monkeypatch)
+        result = ss.find_c_star(linear_g, PROFILES[1], tol=1.0, ode_step=REPLAY_STEP)
+        assert result.bracket == result.analytic_bounds == (0.25, 1.0)
+        assert speeds == [0.25, 1.0, 0.625]  # the bounds, then the wave at c*
+        assert (search_outcome(lambda: result)
+                == search_outcome(find_c_star_bisection, linear_g, PROFILES[1], tol=1.0,
+                                  ode_step=REPLAY_STEP))
