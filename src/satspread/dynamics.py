@@ -259,18 +259,19 @@ def _euler_steps(u0: GridField, params: ModelParams, stencil: ConvolutionStencil
                  growth: GrowthLaw) -> Iterator[tuple]:
     """Clamped explicit Euler steps from ``u0`` to ``params.t_end``.
 
-    Yields ``(u, before, after, rhs, clamped, newly, written)`` after each
+    Yields ``(u, before, after, lo, rhs, clamped, newly, written)`` after each
     step: the advanced field; on the band of cells the step wrote, their
-    densities before and after, their right-hand side and which of them were
-    clamped at the ceiling; the flat indices of the cells that joined the
-    saturated set ``S``; and the band, as flat indices.  Every cell off the
-    band kept its density and had rhs 0.0.  ``u`` is one copy of ``u0``,
-    advanced in place: every step writes its band into it, so a caller that
-    keeps a state across steps copies it, and ``u0`` is never written.  While
-    the band stands, a step's ``before`` is the last step's ``after``, the same
-    array, so neither is written after it is yielded.  The steps are whole
-    ``dt`` steps plus one shorter last step when ``t_end`` is not a multiple
-    of ``dt``.
+    densities before and after, the least of ``after`` (``+inf`` on an empty
+    band) as the invariant check computed it, their right-hand side and which
+    of them were clamped at the ceiling; the flat indices of the cells that
+    joined the saturated set ``S``; and the band, as flat indices.  Every
+    cell off the band kept its density and had rhs 0.0.  ``u`` is one copy
+    of ``u0``, advanced in place: every step writes its band into it, so a
+    caller that keeps a state across steps copies it, and ``u0`` is never
+    written.  While the band stands, a step's ``before`` is the last step's
+    ``after``, the same array, so neither is written after it is yielded.
+    The steps are whole ``dt`` steps plus one shorter last step when
+    ``t_end`` is not a multiple of ``dt``.
 
     For the saturated models the only nonlocal term is ``K * 1_S``, and ``S``
     only grows.  So ``K * 1_S`` is convolved once and then updated at the
@@ -283,9 +284,10 @@ def _euler_steps(u0: GridField, params: ModelParams, stencil: ConvolutionStencil
     their bounding box dilated by ``reach + 1`` (the band's halo adds one
     cell) and kept elsewhere.  The copy holds 0.0 where ``u0``
     holds -0.0, as a step would write there, and no step writes -0.0, so a
-    vacuum is never live.  The gamma model steps the whole box: its FFT
-    convolution of ``u^gamma`` must see the whole field.  A cell leaving
-    ``S`` raises ``InvariantViolation``, and so does a density outside
+    vacuum is never live.  The gamma model steps the whole box for its
+    elementwise terms, such as ``g(u)``, which can be nonzero wherever ``u``
+    is; its convolution transforms only the support of ``u^gamma``.  A cell
+    leaving ``S`` raises ``InvariantViolation``, and so does a density outside
     [0, 1] or NaN; both are checked on every cell the step wrote.
     """
     _check_stepping(u0, params, stencil, growth)
@@ -347,7 +349,7 @@ def _euler_steps(u0: GridField, params: ModelParams, stencil: ConvolutionStencil
                              _around(newly, sat.shape, stencil.reach + 1), growth.g1)
                 cells = band.cells
             sat_band = sat.ravel()[cells]
-        yield u, before, after, rhs, clamped, newly, written
+        yield u, before, after, lo, rhs, clamped, newly, written
         before = after if cells is written else None
 
 
@@ -403,11 +405,11 @@ def run(u0: GridField, params: ModelParams, stencil: ConvolutionStencil,
     next_snapshot = snapshot_interval if snapshot_interval else math.inf
     clamped_total = 0
     last_recorded = True
-    for u, before, after, rhs, clamped, newly, written in _euler_steps(
+    for u, before, after, lo, rhs, clamped, newly, written in _euler_steps(
             u, params, stencil, growth):
         clamped_total += int(np.count_nonzero(clamped))
         # ufunc reductions: ndarray.min and .max add a Python-level wrapper
-        min_u = min(min_u, float(np.minimum.reduce(after, initial=np.inf)))
+        min_u = min(min_u, lo)
         max_u = max(max_u, float(np.maximum.reduce(after, initial=-np.inf)))
         max_rhs = max(max_rhs, float(np.maximum.reduce(rhs, initial=0.0)))
         gap = max(gap, float(np.maximum.reduce(before - after, initial=0.0)))

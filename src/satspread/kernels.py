@@ -286,17 +286,22 @@ def convolve_field(stencil: ConvolutionStencil, values: np.ndarray) -> np.ndarra
 def convolve_dense(stencil: ConvolutionStencil, *fields: np.ndarray) -> np.ndarray:
     """Convolve several dense fields with zero extension; returns them stacked.
 
-    In 2-d the fields go through one zero-padded ``rfft2``: each axis is
-    padded to the least length ``>= cells + 2 * reach`` whose only prime
-    factors are 2, 3 and 5, a fast FFT length.  No output wraps around, and
-    the centred slice of the inverse transform is the zero-extension
-    convolution.  The stencil's transform is computed once per padded shape.
-    It agrees with ``convolve_field`` to rounding, not in every bit.  Outputs
-    within ``FFT_ZERO_FLOOR`` of 0, relative to the field's largest output,
-    are set to exactly 0: there the direct sum is 0 or below rounding, and
-    the transform's noise of either sign would otherwise seed mass at every
-    cell of the box.  Callers that need a sign still clip.  In 1-d each field
-    takes ``convolve_field``'s own path, so the result is bit-identical.
+    In 2-d the fields go through one zero-padded ``rfft2`` of their support:
+    the bounding box of the cells where any of them is nonzero.  Each axis of
+    that box is padded to the least length ``>= width + 2 * reach`` whose
+    only prime factors are 2, 3 and 5, a fast FFT length, so no output wraps
+    around.  The inverse transform holds the zero-extension convolution on
+    the support box dilated by ``reach``; its part inside the grid is written
+    into a zeroed result.  Outside it the direct sum is exactly 0, and a
+    stack without nonzero cells costs no transform.  The stencil's transform
+    is computed once per padded shape.  The result agrees with
+    ``convolve_field`` to rounding, not in every bit.  Outputs within
+    ``FFT_ZERO_FLOOR`` of 0, relative to the field's largest output (which
+    lies on the dilated support), are set to exactly 0: there the direct sum
+    is 0 or below rounding, and the transform's noise of either sign would
+    otherwise seed mass at every cell within reach of the support.  Callers
+    that need a sign still clip.  In 1-d each field takes ``convolve_field``'s
+    own path, so the result is bit-identical.
 
     Masks are convolved with ``convolve_field``: ``add_to_mask_convolution``
     updates that result in place and has to match it bit for bit.
@@ -304,14 +309,28 @@ def convolve_dense(stencil: ConvolutionStencil, *fields: np.ndarray) -> np.ndarr
     values = [_as_field(stencil, f) for f in fields]
     if stencil.dim == 1:
         return np.stack([_convolve_1d(stencil, v) for v in values])
+    stack = np.stack(values)
+    out = np.zeros_like(stack)
+    support = stack.any(axis=0)
+    rows = np.flatnonzero(support.any(axis=1))
+    if rows.size == 0:
+        return out
+    cols = np.flatnonzero(support.any(axis=0))
     r = stencil.reach
-    nx, ny = values[0].shape
-    shape = (_fast_length(nx + 2 * r), _fast_length(ny + 2 * r))
-    spectrum = (np.fft.rfft2(np.stack(values), s=shape)
+    nx, ny = support.shape
+    # Python ints: cheaper to pad and to key the spectrum cache with
+    a0, a1, b0, b1 = int(rows[0]), int(rows[-1]) + 1, int(cols[0]), int(cols[-1]) + 1
+    shape = (_fast_length(a1 - a0 + 2 * r), _fast_length(b1 - b0 + 2 * r))
+    spectrum = (np.fft.rfft2(stack[:, a0:a1, b0:b1], s=shape)
                 * _stencil_spectrum(stencil.dense.tobytes(), stencil.dense.shape, shape))
-    out = np.fft.irfft2(spectrum, s=shape)[:, r:r + nx, r:r + ny]
-    magnitude = np.abs(out)
-    out[magnitude <= FFT_ZERO_FLOOR * magnitude.max(axis=(1, 2), keepdims=True)] = 0.0
+    # Entry (k, l) of the inverse transform is the output at (a0 - r + k, b0 - r + l).
+    i0, i1 = max(a0 - r, 0), min(a1 + r, nx)
+    j0, j1 = max(b0 - r, 0), min(b1 + r, ny)
+    box = np.fft.irfft2(spectrum, s=shape)[:, i0 - a0 + r:i1 - a0 + r,
+                                           j0 - b0 + r:j1 - b0 + r]
+    magnitude = np.abs(box)
+    box[magnitude <= FFT_ZERO_FLOOR * magnitude.max(axis=(1, 2), keepdims=True)] = 0.0
+    out[:, i0:i1, j0:j1] = box
     return out
 
 

@@ -154,6 +154,19 @@ def sparse_field(rng, shape, zero_frac=0.5):
 class TestConvolveDense:
     """The batched dense-field convolution against convolve_field."""
 
+    @staticmethod
+    def against_direct(stencil, *fields):
+        """``convolve_dense`` of ``fields``, within 1e-14 of ``convolve_field``
+        and exactly 0 wherever the direct sum is 0."""
+        out = ss.convolve_dense(stencil, *fields)
+        assert out.shape == (len(fields),) + fields[0].shape
+        for got, field in zip(out, fields):
+            direct = ss.convolve_field(stencil, field)
+            assert np.max(np.abs(got - direct)) <= 1e-14
+            # exact zeros out of reach of the field's mass, as in the direct sum
+            assert np.all(got[direct == 0.0] == 0.0)
+        return out
+
     @pytest.mark.parametrize("kind", ["indicator_ball", "custom_radial"])
     @pytest.mark.parametrize("shape", [(65, 65), (33, 21), (9, 9), (5, 40)])
     def test_two_dimensional_fields_within_rounding(self, kind, shape):
@@ -165,14 +178,73 @@ class TestConvolveDense:
         edge[r:-r, r:-r] = 0.0  # mass only within reach of the box edge
         spike = np.zeros(shape)
         spike[shape[0] // 2, shape[1] // 2] = 1.0
-        fields = [rng.uniform(size=shape), sparse_field(rng, shape), edge, spike]
-        out = ss.convolve_dense(stencil, *fields)
-        assert out.shape == (4,) + shape
-        for got, field in zip(out, fields):
-            direct = ss.convolve_field(stencil, field)
-            assert np.max(np.abs(got - direct)) <= 1e-14
-            # exact zeros out of reach of the field's mass, as in the direct sum
-            assert np.all(got[direct == 0.0] == 0.0)
+        self.against_direct(stencil, rng.uniform(size=shape), sparse_field(rng, shape),
+                            edge, spike)
+
+    @pytest.mark.parametrize("kind", ["indicator_ball", "custom_radial"])
+    def test_translated_support_gives_the_same_bits(self, kind):
+        """A field moved into a larger box, with unequal zero margins, gives
+        the bits it gives in its own box at its own cells and 0.0 elsewhere:
+        only the support's box is transformed."""
+        _, stencil = ss.build_kernel(kind, 1.0, 2, 0.125, profile=cone_profile)
+        r = stencil.reach
+        rng = np.random.default_rng(12)
+        own = np.zeros((2 * r + 7, 2 * r + 5))
+        own[r:-r, r:-r] = sparse_field(rng, (7, 5), zero_frac=0.3)
+        fields = [own, own ** 2]
+        alone = self.against_direct(stencil, *fields)
+        window = np.s_[:, 11:11 + own.shape[0], 20:20 + own.shape[1]]
+        moved = [np.zeros((60, 47)) for _ in fields]
+        for big, field in zip(moved, fields):
+            big[window[1:]] = field
+        embedded = self.against_direct(stencil, *moved)
+        assert np.array_equal(embedded[window].view(np.int64), alone.view(np.int64))
+        embedded[window] = 0.0
+        assert not embedded.view(np.int64).any()  # +0.0 off the window
+
+    def test_supports_in_opposite_corners(self):
+        _, stencil = ss.build_kernel("custom_radial", 1.0, 2, 0.125, profile=cone_profile)
+        rng = np.random.default_rng(13)
+        low, high = np.zeros((65, 65)), np.zeros((65, 65))
+        low[:6, :9] = rng.uniform(size=(6, 9))
+        high[-7:, -5:] = sparse_field(rng, (7, 5), zero_frac=0.3)
+        self.against_direct(stencil, low, high)
+        self.against_direct(stencil, high, low)
+
+    def test_one_nonzero_cell_at_each_corner(self):
+        _, stencil = ss.build_kernel("indicator_ball", 1.0, 2, 0.125)
+        corners = []
+        for i in (0, -1):
+            for j in (0, -1):
+                field = np.zeros((33, 21))
+                field[i, j] = 0.75
+                self.against_direct(stencil, field)
+                corners.append(field)
+        self.against_direct(stencil, *corners)
+        self.against_direct(stencil, sum(corners))
+
+    def test_support_touching_all_four_edges(self):
+        _, stencil = ss.build_kernel("custom_radial", 1.0, 2, 0.125, profile=cone_profile)
+        rng = np.random.default_rng(14)
+        field = np.zeros((40, 29))
+        field[0, 3] = field[-1, 25] = field[30, 0] = field[7, -1] = 1.0
+        field[15:22, 10:16] = rng.uniform(size=(7, 6))
+        self.against_direct(stencil, field, field * (1.0 - field))
+
+    def test_transform_length_follows_the_support(self):
+        """A 9x9 support in a 257x257 box is transformed at the fast length
+        of 9 + 2 * reach, not of 257 + 2 * reach."""
+        _, stencil = ss.build_kernel("indicator_ball", 1.0, 2, 0.125)
+        field = np.zeros((257, 257))
+        field[100:109, 37:46] = 0.5 + np.random.default_rng(15).uniform(size=(9, 9))
+        _stencil_spectrum.cache_clear()
+        self.against_direct(stencil, field)
+        info = _stencil_spectrum.cache_info()
+        assert info.misses == 1 and info.currsize == 1
+        length = _fast_length(9 + 2 * stencil.reach)
+        assert length < _fast_length(257 + 2 * stencil.reach)
+        _stencil_spectrum(stencil.dense.tobytes(), stencil.dense.shape, (length, length))
+        assert _stencil_spectrum.cache_info().hits == info.hits + 1
 
     def test_zero_field_gives_exact_zeros(self):
         _, stencil = ss.build_kernel("indicator_ball", 1.0, 2, 0.125)
@@ -201,21 +273,19 @@ class TestConvolveDense:
                         for k in range(4))
         for n in range(1, 257):
             assert _fast_length(n) == min(m for m in smooth if m >= n)
-        # stiff2d's 65 cells under 17 taps keep their padded length
+        # 65 cells under 17 taps need 81 = 3**4, already a fast length
         assert _fast_length(65 + 2 * 8) == 81
 
     def test_fast_padded_length_within_rounding(self):
-        """81 cells under 9 taps pad to 90, not 89: the bound of the tests
-        above, and exact zeros out of reach."""
+        """A support 81 cells wide under 9 taps pads to 90, not 89: the bound
+        of the tests above, and exact zeros out of reach."""
         _, stencil = ss.build_kernel("indicator_ball", 1.0, 2, 0.25)
         assert stencil.dense.shape == (9, 9) and _fast_length(81 + 8) == 90
         rng = np.random.default_rng(81)
         field = sparse_field(rng, (81, 81), zero_frac=0.9)
         field[:40] = 0.0
-        got = ss.convolve_dense(stencil, field)[0]
-        direct = ss.convolve_field(stencil, field)
-        assert np.max(np.abs(got - direct)) <= 1e-14
-        assert np.all(got[direct == 0.0] == 0.0)
+        field[40, 0] = field[80, 80] = 1.0  # the support spans the columns
+        self.against_direct(stencil, field)
 
 
 class TestStencilSpectrum:

@@ -131,20 +131,21 @@ def bits(values):
 @given(cases())
 def test_euler_steps_yield_contract(case):
     """Each step writes ``min(before + dt * rhs, 1)`` on the band it yields,
-    ``before`` is the previous field there, the rest of the field keeps its
-    bits, and no entry point writes ``u0``."""
+    ``before`` is the previous field there, ``lo`` is the least of ``after``,
+    the rest of the field keeps its bits, and no entry point writes ``u0``."""
     u0, params, stencil, growth, n_steps = case
     kept = u0.values.copy()
     prev = u0.copy()
     eps = params.saturation_eps
     n = 0
-    for u, before, after, rhs, clamped, newly, written in ss.dynamics._euler_steps(
+    for u, before, after, lo, rhs, clamped, newly, written in ss.dynamics._euler_steps(
             u0, params, stencil, growth):
         n += 1
         assert u.time == prev.time + params.dt
         assert np.array_equal(bits(before), bits(prev.values.ravel()[written]))
         proposed = before + params.dt * rhs
         assert np.array_equal(bits(after), bits(np.minimum(proposed, 1.0)))
+        assert np.array_equal(bits(lo), bits(np.minimum.reduce(after, initial=np.inf)))
         assert np.array_equal(clamped, proposed > 1.0)
         assert np.array_equal(bits(u.values.ravel()[written]), bits(after))
         off = np.ones(u.values.size, dtype=bool)
@@ -176,7 +177,7 @@ def test_band_after_each_event_equals_full_rebuild(case, negative_zeros):
         u0 = ss.GridField(np.where(u0.values == 0.0, -0.0, u0.values), u0.spacing,
                           u0.origin)
     rebuilt = None
-    for u, before, after, rhs, clamped, newly, written in ss.dynamics._euler_steps(
+    for u, before, after, lo, rhs, clamped, newly, written in ss.dynamics._euler_steps(
             u0, params, stencil, growth):
         if rebuilt is not None:
             cells, values, conv = rebuilt
