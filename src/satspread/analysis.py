@@ -202,8 +202,7 @@ class GammaConvergenceStudy(NamedTuple):
 
 def gamma_convergence_study(u0: GridField, gamma_list: Sequence[float],
                             stencil: ConvolutionStencil, growth: GrowthLaw,
-                            horizon: float, threshold: float = 0.05,
-                            max_workers: int = 1) -> GammaConvergenceStudy:
+                            horizon: float, threshold: float = 0.05) -> GammaConvergenceStudy:
     """Sup-norm distance between finite-pressure runs and the saturated limit.
 
     Each pressure exponent runs at its own stability cap; the reference run of
@@ -217,27 +216,14 @@ def gamma_convergence_study(u0: GridField, gamma_list: Sequence[float],
         raise ValueError("gamma_list must hold at least 2 strictly increasing"
                          " finite values >= 1")
 
-    def gamma_final(gamma: float) -> tuple[float, np.ndarray]:
-        dt = stability_cap("gamma", growth, gamma)
-        params = ModelParams(model="gamma", gamma=gamma, dt=dt, t_end=horizon)
-        res = run(u0, params, stencil, growth)
-        return dt, res.final.values
-
-    if max_workers > 1:
-        # Imported here: the import costs every CLI start-up about 10 ms.
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=max_workers) as pool:
-            outcomes = list(pool.map(gamma_final, gammas))
-    else:
-        outcomes = [gamma_final(g) for g in gammas]
-    dts = [o[0] for o in outcomes]
-
+    dts = [stability_cap("gamma", growth, g) for g in gammas]
+    finals = [run(u0, ModelParams(model="gamma", gamma=g, dt=dt, t_end=horizon),
+                  stencil, growth).final.values for g, dt in zip(gammas, dts)]
     ref_dt = min(dts)
     ref_params = ModelParams(model="singular", dt=ref_dt, t_end=horizon)
     ref = run(u0, ref_params, stencil, growth).final.values
 
-    distances = [float(np.max(np.abs(o[1] - ref))) for o in outcomes]
+    distances = [float(np.max(np.abs(f - ref))) for f in finals]
     decreasing = all(b < a for a, b in zip(distances, distances[1:]))
     passed = decreasing and distances[-1] < threshold
     return GammaConvergenceStudy(gammas=tuple(gammas), dts=tuple(dts),

@@ -37,7 +37,7 @@ def main(argv=None) -> int:
         cmd.add_argument("--config", required=True, help="path to the run config")
         cmd.add_argument("--out", default=None, help="output directory override")
         cmd.add_argument("--threads", type=int, default=1,
-                         help="worker threads for independent runs")
+                         help="accepted and ignored; every run is serial")
     args = parser.parse_args(argv)
 
     try:
@@ -63,7 +63,7 @@ def main(argv=None) -> int:
                "speed": _cmd_speed, "converge": _cmd_converge,
                "compare": _cmd_compare}[args.command]
     try:
-        return handler(cfg, out_dir, threads=args.threads)
+        return handler(cfg, out_dir)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
@@ -82,7 +82,7 @@ def _run_once(cfg: RunConfig, record_lipschitz: bool = False):
                record_lipschitz=record_lipschitz)
 
 
-def _cmd_simulate(cfg: RunConfig, out_dir: Path, threads: int = 1) -> int:
+def _cmd_simulate(cfg: RunConfig, out_dir: Path) -> int:
     # summary.json is the only artifact with monitors.
     result = _run_once(cfg, record_lipschitz=True)
     grid = result.final
@@ -111,7 +111,7 @@ def _cmd_simulate(cfg: RunConfig, out_dir: Path, threads: int = 1) -> int:
     return EXIT_OK
 
 
-def _cmd_wave(cfg: RunConfig, out_dir: Path, threads: int = 1) -> int:
+def _cmd_wave(cfg: RunConfig, out_dir: Path) -> int:
     if not cfg.growth.monotone_cap:
         raise ConfigError("[growth] the wave command requires monotone_cap growth")
     ode_step = cfg.study.get("ode_step")
@@ -156,7 +156,7 @@ def _cmd_wave(cfg: RunConfig, out_dir: Path, threads: int = 1) -> int:
     return EXIT_OK
 
 
-def _cmd_speed(cfg: RunConfig, out_dir: Path, threads: int = 1) -> int:
+def _cmd_speed(cfg: RunConfig, out_dir: Path) -> int:
     if not cfg.growth.monotone_cap:
         raise ConfigError("[growth] the speed study requires monotone_cap growth")
     profile = front_profile(cfg.kernel)
@@ -190,14 +190,13 @@ def _cmd_speed(cfg: RunConfig, out_dir: Path, threads: int = 1) -> int:
     return EXIT_OK if passed else EXIT_SCIENCE
 
 
-def _cmd_converge(cfg: RunConfig, out_dir: Path, threads: int = 1) -> int:
+def _cmd_converge(cfg: RunConfig, out_dir: Path) -> int:
     u0 = build_initial_field(cfg)
     gammas = cfg.study.get("gamma_list", [8.0, 32.0, 128.0, 512.0])
     try:
         study = gamma_convergence_study(u0, gammas, cfg.stencil, cfg.growth,
                                         horizon=cfg.model.t_end,
-                                        threshold=cfg.study.get("threshold", 0.05),
-                                        max_workers=max(1, threads))
+                                        threshold=cfg.study.get("threshold", 0.05))
     except ValueError as exc:
         raise ConfigError(f"[study] {exc}") from exc
     write_csv(out_dir / "gamma_distances.csv", ["gamma", "dt", "sup_distance"],
@@ -213,7 +212,7 @@ def _cmd_converge(cfg: RunConfig, out_dir: Path, threads: int = 1) -> int:
     return EXIT_OK if study.passed else EXIT_SCIENCE
 
 
-def _cmd_compare(cfg: RunConfig, out_dir: Path, threads: int = 1) -> int:
+def _cmd_compare(cfg: RunConfig, out_dir: Path) -> int:
     low = build_initial_field(cfg)
     high = build_initial_field(cfg, spec=cfg.initial_high_spec)
     try:

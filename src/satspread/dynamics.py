@@ -175,8 +175,8 @@ class _Band(NamedTuple):
 
     cells: np.ndarray  # flat indices
     conv: np.ndarray  # K * 1_S at the cells, clipped to [0, 1]
-    free: np.ndarray  # 1 - K * 1_S at the cells
-    spill: np.ndarray  # g(1) * K * 1_S at the cells
+    free: np.ndarray  # (1 - K * 1_S) * (1 - 1_S) at the cells
+    spill: np.ndarray  # g(1) * K * 1_S * (1 - 1_S) at the cells
     unsaturated: np.ndarray  # 1 - 1_S at the cells
 
 
@@ -187,13 +187,21 @@ def _band(sat: np.ndarray, mask_conv: np.ndarray, values: np.ndarray,
 
     It holds the unsaturated cells with ``u > 0`` or ``K * 1_S > 0``, dilated
     by one cell along each axis, which adds the saturated cells that border
-    each front.  Elsewhere the rhs is exactly 0: ``g(0) = 0`` and
-    ``K * 1_S = 0`` off ``S``, and the factor ``1 - 1_S`` on ``S``.
+    each front.  Elsewhere the rhs is exactly 0 (``g(0) = 0`` and
+    ``K * 1_S = 0`` off ``S``, and the factor ``1 - 1_S`` on ``S``), so
+    stepping the band keeps every bit of a full-grid step, and a density, so
+    a slope, changes only within the band's bounding box.  A cell with
+    ``u = 0`` and ``K * 1_S = 0`` keeps rhs 0, so the band changes only when
+    a cell joins ``S``, and then only within ``reach + 1`` cells of the new
+    cells (``reach`` for ``S`` and ``K * 1_S``, one for the halo).
 
     ``grown`` is the band as a mask of the whole grid.  Only its cells in
     ``box``, a tuple of slices, are recomputed in place, from the cells of
     ``box`` and their neighbours; the rest are kept.  Called on the whole
     grid with ``grown`` all False, this builds the band from scratch.
+    ``K * 1_S``, a sum of nonnegative terms started at +0.0, needs no clip
+    below.  ``free`` and ``spill`` carry ``1 - 1_S``: 1.0 off ``S``, where
+    they keep their bits, and 0.0 on ``S``, where the step keeps ``u``.
     """
     # The cells of the box read their neighbours: one cell more per side.
     near = tuple(slice(max(b.start - 1, 0), b.stop + 1) for b in box)
@@ -207,8 +215,10 @@ def _band(sat: np.ndarray, mask_conv: np.ndarray, values: np.ndarray,
     grown[box] = dilated[tuple(slice(b.start - a.start, b.stop - a.start)
                                for a, b in zip(near, box))]
     cells = grown.ravel().nonzero()[0]
-    conv = np.clip(mask_conv.ravel()[cells], 0.0, 1.0)
-    return _Band(cells, conv, 1.0 - conv, g1 * conv, 1.0 - sat.ravel()[cells])
+    conv = np.minimum(mask_conv.ravel()[cells], 1.0)
+    unsaturated = 1.0 - sat.ravel()[cells]
+    return _Band(cells, conv, (1.0 - conv) * unsaturated, g1 * conv * unsaturated,
+                 unsaturated)
 
 
 def rhs_singular(u: GridField, stencil: ConvolutionStencil, growth: GrowthLaw,
@@ -232,9 +242,8 @@ def model_rhs(u: GridField, params: ModelParams, stencil: ConvolutionStencil,
                             params.model == "generalized_singular")
     if params.model == "generalized_singular":
         return _saturated_bracket(values, band.conv, growth, True) * band.unsaturated
-    # _saturated_bracket's operations, with the band's constant terms
-    return (np.asarray(growth(values), dtype=float) * band.free
-            + band.spill) * band.unsaturated
+    # _saturated_bracket's operations, with the band's terms (1 - 1_S folded in)
+    return growth.fn(values) * band.free + band.spill
 
 
 def step(u: GridField, params: ModelParams, stencil: ConvolutionStencil,
@@ -273,22 +282,15 @@ def _euler_steps(u0: GridField, params: ModelParams, stencil: ConvolutionStencil
     The steps are whole ``dt`` steps plus one shorter last step when
     ``t_end`` is not a multiple of ``dt``.
 
-    For the saturated models the only nonlocal term is ``K * 1_S``, and ``S``
-    only grows.  So ``K * 1_S`` is convolved once and then updated at the
-    cells that join ``S``, the rhs terms that depend on it alone are kept with
-    the band, and only the cells of ``_band`` are stepped: off them the rhs
-    is exactly 0, so every bit is that of a full-grid step.  A cell with
-    ``u = 0`` and ``K * 1_S = 0`` keeps rhs 0, so the band changes only on
-    steps where a cell joins ``S``.  There ``S`` and ``K * 1_S`` change only
-    within ``reach`` cells of the new cells, so the band is recomputed on
-    their bounding box dilated by ``reach + 1`` (the band's halo adds one
-    cell) and kept elsewhere.  The copy holds 0.0 where ``u0``
-    holds -0.0, as a step would write there, and no step writes -0.0, so a
-    vacuum is never live.  The gamma model steps the whole box for its
-    elementwise terms, such as ``g(u)``, which can be nonzero wherever ``u``
-    is; its convolution transforms only the support of ``u^gamma``.  A cell
-    leaving ``S`` raises ``InvariantViolation``, and so does a density outside
-    [0, 1] or NaN; both are checked on every cell the step wrote.
+    For the saturated models ``K * 1_S``, the only nonlocal term, is
+    convolved once and then updated at the cells that join ``S``, the rhs
+    terms that depend on it alone are kept with the band, and only the cells
+    of ``_band`` are stepped, with every bit of a full-grid step.  The copy
+    holds 0.0 where ``u0`` holds -0.0, as a step would write there, and no
+    step writes -0.0, so a vacuum is never live.  The gamma model steps the
+    whole box, where ``g(u)`` can be nonzero.  A cell leaving ``S`` raises
+    ``InvariantViolation``, and so does a density outside [0, 1] or NaN; both
+    are checked on every cell the step wrote.
     """
     _check_stepping(u0, params, stencil, growth)
     u = u0.copy()
@@ -316,8 +318,6 @@ def _euler_steps(u0: GridField, params: ModelParams, stencil: ConvolutionStencil
     before = None
     for k in range(n_full + (1 if remainder else 0)):
         dt_k = params.dt if k < n_full else remainder
-        # The band this step writes; an event below replaces it.  While it
-        # stands, the last step's ``after`` holds its densities.
         written = cells
         if before is None:
             before = flat[cells]
@@ -381,13 +381,18 @@ def run(u0: GridField, params: ModelParams, stencil: ConvolutionStencil,
     at the final time.  Saturation times use the first-crossing convention:
     the recorded time is the end of the step on which a cell first reaches
     the (eps-adjusted) ceiling.  The steps and their invariant checks are
-    those of ``_euler_steps``.  The monitors are updated from the band of
-    cells each step wrote: off it the density did not change and the rhs was
-    0.0, so the running minima, maxima and counts are those of the whole grid.
-    A slope changes only next to a cell whose density changed.  That cell is
-    live, and the band holds it and its neighbours, so the running maximum
-    slope scans the bounding box of the band the step wrote.  A snapshot
-    interval below ``dt`` (or NaN) is rejected.
+    those of ``_euler_steps``.  A snapshot interval below ``dt`` (or NaN) is
+    rejected.
+
+    The monitors read the band each step wrote: off it the density did not
+    change and the rhs was 0.0, and every slope that changed lies in the
+    band's bounding box (see ``_band``).  They skip what the invariants
+    decide.  ``max_u`` is not reduced once it reads 1.0, the clamp's cap (a
+    NaN has raised).  With ``rhs >= 0`` and ``before <= 1``,
+    ``min(before + dt * rhs, 1) >= before``, so ``before - after`` is reduced
+    only on a step with an rhs below 0 or NaN.  In the saturated models a
+    clamped cell ends in ``S`` and was off it (on ``S`` the rhs has the factor
+    ``1 - 1_S = 0``), so only steps where a cell joins ``S`` are counted.
     """
     if snapshot_interval is not None and not snapshot_interval >= params.dt:
         raise ValueError(f"snapshot_interval={snapshot_interval} is below dt={params.dt}")
@@ -407,12 +412,15 @@ def run(u0: GridField, params: ModelParams, stencil: ConvolutionStencil,
     last_recorded = True
     for u, before, after, lo, rhs, clamped, newly, written in _euler_steps(
             u, params, stencil, growth):
-        clamped_total += int(np.count_nonzero(clamped))
         # ufunc reductions: ndarray.min and .max add a Python-level wrapper
         min_u = min(min_u, lo)
-        max_u = max(max_u, float(np.maximum.reduce(after, initial=-np.inf)))
+        if max_u < 1.0:
+            max_u = max(max_u, float(np.maximum.reduce(after, initial=-np.inf)))
         max_rhs = max(max_rhs, float(np.maximum.reduce(rhs, initial=0.0)))
-        gap = max(gap, float(np.maximum.reduce(before - after, initial=0.0)))
+        if not np.minimum.reduce(rhs, initial=0.0) >= 0.0:
+            gap = max(gap, float(np.maximum.reduce(before - after, initial=0.0)))
+        if newly.size or params.model == "gamma":
+            clamped_total += int(np.count_nonzero(clamped))
         if newly.size:
             sat_time.ravel()[newly] = u.time
         if record_lipschitz:
@@ -457,10 +465,12 @@ def obstacle_residual(u_before: GridField, u_after: GridField, dt: float,
 
 
 def _around(cells: np.ndarray, shape: tuple[int, ...], by: int) -> tuple[slice, ...]:
-    """Bounding box of the flat indices ``cells``, dilated by ``by`` cells and
-    clipped to ``shape``."""
+    """Bounding box of the flat indices ``cells``, in ascending order, dilated
+    by ``by`` cells and clipped below at 0."""
     if cells.size == 0:
         return (slice(0, 0),) * len(shape)
+    if len(shape) == 1:  # sorted: the box runs from the first to the last
+        return (slice(max(int(cells[0]) - by, 0), int(cells[-1]) + by + 1),)
     return tuple(slice(max(int(a.min()) - by, 0), int(a.max()) + by + 1)
                  for a in np.unravel_index(cells, shape))
 

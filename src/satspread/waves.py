@@ -118,7 +118,7 @@ def find_c_star(growth: GrowthLaw, profile: FrontKernelProfile,
     stay positive at the upper end; anything else indicates a growth law
     outside the assumptions or an under-resolved front profile.
 
-    The bisection is replayed: Illinois regula falsi narrows the root to
+    The bisection is replayed: Anderson-Bjorck regula falsi narrows the root to
     ``[a, b]``, ``phi(a) <= 0 < phi(b)``, and as phi_c(ell) grows with c (see
     ``monotone_in_c_check``) only midpoints inside ``(a, b)`` are shot.  The
     final ends are shot too; unless they straddle the root, plain bisection
@@ -147,8 +147,9 @@ def find_c_star(growth: GrowthLaw, profile: FrontKernelProfile,
             f"{phi_lo:.6g} at c={c_lo:.6g} and {phi_hi:.6g} at c={c_hi:.6g}")
     bounds = (c_lo, c_hi)
 
-    # Illinois: the secant through (a, fa) and (b, fb), halving the f of an
-    # end that is kept twice in a row.
+    # Anderson-Bjorck: the secant through (a, fa) and (b, fb).  An end kept
+    # twice in a row has its f scaled by m = 1 - fc / f_old, f_old that of the
+    # end c replaces (of fc's sign), or halved if m <= 0.
     a, b, fa, fb, side = c_lo, c_hi, phi_lo, phi_hi, 0
     for _ in range(_LOCATE_SHOTS):
         if b - a <= tol:
@@ -158,9 +159,11 @@ def find_c_star(growth: GrowthLaw, profile: FrontKernelProfile,
             c = 0.5 * (a + b)
         fc = phi_ell(c)
         if fc > 0.0:
-            b, fb, fa, side = c, fc, 0.5 * fa if side > 0 else fa, 1
+            m = 1.0 - fc / fb
+            b, fb, fa, side = c, fc, fa * (m if m > 0.0 else 0.5) if side > 0 else fa, 1
         else:
-            a, fa, fb, side = c, fc, 0.5 * fb if side < 0 else fb, -1
+            m = 1.0 - fc / fa if fa else 0.0
+            a, fa, fb, side = c, fc, fb * (m if m > 0.0 else 0.5) if side < 0 else fb, -1
 
     def bisect(a: float, b: float) -> tuple[float, float]:
         # shoots the midpoints in (a, b) only: all of them from the bounds

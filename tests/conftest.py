@@ -15,6 +15,13 @@ def seed_plateau(radius: float, ramp: float):
     return lambda r: np.clip((radius + ramp - r) / ramp, 0.0, 1.0)
 
 
+def sagging_growth():
+    """g(u) = u (1/2 - u), built directly: g(0) = 0, and g < 0 above 1/2, so a
+    density above 1/2 falls and the time-monotonicity monitor reads > 0."""
+    return ss.GrowthLaw(kind="sagging", params=(), r=0.0, lipschitz=2.0, sup=0.25,
+                        g1=-0.5, monotone_cap=False, fn=lambda u: u * (0.5 - u))
+
+
 @st.composite
 def growth_laws(draw):
     kind = draw(st.sampled_from(["linear", "logistic", "tabulated"]))

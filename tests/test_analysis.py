@@ -184,15 +184,6 @@ class TestGammaConvergence:
         assert study.strictly_decreasing
         assert study.passed
 
-    def test_threaded_study_matches_serial(self, coarse1d, linear_g):
-        _, st = coarse1d
-        u0 = ss.grid_field(3.0, 0.125, 1, seed_plateau(1.0, 0.5))
-        serial = ss.gamma_convergence_study(u0, [4.0, 16.0], st, linear_g,
-                                            horizon=1.0)
-        threaded = ss.gamma_convergence_study(u0, [4.0, 16.0], st, linear_g,
-                                              horizon=1.0, max_workers=2)
-        assert serial.distances == threaded.distances
-
 
 class TestSupportConfinement:
     def test_seed_run_has_no_violations(self, coarse1d, linear_g):

@@ -15,6 +15,7 @@ import satspread as ss
 from satspread import cli
 from satspread.cli import main
 
+from conftest import sagging_growth
 from oracles import write_csv_one_template
 
 BASE = """
@@ -190,6 +191,24 @@ class TestSimulateCommand:
         assert summary["monitors"]["time_monotonicity_gap"] == 0.0
         assert "config" in summary
 
+    def test_falling_density_exits_4(self, tmp_path, monkeypatch, capsys):
+        # no config kind has g < 0, so the law is swapped in after loading
+        load = cli.load_config
+
+        def sagging(path, command):
+            cfg = load(path, command)
+            cfg.growth = sagging_growth()
+            return cfg
+
+        monkeypatch.setattr(cli, "load_config", sagging)
+        cfg_path = write_config(tmp_path, BASE.replace("height = 1.0", "height = 0.8"))
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", str(cfg_path), "--out", str(out)]) == 4
+        assert ("scientific failure: monotonicity violated during the run"
+                in capsys.readouterr().err)
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary["monitors"]["time_monotonicity_gap"] > 0.0
+
     def test_dt_above_cap_exits_2(self, tmp_path, capsys):
         bad = BASE.replace("kind = singular", "kind = gamma\ngamma = 64")
         cfg_path = write_config(tmp_path, bad)
@@ -361,7 +380,7 @@ class TestArtifactFormat:
         assert done.stdout.split("\n")[:3] == ["False", "[]", "False"]
 
     def test_cli_import_leaves_out_the_thread_pool(self):
-        # only a converge study with --threads above 1 starts a thread pool
+        # every run is serial: --threads is accepted and ignored
         src = str(Path(ss.__file__).resolve().parents[1])
         code = (f"import sys; sys.path.insert(0, {src!r}); import satspread.cli; "
                 "print('concurrent.futures' in sys.modules)")

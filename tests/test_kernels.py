@@ -513,6 +513,56 @@ class TestSupportBox:
             convolve_field_direct(stencil, field).view(np.uint64))
 
 
+@functools.lru_cache(maxsize=None)
+def hollow_stencil(dx):
+    """A 2-d radial kernel that vanishes on the annulus 0.3 <= rho <= 0.7, so
+    some taps inside its reach are exactly 0."""
+    return ss.build_kernel(
+        "custom_radial", 1.0, 2, dx,
+        profile=lambda rho: np.clip(np.abs(rho - 0.5) - 0.2, 0.0, None) ** 4)[1]
+
+
+@st.composite
+def dense_stacks(draw):
+    """An indicator or hollow stencil and one or two nonnegative 2-d fields on
+    a box of 1 to 6*reach cells per axis, each nonzero only on its own drawn
+    block (one cell or none at times): a mask, a cubed-uniform field, or a
+    few isolated cells."""
+    dx = draw(st.sampled_from([0.25, 0.125]))
+    stencil = draw(st.sampled_from([cached_stencil("indicator_ball", 2, dx),
+                                    hollow_stencil(dx)]))
+    r = stencil.reach
+    sizes = st.one_of(st.integers(1, 2 * r), st.integers(1, 6 * r))
+    shape = (draw(sizes), draw(sizes))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    fields = []
+    for _ in range(draw(st.integers(1, 2))):
+        field = draw(st.sampled_from([
+            (rng.uniform(size=shape) < 0.3).astype(float),
+            rng.uniform(size=shape) ** 3,
+            (rng.uniform(size=shape) < 0.02) * rng.uniform(size=shape)]))
+        block = []
+        for n in shape:
+            start = draw(st.integers(0, n - 1))
+            block.append(slice(start, draw(st.integers(start, n))))
+        confined = np.zeros(shape)
+        confined[tuple(block)] = field[tuple(block)]
+        fields.append(confined)
+    return stencil, fields
+
+
+class TestConvolveDenseProperty:
+    """``convolve_dense`` on drawn fields: within 1e-14 of ``convolve_field``,
+    with exact zeros wherever the direct sum is 0, the hollow kernel's zero
+    taps included."""
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=60)
+    @given(dense_stacks())
+    def test_within_rounding_of_the_direct_sum(self, case):
+        stencil, fields = case
+        TestConvolveDense.against_direct(stencil, *fields)
+
+
 class TestScipyOracle:
     """The numpy-only 2-d convolution and the support dilations against
     ``scipy.ndimage``, bit for bit."""

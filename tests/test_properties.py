@@ -2,11 +2,12 @@
 from __future__ import annotations
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
 import satspread as ss
 
-from conftest import growth_laws, seed_plateau
+from conftest import growth_laws, sagging_growth, seed_plateau
 from oracles import support_confinement_per_snapshot
 
 DX = 0.125
@@ -81,6 +82,30 @@ def direct_loop(u0, params, stencil, growth, n_steps, record_lipschitz=False):
             monitors["max_lipschitz"] = max(monitors["max_lipschitz"],
                                             ss.discrete_lipschitz(u))
     return u, sat_time, monitors, clamped_total
+
+
+@pytest.mark.parametrize("model", ["singular", "generalized_singular"])
+def test_run_equals_direct_step_loop_where_density_falls(model):
+    """A plateau at 0.8 under a law with g < 0 above 1/2 falls, so ``run``
+    reduces ``before - after`` on those steps: its monitors, bits and clamp
+    count are still the direct loop's, with a positive gap."""
+    growth = sagging_growth()
+    if model == "generalized_singular":
+        growth = growth.with_gain(ss.constant_gain(0.5))
+    dt, n_steps = ss.stability_cap(model, growth), 12
+    params = ss.ModelParams(model=model, dt=dt, t_end=n_steps * dt)
+    plateau = seed_plateau(1.0, 0.5)
+    u0 = ss.grid_field(2.5, DX, 1, lambda r: 0.8 * plateau(r))
+    res = ss.run(u0, params, STENCILS[1], growth, record_lipschitz=True)
+    final, sat_time, monitors, clamped_total = direct_loop(
+        u0, params, STENCILS[1], growth, n_steps, record_lipschitz=True)
+    assert np.array_equal(bits(res.final.values), bits(final.values))
+    assert np.array_equal(res.saturation_time, sat_time)
+    assert res.clamped_total == clamped_total
+    for key, value in monitors.items():
+        assert res.monitors[key] == value, key
+    # the first step lowers the plateau by dt * 0.8 * 0.3
+    assert monitors["time_monotonicity_gap"] == pytest.approx(0.012, rel=1e-12)
 
 
 @settings(derandomize=True, database=None, deadline=None, max_examples=80)

@@ -267,6 +267,15 @@ class TestBisectionReplay:
         find_c_star_bisection(linear_g, PROFILES[1], ode_step=REPLAY_STEP)
         assert replayed <= 20 < len(speeds)
 
+    def test_speed1d_search_takes_13_shots(self, linear_g, monkeypatch):
+        """The ``speed1d`` benchmark's profile (1-d indicator, dx = ell/80) at
+        the default step and tolerance: 13 shots in all, counting the two
+        bounds and the wave at c* (Illinois' halving took 16)."""
+        profile = ss.front_profile(ss.build_kernel("indicator_ball", 1.0, 1, 1.0 / 80)[0])
+        speeds = counting_shots(monkeypatch)
+        ss.find_c_star(linear_g, profile)
+        assert len(speeds) == 13
+
     def test_non_monotone_phi_falls_back_to_plain_bisection(self, linear_g, monkeypatch):
         """phi(ell) forced negative at the midpoints right of the root, which
         plain bisection shoots and regula falsi does not: the replay's final
