@@ -11,7 +11,10 @@ from .growth import GrowthLaw
 from .kernels import ConvolutionStencil, Kernel, front_profile
 from .waves import WaveProfile, sample_wave
 
+#: Densities above this count as support.
 SUPPORT_FLOOR = 1e-12
+#: Largest ordering loss ``comparison_harness`` passes.
+COMPARISON_TOL = 1e-12
 
 
 class FrontTrack(NamedTuple):
@@ -24,19 +27,16 @@ class FrontTrack(NamedTuple):
     times: np.ndarray
     radius_saturated: np.ndarray
     radius_support: np.ndarray
-    direction: np.ndarray | None = None
 
 
 class SpeedEstimate(NamedTuple):
     fitted_speed: float
     fit_window: tuple[float, float]
     residual: float
-    reference_c_star: float
     degenerate: bool = False
 
 
-def track_fronts(result: RunResult, support_floor: float = SUPPORT_FLOOR,
-                 direction=None) -> FrontTrack:
+def track_fronts(result: RunResult, direction=None) -> FrontTrack:
     """Measure saturated and support radii across the recorded snapshots.
 
     Radially symmetric runs use the distance from the origin; passing a unit
@@ -51,17 +51,14 @@ def track_fronts(result: RunResult, support_floor: float = SUPPORT_FLOOR,
     r_sat, r_sup = [], []
     for snap, mask in zip(result.snapshots, result.masks):
         r_sat.append(float(measure[mask].max()) if mask.any() else -math.inf)
-        positive = snap > support_floor
+        positive = snap > SUPPORT_FLOOR
         r_sup.append(float(measure[positive].max()) if positive.any() else -math.inf)
     return FrontTrack(times=np.asarray(result.times, dtype=float),
                       radius_saturated=np.asarray(r_sat),
-                      radius_support=np.asarray(r_sup),
-                      direction=None if direction is None
-                      else np.asarray(direction, dtype=float))
+                      radius_support=np.asarray(r_sup))
 
 
-def estimate_speed(track: FrontTrack, window_fraction: float = 0.5,
-                   reference_c_star: float = math.nan) -> SpeedEstimate:
+def estimate_speed(track: FrontTrack, window_fraction: float = 0.5) -> SpeedEstimate:
     """Least-squares slope of the saturated radius over the trailing window.
 
     The window never extends into the first half of the run, which removes
@@ -80,12 +77,11 @@ def estimate_speed(track: FrontTrack, window_fraction: float = 0.5,
     t, r = t[finite], r[finite]
     if float(r.max() - r.min()) <= 0.0:
         return SpeedEstimate(fitted_speed=0.0, fit_window=(t_start, t_end),
-                             residual=0.0, reference_c_star=reference_c_star,
-                             degenerate=True)
+                             residual=0.0, degenerate=True)
     slope, intercept = np.polyfit(t, r, 1)
     resid = float(np.sqrt(np.mean((r - (slope * t + intercept)) ** 2)))
     return SpeedEstimate(fitted_speed=float(slope), fit_window=(t_start, t_end),
-                         residual=resid, reference_c_star=reference_c_star)
+                         residual=resid)
 
 
 class ComparisonReport(NamedTuple):
@@ -97,8 +93,7 @@ class ComparisonReport(NamedTuple):
 
 def comparison_harness(u0_low: GridField, u0_high: GridField,
                        params: ModelParams, stencil: ConvolutionStencil,
-                       growth: GrowthLaw,
-                       tolerance: float = 1e-12) -> ComparisonReport:
+                       growth: GrowthLaw) -> ComparisonReport:
     """Run an ordered pair with identical numerics and measure ordering loss."""
     if not growth.monotone_cap:
         raise ValueError("comparison requires the growth cap g(u) <= g(1)")
@@ -113,8 +108,8 @@ def comparison_harness(u0_low: GridField, u0_high: GridField,
                                      _euler_steps(u0_high, params, stencil, growth)):
         worst = max(worst, float(np.max(low.values - high.values)))
         n_steps += 1
-    return ComparisonReport(max_violation=worst, passed=worst <= tolerance,
-                            n_steps=n_steps, tolerance=tolerance)
+    return ComparisonReport(max_violation=worst, passed=worst <= COMPARISON_TOL,
+                            n_steps=n_steps, tolerance=COMPARISON_TOL)
 
 
 class CounterexampleReport(NamedTuple):
@@ -124,7 +119,6 @@ class CounterexampleReport(NamedTuple):
     rhs_gap_discrete: float
     rhs_gap_analytic: float
     probe_location: float
-    horizon: float
 
 
 def comparison_counterexample(kernel: Kernel, stencil: ConvolutionStencil,
@@ -185,8 +179,7 @@ def comparison_counterexample(kernel: Kernel, stencil: ConvolutionStencil,
                                 min_probe_gap=min_gap,
                                 rhs_gap_discrete=gap_discrete,
                                 rhs_gap_analytic=gap_analytic,
-                                probe_location=float(x[probe_idx]),
-                                horizon=horizon)
+                                probe_location=float(x[probe_idx]))
 
 
 class GammaConvergenceStudy(NamedTuple):
@@ -263,7 +256,6 @@ def _dilate_one_cell(mask: np.ndarray) -> np.ndarray:
 
 
 def support_confinement_check(result: RunResult, stencil: ConvolutionStencil,
-                              support_floor: float = SUPPORT_FLOOR,
                               slack_cells: int = 1) -> ConfinementReport:
     """Verify the support stays in the initial support plus stencil reach of
     the saturated set, with one grid cell of slack for the cell/continuum gap.
@@ -271,7 +263,7 @@ def support_confinement_check(result: RunResult, stencil: ConvolutionStencil,
     The weights are nonnegative, so ``K * 1_S(t) > 0`` exactly where a nonzero
     tap hits a cell with ``saturation_time <= t``: where ``reached <= t``, with
     ``reached`` the least ``saturation_time`` under the taps."""
-    initial_support = result.snapshots[0] > support_floor
+    initial_support = result.snapshots[0] > SUPPORT_FLOOR
     radii = result.final.radii()
     # convolve_field is a convolution: the tap at index k reads x + reach - k
     reached = _reduce_shifts(np.minimum, result.saturation_time,
@@ -287,13 +279,13 @@ def support_confinement_check(result: RunResult, stencil: ConvolutionStencil,
     for idx, (snap, mask, t) in enumerate(zip(result.snapshots, result.masks,
                                               result.times)):
         allowed = near_initial | (reached <= t)
-        bad = (snap > support_floor) & ~allowed
+        bad = (snap > SUPPORT_FLOOR) & ~allowed
         violations.append(int(np.count_nonzero(bad)))
 
         if coverage_idx is None and bool(mask[initial_support].all()):
             coverage_idx = idx
         if coverage_idx is not None and mask.any():
-            width = float(radii[snap > support_floor].max(initial=-math.inf)
+            width = float(radii[snap > SUPPORT_FLOOR].max(initial=-math.inf)
                           - radii[mask].max())
             max_annulus = max(max_annulus, width)
 
@@ -306,16 +298,16 @@ def support_confinement_check(result: RunResult, stencil: ConvolutionStencil,
 
 
 def upper_envelope_gap(result: RunResult, wave: WaveProfile, direction,
-                       offset: float, slack_cells: int = 1) -> float:
+                       offset: float) -> float:
     """Worst excess of the run over the translating wave envelope.
 
-    The envelope is evaluated one cell (per ``slack_cells``) behind each
-    point, which absorbs the half-cell ambiguity of grid-sampled fronts.
+    The envelope is evaluated one cell behind each point, which absorbs the
+    half-cell ambiguity of grid-sampled fronts.
     """
     e = np.atleast_1d(np.asarray(direction, dtype=float))
     coords = result.final.coords()
     proj = np.tensordot(coords, e, axes=([-1], [0]))
-    slack = slack_cells * result.final.spacing
+    slack = result.final.spacing
     worst = -math.inf
     for t, snap in zip(result.times, result.snapshots):
         env = sample_wave(wave, proj - wave.c * t - offset - slack, minimal=True)
@@ -324,20 +316,19 @@ def upper_envelope_gap(result: RunResult, wave: WaveProfile, direction,
 
 
 def subsolution_gap(result: RunResult, wave: WaveProfile, c_sub: float,
-                    radius_offset: float, t_start: float = 0.0,
-                    slack_cells: int = 1) -> float:
+                    radius_offset: float) -> float:
     """Worst excess of the inward radial wave sampler over the run.
 
-    The sampler travels at ``c_sub`` starting from ``t_start``; nonpositive
-    return means the run dominates the subsolution throughout.
+    The sampler travels at ``c_sub`` from t = 0 and is evaluated one cell
+    ahead of each point, which absorbs the half-cell ambiguity of
+    grid-sampled fronts; nonpositive return means the run dominates the
+    subsolution throughout.
     """
     radii = result.final.radii()
-    slack = slack_cells * result.final.spacing
+    slack = result.final.spacing
     worst = -math.inf
     for t, snap in zip(result.times, result.snapshots):
-        if t < t_start - 1e-12:
-            continue
-        s = radii - c_sub * (t - t_start) - radius_offset + slack
+        s = radii - c_sub * t - radius_offset + slack
         env = sample_wave(wave, s, minimal=True)
         worst = max(worst, float(np.max(env - snap)))
     return worst

@@ -75,6 +75,13 @@ def main(argv=None) -> int:
         return EXIT_IO
 
 
+def _study(cfg: RunConfig, **keys: str) -> dict:
+    """Keyword arguments from the ``[study]`` values the config sets: each
+    parameter in ``keys`` takes the value of the key it names.  An unset key
+    leaves the parameter to its library default."""
+    return {param: cfg.study[key] for param, key in keys.items() if key in cfg.study}
+
+
 def _run_once(cfg: RunConfig, record_lipschitz: bool = False):
     u0 = build_initial_field(cfg)
     return run(u0, cfg.model, cfg.stencil, cfg.growth,
@@ -115,26 +122,21 @@ def _cmd_wave(cfg: RunConfig, out_dir: Path) -> int:
     if not cfg.growth.monotone_cap:
         raise ConfigError("[growth] the wave command requires monotone_cap growth")
     ode_step = cfg.study.get("ode_step")
-    s_max = cfg.study.get("s_max", 2.0 * cfg.kernel.radius)
+    s_max = cfg.study.get("s_max")
     factors = (("cstar", 1.0), ("1p5cstar", 1.5), ("2cstar", 2.0))
     try:
         # shoot_profile checks s_max too, but only after the whole c* search
-        if not s_max >= cfg.kernel.radius:
+        if s_max is not None and not s_max >= cfg.kernel.radius:
             raise ValueError("s_max must reach at least ell")
         profile = front_profile(cfg.kernel,
                                 sample_spacing=cfg.study.get("sample_spacing"))
-        result = find_c_star(cfg.growth, profile,
-                             tol=cfg.study.get("wave_tol", 1e-8), ode_step=ode_step)
+        result = find_c_star(cfg.growth, profile, ode_step=ode_step,
+                             **_study(cfg, tol="wave_tol"))
         shots = [shoot_profile(factor * result.c_star, cfg.growth, profile,
                                s_max=s_max, ode_step=ode_step) for _, factor in factors]
     except ValueError as exc:
         raise ConfigError(f"[study] {exc}") from exc
-    write_json(out_dir / "minimal_speed.json",
-               {"c_star": result.c_star, "bracket": list(result.bracket),
-                "tol": result.tol, "analytic_bounds": list(result.analytic_bounds),
-                "phi_ell_lo": result.phi_ell_lo, "phi_ell_hi": result.phi_ell_hi,
-                "interior_min": result.interior_min, "ode_step": result.ode_step},
-               config=cfg.raw)
+    write_json(out_dir / "minimal_speed.json", result._asdict(), config=cfg.raw)
     write_csv(out_dir / "front_profile.csv", ["s", "h"],
               [profile.s, profile.samples], config=cfg.raw)
     for (tag, factor), wave in zip(factors, shots):
@@ -164,9 +166,8 @@ def _cmd_speed(cfg: RunConfig, out_dir: Path) -> int:
     result = _run_once(cfg)
     track = track_fronts(result)
     try:
-        estimate = estimate_speed(
-            track, window_fraction=cfg.study.get("window_fraction", 0.5),
-            reference_c_star=reference)
+        estimate = estimate_speed(track,
+                                  **_study(cfg, window_fraction="window_fraction"))
     except ValueError as exc:
         raise ConfigError(f"[study] {exc}") from exc
     confinement = support_confinement_check(result, cfg.stencil)
@@ -196,19 +197,15 @@ def _cmd_converge(cfg: RunConfig, out_dir: Path) -> int:
     try:
         study = gamma_convergence_study(u0, gammas, cfg.stencil, cfg.growth,
                                         horizon=cfg.model.t_end,
-                                        threshold=cfg.study.get("threshold", 0.05))
+                                        **_study(cfg, threshold="threshold"))
     except ValueError as exc:
         raise ConfigError(f"[study] {exc}") from exc
     write_csv(out_dir / "gamma_distances.csv", ["gamma", "dt", "sup_distance"],
               [np.asarray(study.gammas), np.asarray(study.dts),
                np.asarray(study.distances)], config=cfg.raw)
-    write_json(out_dir / "converge_report.json",
-               {"gammas": list(study.gammas), "distances": list(study.distances),
-                "reference_dt": study.reference_dt, "horizon": study.horizon,
-                "threshold": study.threshold,
-                "strictly_decreasing": study.strictly_decreasing,
-                "passed": study.passed},
-               config=cfg.raw)
+    report = study._asdict()
+    del report["dts"]  # written to gamma_distances.csv
+    write_json(out_dir / "converge_report.json", report, config=cfg.raw)
     return EXIT_OK if study.passed else EXIT_SCIENCE
 
 
@@ -219,10 +216,7 @@ def _cmd_compare(cfg: RunConfig, out_dir: Path) -> int:
         report = comparison_harness(low, high, cfg.model, cfg.stencil, cfg.growth)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    write_json(out_dir / "compare_report.json",
-               {"max_violation": report.max_violation, "passed": report.passed,
-                "n_steps": report.n_steps, "tolerance": report.tolerance},
-               config=cfg.raw)
+    write_json(out_dir / "compare_report.json", report._asdict(), config=cfg.raw)
     return EXIT_OK if report.passed else EXIT_SCIENCE
 
 

@@ -41,7 +41,7 @@ class GridField:
     def shape(self) -> tuple[int, ...]:
         return self.values.shape
 
-    def axis_coords(self, axis: int = 0) -> np.ndarray:
+    def axis_coords(self, axis: int) -> np.ndarray:
         return self.origin[axis] + self.spacing * np.arange(self.shape[axis])
 
     def coords(self) -> np.ndarray:
@@ -65,19 +65,18 @@ class GridField:
 
 
 def grid_field(box_radius: float, spacing: float, dim: int,
-               fn: Callable[[np.ndarray], np.ndarray] | None = None,
-               time: float = 0.0) -> GridField:
+               fn: Callable[[np.ndarray], np.ndarray] | None = None) -> GridField:
     """Symmetric box [-R, R]^dim sampled at cell centers; ``fn`` maps radius to density."""
     n = int(round(box_radius / spacing))
     if n < 1:
         raise ValueError("box must contain at least one cell per side")
     origin = np.full(dim, -n * spacing)
     shape = (2 * n + 1,) * dim
-    out = GridField(np.zeros(shape), spacing, origin, time)
+    out = GridField(np.zeros(shape), spacing, origin)
     if fn is None:
         return out
     return GridField(np.clip(np.asarray(fn(out.radii()), dtype=float), 0.0, 1.0),
-                     spacing, origin, time)
+                     spacing, origin)
 
 
 class _ModelFields(NamedTuple):
@@ -181,7 +180,7 @@ class _Band(NamedTuple):
 
 
 def _band(sat: np.ndarray, mask_conv: np.ndarray, values: np.ndarray,
-          grown: np.ndarray, box: tuple[slice, ...], g1: float = 1.0) -> _Band:
+          grown: np.ndarray, box: tuple[slice, ...], g1: float) -> _Band:
     """The stepping band of the saturated models, given ``mask_conv = K * 1_S``
     and ``g1 = g(1)``.
 
@@ -268,11 +267,11 @@ def _euler_steps(u0: GridField, params: ModelParams, stencil: ConvolutionStencil
                  growth: GrowthLaw) -> Iterator[tuple]:
     """Clamped explicit Euler steps from ``u0`` to ``params.t_end``.
 
-    Yields ``(u, before, after, lo, rhs, clamped, newly, written)`` after each
-    step: the advanced field; on the band of cells the step wrote, their
+    Yields ``(u, before, after, lo, rhs, proposed, newly, written)`` after
+    each step: the advanced field; on the band of cells the step wrote, their
     densities before and after, the least of ``after`` (``+inf`` on an empty
-    band) as the invariant check computed it, their right-hand side and which
-    of them were clamped at the ceiling; the flat indices of the cells that
+    band) as the invariant check computed it, their right-hand side and the
+    unclamped update ``before + dt * rhs``; the flat indices of the cells that
     joined the saturated set ``S``; and the band, as flat indices.  Every
     cell off the band kept its density and had rhs 0.0.  ``u`` is one copy
     of ``u0``, advanced in place: every step writes its band into it, so a
@@ -323,7 +322,6 @@ def _euler_steps(u0: GridField, params: ModelParams, stencil: ConvolutionStencil
             before = flat[cells]
         rhs = model_rhs(u, params, stencil, growth, band, before).ravel()
         proposed = before + dt_k * rhs
-        clamped = proposed > 1.0
         after = np.minimum(proposed, 1.0)
         # min propagates NaN, which fails the test; the clamp caps the max at 1.
         lo = float(np.minimum.reduce(after, initial=np.inf))
@@ -349,7 +347,7 @@ def _euler_steps(u0: GridField, params: ModelParams, stencil: ConvolutionStencil
                              _around(newly, sat.shape, stencil.reach + 1), growth.g1)
                 cells = band.cells
             sat_band = sat.ravel()[cells]
-        yield u, before, after, lo, rhs, clamped, newly, written
+        yield u, before, after, lo, rhs, proposed, newly, written
         before = after if cells is written else None
 
 
@@ -392,7 +390,8 @@ def run(u0: GridField, params: ModelParams, stencil: ConvolutionStencil,
     ``min(before + dt * rhs, 1) >= before``, so ``before - after`` is reduced
     only on a step with an rhs below 0 or NaN.  In the saturated models a
     clamped cell ends in ``S`` and was off it (on ``S`` the rhs has the factor
-    ``1 - 1_S = 0``), so only steps where a cell joins ``S`` are counted.
+    ``1 - 1_S = 0``), so ``proposed > 1`` is counted only on steps where a
+    cell joins ``S``.
     """
     if snapshot_interval is not None and not snapshot_interval >= params.dt:
         raise ValueError(f"snapshot_interval={snapshot_interval} is below dt={params.dt}")
@@ -410,7 +409,7 @@ def run(u0: GridField, params: ModelParams, stencil: ConvolutionStencil,
     next_snapshot = snapshot_interval if snapshot_interval else math.inf
     clamped_total = 0
     last_recorded = True
-    for u, before, after, lo, rhs, clamped, newly, written in _euler_steps(
+    for u, before, after, lo, rhs, proposed, newly, written in _euler_steps(
             u, params, stencil, growth):
         # ufunc reductions: ndarray.min and .max add a Python-level wrapper
         min_u = min(min_u, lo)
@@ -420,7 +419,7 @@ def run(u0: GridField, params: ModelParams, stencil: ConvolutionStencil,
         if not np.minimum.reduce(rhs, initial=0.0) >= 0.0:
             gap = max(gap, float(np.maximum.reduce(before - after, initial=0.0)))
         if newly.size or params.model == "gamma":
-            clamped_total += int(np.count_nonzero(clamped))
+            clamped_total += int(np.count_nonzero(proposed > 1.0))
         if newly.size:
             sat_time.ravel()[newly] = u.time
         if record_lipschitz:
@@ -447,8 +446,7 @@ def run(u0: GridField, params: ModelParams, stencil: ConvolutionStencil,
 
 
 def obstacle_residual(u_before: GridField, u_after: GridField, dt: float,
-                      stencil: ConvolutionStencil, growth: GrowthLaw,
-                      saturation_eps: float = 0.0) -> np.ndarray:
+                      stencil: ConvolutionStencil, growth: GrowthLaw) -> np.ndarray:
     """Max-form residual of the constrained evolution across one accepted step.
 
     The evolution bracket is evaluated at the post-step state, so the residual
@@ -458,7 +456,7 @@ def obstacle_residual(u_before: GridField, u_after: GridField, dt: float,
     if dt <= 0:
         raise ValueError("dt must be positive")
     du = (u_after.values - u_before.values) / dt
-    mask = saturated_mask(u_after.values, saturation_eps)
+    mask = saturated_mask(u_after.values)
     bracket = _saturated_bracket(u_after.values, convolve_mask(stencil, mask), growth,
                                  generalized=False)
     return np.maximum(u_after.values - 1.0, du - bracket)

@@ -111,18 +111,17 @@ def _verify(law: GrowthLaw) -> GrowthLaw:
     return law
 
 
-def linear_growth(rate: float, gain: GainLaw | None = None) -> GrowthLaw:
+def linear_growth(rate: float) -> GrowthLaw:
     """g(u) = rate * u."""
     if rate <= 0:
         raise GrowthError("linear rate must be positive")
     fn = lambda u, _r=rate: _r * u
     return _verify(GrowthLaw(kind="linear", params=(rate,), r=rate,
                              lipschitz=rate, sup=rate, g1=rate,
-                             monotone_cap=True, gain=gain, fn=fn))
+                             monotone_cap=True, fn=fn))
 
 
-def logistic_growth(rate: float, capacity: float,
-                    gain: GainLaw | None = None) -> GrowthLaw:
+def logistic_growth(rate: float, capacity: float) -> GrowthLaw:
     """g(u) = rate * u * (1 - u/capacity), capacity > 1.
 
     The growth cap g(u) <= g(1) holds exactly when capacity >= 2; below that
@@ -138,11 +137,10 @@ def logistic_growth(rate: float, capacity: float,
     lip = rate * max(1.0, abs(1.0 - 2.0 / capacity))
     return _verify(GrowthLaw(kind="logistic", params=(rate, capacity),
                              r=rate * (1.0 - 1.0 / capacity), lipschitz=lip,
-                             sup=sup, g1=g1, monotone_cap=capacity >= 2,
-                             gain=gain, fn=fn))
+                             sup=sup, g1=g1, monotone_cap=capacity >= 2, fn=fn))
 
 
-def tabulated_growth(u_nodes, values, gain: GainLaw | None = None) -> GrowthLaw:
+def tabulated_growth(u_nodes, values) -> GrowthLaw:
     """Piecewise-linear growth law; certified constants are exact for the interpolant."""
     u_nodes = np.asarray(u_nodes, dtype=float)
     values = np.asarray(values, dtype=float)
@@ -158,5 +156,4 @@ def tabulated_growth(u_nodes, values, gain: GainLaw | None = None) -> GrowthLaw:
     fn = lambda u, _x=u_nodes, _y=values: np.interp(u, _x, _y)
     return _verify(GrowthLaw(kind="tabulated", params=(len(u_nodes),), r=r,
                              lipschitz=lip, sup=sup, g1=g1,
-                             monotone_cap=sup <= g1 + _CAP_TOL,
-                             gain=gain, fn=fn))
+                             monotone_cap=sup <= g1 + _CAP_TOL, fn=fn))

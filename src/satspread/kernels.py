@@ -37,16 +37,15 @@ class Kernel(NamedTuple):
 
     ``profile`` maps radial distance to the continuum density, normalized so
     its integral over space is one (exactly for the indicator ball, by
-    quadrature for custom profiles).  ``normalization`` is the extra factor
-    applied to the midpoint stencil weights so the *discrete* mass is exactly
-    one; the two normalizations differ by the midpoint quadrature error.
+    quadrature for custom profiles).  The stencil's weights are normalized
+    apart, to discrete mass one; the two normalizations differ by the
+    midpoint quadrature error.
     """
 
     kind: str
     radius: float
     dim: int
     profile: Callable[[np.ndarray], np.ndarray]
-    normalization: float = 1.0
 
 
 class ConvolutionStencil(NamedTuple):
@@ -205,7 +204,6 @@ def build_kernel(kind: str, ell: float, dim: int, grid_spacing: float,
     if discrete_mass <= 0:
         raise KernelError("kernel vanishes on the whole stencil")
     weights = raw_weights / discrete_mass
-    normalization = 1.0 / discrete_mass
 
     _check_radial_symmetry(offsets, weights)
 
@@ -217,8 +215,7 @@ def build_kernel(kind: str, ell: float, dim: int, grid_spacing: float,
         dense = np.zeros((2 * dense_half + 1, 2 * dense_half + 1))
         dense[offsets[:, 0] + dense_half, offsets[:, 1] + dense_half] = weights
 
-    kernel = Kernel(kind=kind, radius=ell, dim=dim, profile=normalized,
-                    normalization=normalization)
+    kernel = Kernel(kind=kind, radius=ell, dim=dim, profile=normalized)
     stencil = ConvolutionStencil(offsets=offsets, weights=weights,
                                  grid_spacing=grid_spacing, dim=dim,
                                  radius=ell, dense=dense)
@@ -481,7 +478,6 @@ def ball_convolution_on_ray(kernel: Kernel, ball_radius: float,
 class CapInequalityReport(NamedTuple):
     """Worst-case gap between the damped front profile and the ball convolution."""
 
-    delta: float
     radii: tuple[float, ...]
     max_violation: tuple[float, ...]
     least_nonviolating_radius: float | None
@@ -516,6 +512,5 @@ def check_cap_inequality(kernel: Kernel, delta: float,
         worst.append(gap)
         if least is None and gap <= CAP_VIOLATION_TOL:
             least = R
-    return CapInequalityReport(delta=delta, radii=tuple(radii),
-                               max_violation=tuple(worst),
+    return CapInequalityReport(radii=tuple(radii), max_violation=tuple(worst),
                                least_nonviolating_radius=least)

@@ -32,12 +32,6 @@ class WaveProfile(NamedTuple):
     ell: float = 0.0
     phi_at_ell: float = 0.0
 
-    @property
-    def sign_at_ell(self) -> int:
-        if self.phi_at_ell > 0:
-            return 1
-        return -1 if self.phi_at_ell < 0 else 0
-
     def __call__(self, x):
         return np.interp(x, self.s, self.phi, left=1.0, right=self.phi[-1])
 
@@ -195,8 +189,7 @@ def find_c_star(growth: GrowthLaw, profile: FrontKernelProfile,
 
 
 def monotone_in_c_check(c0: float, c1: float, growth: GrowthLaw,
-                        profile: FrontKernelProfile,
-                        ode_step: float | None = None) -> tuple[bool, float]:
+                        profile: FrontKernelProfile) -> tuple[bool, float]:
     """Check strict ordering phi_{c1} > phi_{c0} where the slower profile is nonnegative.
 
     Returns the verdict together with the minimum pointwise gap on (0, s0],
@@ -204,8 +197,8 @@ def monotone_in_c_check(c0: float, c1: float, growth: GrowthLaw,
     """
     if not 0 < c0 < c1:
         raise ValueError("speeds must satisfy 0 < c0 < c1")
-    slow = shoot_profile(c0, growth, profile, s_max=profile.ell, ode_step=ode_step)
-    fast = shoot_profile(c1, growth, profile, s_max=profile.ell, ode_step=ode_step)
+    slow = shoot_profile(c0, growth, profile, s_max=profile.ell)
+    fast = shoot_profile(c1, growth, profile, s_max=profile.ell)
     nonneg = slow.phi >= 0.0
     if not nonneg[0]:
         raise ValueError("slower profile is negative at the origin")

@@ -94,7 +94,7 @@ def test_criterion_03_spreading_speed(c_star_result):
     ratios = {}
     in_bounds = True
     for label, res in (("40", run40), ("80", run80)):
-        est = ss.estimate_speed(ss.track_fronts(res), 0.5, c_ref)
+        est = ss.estimate_speed(ss.track_fronts(res), 0.5)
         ratios[label] = est.fitted_speed / c_ref
         in_bounds = in_bounds and lo <= est.fitted_speed <= hi
     elapsed = time.perf_counter() - tic

@@ -64,7 +64,7 @@ class TestTrackAndSpeed:
         res = synthetic_translation(minimal_wave, speed, 12.0, spacing, times,
                                     start=-4.0)
         track = ss.track_fronts(res, direction=[1.0])
-        est = ss.estimate_speed(track, 0.5, reference_c_star=speed)
+        est = ss.estimate_speed(track, 0.5)
         window = times[-1] * 0.5
         assert abs(est.fitted_speed - speed) <= 2 * spacing / window
 

@@ -46,6 +46,26 @@ snapshot_interval = 0.5
 """
 
 
+#: The keys of each JSON report, the schema version and the config included.
+REPORT_KEYS = {
+    "minimal_speed": {"analytic_bounds", "bracket", "c_star", "interior_min",
+                      "ode_step", "phi_ell_hi", "phi_ell_lo", "tol"},
+    "speed_report": {"confinement_violations", "degenerate", "fit_window",
+                     "fitted_speed", "passed", "reference_c_star", "residual",
+                     "speed_ratio", "tolerance"},
+    "converge_report": {"distances", "gammas", "horizon", "passed", "reference_dt",
+                        "strictly_decreasing", "threshold"},
+    "compare_report": {"max_violation", "n_steps", "passed", "tolerance"},
+}
+
+
+def read_report(out: Path, name: str) -> dict:
+    """A JSON report, after checking that it holds exactly its pinned keys."""
+    payload = json.loads((out / f"{name}.json").read_text())
+    assert set(payload) == REPORT_KEYS[name] | {"schema_version", "config"}
+    return payload
+
+
 def write_config(tmp_path: Path, text: str, name: str = "run.ini") -> Path:
     path = tmp_path / name
     path.write_text(text, encoding="utf-8")
@@ -452,7 +472,7 @@ class TestWaveCommand:
         cfg_path = write_config(tmp_path, BASE)
         out = tmp_path / "wave"
         assert main(["wave", "--config", str(cfg_path), "--out", str(out)]) == 0
-        payload = json.loads((out / "minimal_speed.json").read_text())
+        payload = read_report(out, "minimal_speed")
         assert 0.25 <= payload["c_star"] <= 1.0
         assert payload["analytic_bounds"] == [0.25, 1.0]
         cols = read_csv_columns(out / "profile_cstar.csv")
@@ -501,7 +521,7 @@ class TestStudyCommands:
         cfg_path = write_config(tmp_path, text)
         out = tmp_path / "cmp"
         assert main(["compare", "--config", str(cfg_path), "--out", str(out)]) == 0
-        payload = json.loads((out / "compare_report.json").read_text())
+        payload = read_report(out, "compare_report")
         assert payload["max_violation"] == 0.0
 
     def test_compare_unordered_data_exits_2(self, tmp_path):
@@ -518,7 +538,7 @@ class TestStudyCommands:
         out = tmp_path / "conv"
         assert main(["converge", "--config", str(cfg_path), "--out", str(out),
                      "--threads", "2"]) == 0
-        payload = json.loads((out / "converge_report.json").read_text())
+        payload = read_report(out, "converge_report")
         assert payload["strictly_decreasing"] is True
         cols = read_csv_columns(out / "gamma_distances.csv")
         assert list(cols["gamma"]) == [4.0, 16.0]
@@ -530,7 +550,7 @@ class TestStudyCommands:
         cfg_path = write_config(tmp_path, text)
         out = tmp_path / "speed"
         assert main(["speed", "--config", str(cfg_path), "--out", str(out)]) == 0
-        payload = json.loads((out / "speed_report.json").read_text())
+        payload = read_report(out, "speed_report")
         assert payload["passed"] is True
         assert abs(payload["speed_ratio"] - 1.0) <= 0.08
 

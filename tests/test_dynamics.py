@@ -160,6 +160,34 @@ class TestRhsGamma:
             assert rhs.max() <= g.lipschitz + 1e-12
             assert np.max(np.abs(rhs - rhs_gamma_direct(u, st, g, gamma))) <= 1e-14
 
+    def test_local_production_nonnegative_where_pressure_mass_rounds_above_one(
+            self, small2d, linear_g):
+        # These weights sum to 1 + 4e-16, so on u = 1 the FFT's K * p exceeds
+        # 1 at hundreds of cells; the upper clip keeps 1 - K * p at 0 there.
+        _, st = small2d
+        u = field2d(np.ones((41, 41)))
+        assert np.count_nonzero(ss.convolve_dense(st, u.values)[0] > 1.0)
+        assert ss.local_production(u, st, linear_g, 1.0).min() >= 0.0
+
+    def test_birth_term_vanishes_where_pressure_mass_rounds_above_one(
+            self, small2d, linear_g):
+        """Where ``K * p`` reads above 1, the clipped crowding factor is 0 and
+        the rhs is the spill ``K * (g p)`` times ``1 - p`` alone.  A field of
+        1s with one cell an ulp below 1 puts such cells at ``p < 1``, where an
+        unclipped factor would shift the rhs by about ``4e-16 * (1 - p)``."""
+        _, st = small2d
+        probed = 0
+        for i in range(0, 41, 4):
+            for j in range(0, 41, 4):
+                vals = np.ones((41, 41))
+                vals[i, j] = np.nextafter(1.0, 0.0)
+                rhs = ss.rhs_gamma(field2d(vals), st, linear_g, 1.0)
+                conv_p, conv_gp = ss.convolve_dense(st, vals, linear_g(vals) * vals)
+                over = (conv_p > 1.0) & (vals < 1.0)
+                probed += np.count_nonzero(over)
+                assert np.array_equal(rhs[over], conv_gp[over] * (1.0 - vals[over]))
+        assert probed
+
 
 class TestRhsSingular:
     def test_zero_exactly_on_saturated_set(self, small1d, linear_g):

@@ -155,23 +155,23 @@ def bits(values):
 @settings(derandomize=True, database=None, deadline=None, max_examples=60)
 @given(cases())
 def test_euler_steps_yield_contract(case):
-    """Each step writes ``min(before + dt * rhs, 1)`` on the band it yields,
-    ``before`` is the previous field there, ``lo`` is the least of ``after``,
-    the rest of the field keeps its bits, and no entry point writes ``u0``."""
+    """Each step writes ``min(proposed, 1)`` on the band it yields, where
+    ``proposed`` is ``before + dt * rhs`` and ``before`` is the previous field
+    there, ``lo`` is the least of ``after``, the rest of the field keeps its
+    bits, and no entry point writes ``u0``."""
     u0, params, stencil, growth, n_steps = case
     kept = u0.values.copy()
     prev = u0.copy()
     eps = params.saturation_eps
     n = 0
-    for u, before, after, lo, rhs, clamped, newly, written in ss.dynamics._euler_steps(
+    for u, before, after, lo, rhs, proposed, newly, written in ss.dynamics._euler_steps(
             u0, params, stencil, growth):
         n += 1
         assert u.time == prev.time + params.dt
         assert np.array_equal(bits(before), bits(prev.values.ravel()[written]))
-        proposed = before + params.dt * rhs
+        assert np.array_equal(bits(proposed), bits(before + params.dt * rhs))
         assert np.array_equal(bits(after), bits(np.minimum(proposed, 1.0)))
         assert np.array_equal(bits(lo), bits(np.minimum.reduce(after, initial=np.inf)))
-        assert np.array_equal(clamped, proposed > 1.0)
         assert np.array_equal(bits(u.values.ravel()[written]), bits(after))
         off = np.ones(u.values.size, dtype=bool)
         off[written] = False
@@ -202,7 +202,7 @@ def test_band_after_each_event_equals_full_rebuild(case, negative_zeros):
         u0 = ss.GridField(np.where(u0.values == 0.0, -0.0, u0.values), u0.spacing,
                           u0.origin)
     rebuilt = None
-    for u, before, after, lo, rhs, clamped, newly, written in ss.dynamics._euler_steps(
+    for u, before, after, lo, rhs, proposed, newly, written in ss.dynamics._euler_steps(
             u0, params, stencil, growth):
         if rebuilt is not None:
             cells, values, conv = rebuilt
@@ -215,7 +215,7 @@ def test_band_after_each_event_equals_full_rebuild(case, negative_zeros):
             sat = ss.saturated_mask(u.values, params.saturation_eps)
             conv = ss.convolve_field(stencil, sat.astype(float))
             band = ss.dynamics._band(sat, conv, u.values, np.zeros(sat.shape, dtype=bool),
-                                     tuple(slice(0, n) for n in sat.shape))
+                                     tuple(slice(0, n) for n in sat.shape), growth.g1)
             rebuilt = band.cells, u.values.ravel().copy(), conv.ravel()
 
 

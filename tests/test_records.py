@@ -19,13 +19,12 @@ RECORDS = [
     (ss.GrowthLaw, dict(kind="linear", params=(1.0,), r=1.0, lipschitz=1.0, sup=1.0,
                         g1=1.0, monotone_cap=True, gain=ss.constant_gain(0.5),
                         fn=abs), dict(gain=None, fn=None), True),
-    (ss.Kernel, dict(kind="indicator_ball", radius=1.0, dim=1, profile=abs,
-                     normalization=0.5), dict(normalization=1.0), True),
+    (ss.Kernel, dict(kind="indicator_ball", radius=1.0, dim=1, profile=abs), {}, True),
     (ss.ConvolutionStencil, dict(offsets=ARRAY, weights=ARRAY, grid_spacing=0.25,
                                  dim=1, radius=1.0, dense=ARRAY),
      dict(grid_spacing=0.0, dim=1, radius=0.0, dense=None), True),
     (ss.FrontKernelProfile, dict(ell=1.0, s=ARRAY, samples=ARRAY), {}, True),
-    (ss.CapInequalityReport, dict(delta=0.1, radii=(1.0,), max_violation=(0.0,),
+    (ss.CapInequalityReport, dict(radii=(1.0,), max_violation=(0.0,),
                                   least_nonviolating_radius=1.0, tolerance=0.0),
      dict(tolerance=CAP_VIOLATION_TOL), True),
     (ss.WaveProfile, dict(c=1.0, s=ARRAY, phi=ARRAY, ell=1.0, phi_at_ell=0.5),
@@ -34,17 +33,17 @@ RECORDS = [
                                  analytic_bounds=(0.5, 2.0), phi_ell_lo=-0.1,
                                  phi_ell_hi=0.1, interior_min=0.2, ode_step=0.01),
      {}, True),
-    (ss.FrontTrack, dict(times=ARRAY, radius_saturated=ARRAY, radius_support=ARRAY,
-                         direction=ARRAY), dict(direction=None), True),
+    (ss.FrontTrack, dict(times=ARRAY, radius_saturated=ARRAY, radius_support=ARRAY),
+     {}, True),
     (ss.SpeedEstimate, dict(fitted_speed=1.0, fit_window=(0.5, 1.0), residual=0.0,
-                            reference_c_star=1.0, degenerate=True),
+                            degenerate=True),
      dict(degenerate=False), True),
     (ss.ComparisonReport, dict(max_violation=0.0, passed=True, n_steps=3,
                                tolerance=1e-12), {}, True),
     (ss.CounterexampleReport, dict(crossed=True, first_crossing_time=0.5,
                                    min_probe_gap=-0.1, rhs_gap_discrete=-0.2,
-                                   rhs_gap_analytic=-0.2, probe_location=0.5,
-                                   horizon=1.0), {}, True),
+                                   rhs_gap_analytic=-0.2, probe_location=0.5),
+     {}, True),
     (ss.GammaConvergenceStudy, dict(gammas=(1.0, 2.0), dts=(0.1, 0.05),
                                     distances=(0.2, 0.1), reference_dt=0.05,
                                     horizon=1.0, threshold=0.5,
