@@ -21,18 +21,21 @@ _INITIAL_KEYS = {"initial": "str", "height": "float", "radius": "float",
 #: Every key each section accepts and the type of its value.  Floats, and
 #: each entry of a float list, must be finite.
 _KEYS = {
-    "model": {"kind": "str", "gamma": "float", "dt": "float", "t_end": "float",
-              "saturation_eps": "float"},
+    "model": {"kind": "str", "gamma": "float", "dt": "float", "t_end": "float"},
     "kernel": {"kind": "str", "ell": "float", "dim": "int", "dx": "float"},
     "growth": {"kind": "str", "rate": "float", "capacity": "float",
                "gain_kind": "str", "gain_value": "float"},
     "domain": {"box_radius": "float", **_INITIAL_KEYS},
-    "domain_high": _INITIAL_KEYS,
     "output": {"directory": "str", "snapshot_interval": "float"},
-    "study": {"window_fraction": "float", "tolerance": "float",
-              "gamma_list": "float_list", "threshold": "float",
-              "wave_tol": "float", "ode_step": "float",
-              "sample_spacing": "float", "s_max": "float"},
+}
+#: The sections each subcommand reads beyond ``_KEYS``, with its own ``[study]`` keys.
+_COMMAND_KEYS = {
+    "simulate": {"study": {}},
+    "compare": {"domain_high": _INITIAL_KEYS, "study": {}},
+    "wave": {"study": {"wave_tol": "float", "ode_step": "float",
+                       "sample_spacing": "float", "s_max": "float"}},
+    "speed": {"study": {"window_fraction": "float", "tolerance": "float"}},
+    "converge": {"study": {"gamma_list": "float_list", "threshold": "float"}},
 }
 _REQUIRED_SECTIONS = ("model", "kernel", "growth", "domain")
 _INITIAL_KINDS = ("ball_plateau", "gaussian_bump", "wave_envelope", "constant")
@@ -60,8 +63,7 @@ class RunConfig:
         self.warnings = [] if warnings is None else warnings
 
 
-def _typed(section: str, key: str, raw: str):
-    kind = _KEYS[section][key]
+def _typed(section: str, key: str, raw: str, kind: str):
     if kind == "str":
         return raw.strip()
     try:
@@ -87,23 +89,22 @@ def _parse_sections(path: Path, command: str
     except configparser.Error as exc:
         raise ConfigError(f"cannot parse config: {exc}") from exc
 
-    allowed_sections = set(_KEYS)
-    if command != "compare":
-        allowed_sections.discard("domain_high")
+    keys = {**_KEYS, **_COMMAND_KEYS[command]}
     raw = {}
     for section in parser.sections():
-        if section not in allowed_sections:
+        if section not in keys:
             raise ConfigError(f"unknown section [{section}]")
         raw[section] = dict(parser.items(section))
         for key in raw[section]:
-            if key not in _KEYS[section]:
+            if key not in keys[section]:
                 raise ConfigError(f"unknown key {key!r} in section [{section}]")
     for section in _REQUIRED_SECTIONS:
         if section not in raw:
             raise ConfigError(f"missing required section [{section}]")
     if command == "compare" and "domain_high" not in raw:
         raise ConfigError("compare needs a [domain_high] section")
-    typed = {section: {key: _typed(section, key, value) for key, value in items.items()}
+    typed = {section: {key: _typed(section, key, value, keys[section][key])
+                       for key, value in items.items()}
              for section, items in raw.items()}
     return typed, raw
 
@@ -159,8 +160,7 @@ def load_config(path: str | Path, command: str = "simulate") -> RunConfig:
         raise ConfigError(f"[model] kind = {model_kind!r} is not one of {dynamics.MODEL_KINDS}")
     try:
         params = ModelParams(model=model_kind, dt=model.get("dt", 0.05),
-                             t_end=model.get("t_end", 1.0), gamma=model.get("gamma"),
-                             saturation_eps=model.get("saturation_eps", 0.0))
+                             t_end=model.get("t_end", 1.0), gamma=model.get("gamma"))
     except ValueError as exc:
         raise ConfigError(f"[model] {exc}") from exc
 
@@ -190,8 +190,6 @@ def load_config(path: str | Path, command: str = "simulate") -> RunConfig:
     if "box_radius" not in domain:
         raise ConfigError("[domain] box_radius is required")
     box_radius = domain["box_radius"]
-    if box_radius <= 0:
-        raise ConfigError("[domain] box_radius must be positive")
     if int(round(box_radius / stencil.grid_spacing)) < 1:
         raise ConfigError(f"[domain] box_radius = {box_radius} holds no cell per"
                           f" side at dx = {stencil.grid_spacing}")

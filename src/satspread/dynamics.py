@@ -84,7 +84,6 @@ class _ModelFields(NamedTuple):
     dt: float
     t_end: float
     gamma: float | None = None
-    saturation_eps: float = 0.0
 
 
 class ModelParams(_ModelFields):
@@ -105,8 +104,6 @@ class ModelParams(_ModelFields):
             raise ValueError("dt must be positive")
         if self.t_end < 0:
             raise ValueError("t_end must be nonnegative")
-        if not 0.0 <= self.saturation_eps <= 1e-6:
-            raise ValueError("saturation_eps must lie in [0, 1e-6]")
         return self
 
 
@@ -136,8 +133,9 @@ def _check_stepping(u: GridField, params: ModelParams, stencil: ConvolutionStenc
         raise ValueError("growth must vanish at zero density: g(0) != 0")
 
 
-def saturated_mask(values: np.ndarray, saturation_eps: float = 0.0) -> np.ndarray:
-    return np.asarray(values) >= 1.0 - saturation_eps
+def saturated_mask(values: np.ndarray) -> np.ndarray:
+    """The saturated set ``S``: the cells on the obstacle ``u = 1``."""
+    return np.asarray(values) >= 1.0
 
 
 def rhs_gamma(u: GridField, stencil: ConvolutionStencil, growth: GrowthLaw,
@@ -221,9 +219,9 @@ def _band(sat: np.ndarray, mask_conv: np.ndarray, values: np.ndarray,
 
 
 def rhs_singular(u: GridField, stencil: ConvolutionStencil, growth: GrowthLaw,
-                 saturation_eps: float = 0.0, generalized: bool = False) -> np.ndarray:
+                 generalized: bool = False) -> np.ndarray:
     """Right-hand side of the saturated-dispersal model; zero on the saturated set."""
-    mask = saturated_mask(u.values, saturation_eps)
+    mask = saturated_mask(u.values)
     return (_saturated_bracket(u.values, convolve_mask(stencil, mask), growth,
                                generalized) * (1.0 - mask))
 
@@ -237,8 +235,7 @@ def model_rhs(u: GridField, params: ModelParams, stencil: ConvolutionStencil,
     if params.model == "gamma":
         return rhs_gamma(u, stencil, growth, params.gamma)
     if band is None:
-        return rhs_singular(u, stencil, growth, params.saturation_eps,
-                            params.model == "generalized_singular")
+        return rhs_singular(u, stencil, growth, params.model == "generalized_singular")
     if params.model == "generalized_singular":
         return _saturated_bracket(values, band.conv, growth, True) * band.unsaturated
     # _saturated_bracket's operations, with the band's terms (1 - 1_S folded in)
@@ -263,6 +260,26 @@ def step(u: GridField, params: ModelParams, stencil: ConvolutionStencil,
     return GridField(new_values, u.spacing, u.origin, u.time + params.dt), clamped
 
 
+def _step_count(params: ModelParams) -> tuple[int, float]:
+    """The number of steps to ``t_end`` and the length of the last: whole
+    ``dt`` steps, then one shorter step when ``t_end`` is not a multiple."""
+    n_full = int(math.floor(params.t_end / params.dt + 1e-12))
+    remainder = params.t_end - n_full * params.dt
+    if remainder < 1e-12 * params.dt:
+        return n_full, params.dt
+    return n_full + 1, remainder
+
+
+def _snapshot_steps(params: ModelParams, interval: float | None) -> set[int]:
+    """The steps, counted from 1, after which ``run`` takes a snapshot: the
+    last, and the first step whose end (``k * dt``, or ``t_end``) reaches each
+    multiple of ``interval`` up to ``t_end``, within a relative 1e-12."""
+    last = _step_count(params)[0]
+    multiples = 0 if interval is None else math.floor(params.t_end / interval * (1 + 1e-12))
+    return {min(math.ceil(m * interval / params.dt * (1 - 1e-12)), last)
+            for m in range(1, multiples + 1)} | ({last} if last else set())
+
+
 def _euler_steps(u0: GridField, params: ModelParams, stencil: ConvolutionStencil,
                  growth: GrowthLaw) -> Iterator[tuple]:
     """Clamped explicit Euler steps from ``u0`` to ``params.t_end``.
@@ -278,8 +295,7 @@ def _euler_steps(u0: GridField, params: ModelParams, stencil: ConvolutionStencil
     caller that keeps a state across steps copies it, and ``u0`` is never
     written.  While the band stands, a step's ``before`` is the last step's
     ``after``, the same array, so neither is written after it is yielded.
-    The steps are whole ``dt`` steps plus one shorter last step when
-    ``t_end`` is not a multiple of ``dt``.
+    The steps are those of ``_step_count``.
 
     For the saturated models ``K * 1_S``, the only nonlocal term, is
     convolved once and then updated at the cells that join ``S``, the rhs
@@ -295,8 +311,7 @@ def _euler_steps(u0: GridField, params: ModelParams, stencil: ConvolutionStencil
     u = u0.copy()
     np.add(u.values, 0.0, out=u.values)  # -0.0 + 0.0 is 0.0
     flat = u.values.ravel()
-    ceiling = 1.0 - params.saturation_eps
-    sat = u.values >= ceiling
+    sat = u.values >= 1.0
     if params.model == "gamma":
         # The whole box, as indices: a slice would gather ``before`` as a view
         # of the cells this step overwrites.
@@ -310,13 +325,10 @@ def _euler_steps(u0: GridField, params: ModelParams, stencil: ConvolutionStencil
         cells = band.cells
     sat_band = sat.ravel()[cells]
 
-    n_full = int(math.floor(params.t_end / params.dt + 1e-12))
-    remainder = params.t_end - n_full * params.dt
-    if remainder < 1e-12 * params.dt:
-        remainder = 0.0
+    n_steps, last_dt = _step_count(params)
     before = None
-    for k in range(n_full + (1 if remainder else 0)):
-        dt_k = params.dt if k < n_full else remainder
+    for k in range(n_steps):
+        dt_k = params.dt if k < n_steps - 1 else last_dt
         written = cells
         if before is None:
             before = flat[cells]
@@ -333,7 +345,7 @@ def _euler_steps(u0: GridField, params: ModelParams, stencil: ConvolutionStencil
         u.time += dt_k
         # Band cells whose membership of S changed: leaving S raises, and
         # joining it is an event.
-        newly = flips = ((after >= ceiling) != sat_band).nonzero()[0]
+        newly = flips = ((after >= 1.0) != sat_band).nonzero()[0]
         if flips.size:
             left = np.count_nonzero(sat_band[flips])
             if left:
@@ -375,10 +387,10 @@ def run(u0: GridField, params: ModelParams, stencil: ConvolutionStencil,
         record_lipschitz: bool = False) -> RunResult:
     """Advance the model to t_end, recording snapshots and invariant monitors.
 
-    Snapshots are taken at t = 0, every ``snapshot_interval`` time units, and
-    at the final time.  Saturation times use the first-crossing convention:
-    the recorded time is the end of the step on which a cell first reaches
-    the (eps-adjusted) ceiling.  The steps and their invariant checks are
+    Snapshots are taken at t = 0 and after the steps of ``_snapshot_steps``,
+    with the time the steps accumulated.  Saturation times use the
+    first-crossing convention: the recorded time is the end of the step on
+    which a cell first reaches 1.  The steps and their invariant checks are
     those of ``_euler_steps``.  A snapshot interval below ``dt`` (or NaN) is
     rejected.
 
@@ -396,7 +408,7 @@ def run(u0: GridField, params: ModelParams, stencil: ConvolutionStencil,
     if snapshot_interval is not None and not snapshot_interval >= params.dt:
         raise ValueError(f"snapshot_interval={snapshot_interval} is below dt={params.dt}")
     u = u0.copy()  # the final field if there is no step
-    sat_time = np.where(saturated_mask(u.values, params.saturation_eps), 0.0, np.inf)
+    sat_time = np.where(saturated_mask(u.values), 0.0, np.inf)
 
     # "mask_monotonicity_violations" stays 0: a shrinking S raises instead.
     min_u, max_u = float(u.values.min()), float(u.values.max())
@@ -406,11 +418,10 @@ def run(u0: GridField, params: ModelParams, stencil: ConvolutionStencil,
 
     times = [u.time]
     snapshots = [u.values.copy()]
-    next_snapshot = snapshot_interval if snapshot_interval else math.inf
+    snapshot_steps = _snapshot_steps(params, snapshot_interval)
     clamped_total = 0
-    last_recorded = True
-    for u, before, after, lo, rhs, proposed, newly, written in _euler_steps(
-            u, params, stencil, growth):
+    for k, (u, before, after, lo, rhs, proposed, newly, written) in enumerate(
+            _euler_steps(u, params, stencil, growth), 1):
         # ufunc reductions: ndarray.min and .max add a Python-level wrapper
         min_u = min(min_u, lo)
         if max_u < 1.0:
@@ -426,16 +437,9 @@ def run(u0: GridField, params: ModelParams, stencil: ConvolutionStencil,
             if written is not band:  # a new band, after an event
                 band, window = written, _around(written, u.shape, 0)
             lipschitz = max(lipschitz, _max_slope(u.values[window]) / u.spacing)
-
-        last_recorded = u.time >= next_snapshot - 1e-12
-        if last_recorded:
+        if k in snapshot_steps:
             times.append(u.time)
             snapshots.append(u.values.copy())
-            while next_snapshot <= u.time + 1e-12:
-                next_snapshot += snapshot_interval
-    if not last_recorded:
-        times.append(u.time)
-        snapshots.append(u.values.copy())
 
     monitors = {"min_u": min_u, "max_u": max_u, "max_rhs": max_rhs,
                 "time_monotonicity_gap": gap, "mask_monotonicity_violations": 0.0,

@@ -53,10 +53,10 @@ class ConvolutionStencil(NamedTuple):
 
     offsets: np.ndarray  # (n, dim) integer grid offsets
     weights: np.ndarray  # (n,) weights summing to 1
-    grid_spacing: float = 0.0
-    dim: int = 1
-    radius: float = 0.0
-    dense: np.ndarray = None  # centered weight array
+    grid_spacing: float
+    dim: int
+    radius: float
+    dense: np.ndarray  # centered weight array
 
     @property
     def reach(self) -> int:

@@ -29,11 +29,8 @@ class WaveProfile(NamedTuple):
     c: float
     s: np.ndarray
     phi: np.ndarray
-    ell: float = 0.0
-    phi_at_ell: float = 0.0
-
-    def __call__(self, x):
-        return np.interp(x, self.s, self.phi, left=1.0, right=self.phi[-1])
+    ell: float
+    phi_at_ell: float
 
 
 class MinimalSpeedResult(NamedTuple):

@@ -46,6 +46,18 @@ snapshot_interval = 0.5
 """
 
 
+#: The ``[study]`` keys each subcommand reads; it rejects every other one.
+STUDY_KEYS = {
+    "simulate": set(),
+    "compare": set(),
+    "wave": {"wave_tol", "ode_step", "sample_spacing", "s_max"},
+    "speed": {"window_fraction", "tolerance"},
+    "converge": {"gamma_list", "threshold"},
+}
+DOMAIN_HIGH = "\n[domain_high]\ninitial = constant\nvalue = 1.0\n"
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
 #: The keys of each JSON report, the schema version and the config included.
 REPORT_KEYS = {
     "minimal_speed": {"analytic_bounds", "bracket", "c_star", "interior_min",
@@ -179,11 +191,62 @@ class TestLoadConfig:
                                        key, line):
         text = (BASE.replace(line, f"{key} = {value}") if line
                 else BASE + f"\n[study]\n{key} = {value}\n")
+        command = {"wave_tol": "wave", "gamma_list": "converge"}.get(key, "simulate")
         cfg_path = write_config(tmp_path, text)
-        assert main(["simulate", "--config", str(cfg_path),
+        assert main([command, "--config", str(cfg_path),
                      "--out", str(tmp_path / "o")]) == 2
         err = capsys.readouterr().err
         assert f"config error: [{section}] {key} = '{value}' is not finite" in err
+
+    @pytest.mark.parametrize("key", sorted(set().union(*STUDY_KEYS.values())))
+    @pytest.mark.parametrize("command", sorted(STUDY_KEYS))
+    def test_study_key_accepted_only_by_the_subcommand_that_reads_it(
+            self, tmp_path, capsys, command, key):
+        """A subcommand that would ignore a ``[study]`` key rejects it: for
+        one, ``speed`` shoots its reference c* with the library's defaults
+        whatever the wave keys say."""
+        value = "4, 16" if key == "gamma_list" else "0.01"
+        text = (BASE + (DOMAIN_HIGH if command == "compare" else "")
+                + f"\n[study]\n{key} = {value}\n")
+        path = write_config(tmp_path, text)
+        if key in STUDY_KEYS[command]:
+            assert key in ss.load_config(path, command).study
+        else:
+            assert main([command, "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+            assert (f"config error: unknown key '{key}' in section [study]"
+                    in capsys.readouterr().err)
+
+    def test_readme_config_reference_is_accepted(self, tmp_path):
+        """Every key of the README's ``ini`` block, commented ones included,
+        loads in its section, and its ``[study]`` part marks each key with the
+        one subcommand that reads it."""
+        block = README.read_text(encoding="utf-8").split("```ini\n", 1)[1]
+        rows, section = [], None
+        for line in block.split("```", 1)[0].splitlines():
+            entry, _, note = line.strip().removeprefix(";").partition(";")
+            if entry.startswith("["):
+                section = entry.strip()[1:-1]
+            elif "=" in entry:
+                key, _, value = entry.partition("=")
+                rows.append((section, key.strip(), value.strip(), note.strip()))
+        marked = {row[1]: row[3].partition(":")[0] for row in rows if row[0] == "study"}
+        assert {command: {key for key, by in marked.items() if by == command}
+                for command in STUDY_KEYS} == STUDY_KEYS
+        for command, keys in STUDY_KEYS.items():
+            sections = {}
+            for section, key, value, _ in rows:
+                if section != "study" or key in keys:
+                    sections.setdefault(section, []).append(f"{key} = {value}\n")
+            text = "".join(f"[{name}]\n" + "".join(lines)
+                           for name, lines in sections.items())
+            path = write_config(tmp_path,
+                                text + (DOMAIN_HIGH if command == "compare" else ""))
+            cfg = ss.load_config(path, command)
+            assert set(cfg.study) == keys
+            assert {(name, key) for name, items in cfg.raw.items() for key in items
+                    if name != "domain_high"} == {
+                (section, key) for section, key, *_ in rows
+                if section != "study" or key in keys}
 
     def test_generalized_model_needs_gain(self, tmp_path):
         bad = BASE.replace("kind = singular", "kind = generalized_singular")
@@ -192,6 +255,52 @@ class TestLoadConfig:
         good = bad.replace("rate = 1.0", "rate = 1.0\ngain_kind = constant\ngain_value = 0.5")
         cfg = ss.load_config(write_config(tmp_path, good))
         assert cfg.growth.gain is not None
+
+
+#: One config edit per guard of ``load_config``, ``build_initial_field`` and
+#: the subcommands' growth checks: (edits, subcommand, message fragment).
+GUARDS = {
+    "logistic-without-capacity": ({"kind = linear": "kind = logistic"}, "simulate",
+                                  "[growth] capacity is required"),
+    "growth-kind": ({"kind = linear": "kind = cubic"}, "simulate",
+                    "[growth] kind = 'cubic' is not supported"),
+    "gain-kind": ({"rate = 1.0": "rate = 1.0\ngain_kind = ramp"}, "simulate",
+                  "[growth] gain_kind must be 'constant'"),
+    "gain-without-value": ({"rate = 1.0": "rate = 1.0\ngain_kind = constant"},
+                           "simulate", "[growth] gain_value is required"),
+    "growth-rate": ({"rate = 1.0": "rate = -1.0"}, "simulate",
+                    "[growth] linear rate must be positive"),
+    "initial-kind": ({"initial = ball_plateau": "initial = square"}, "simulate",
+                     "[domain] initial = 'square' is not one of"),
+    "initial-key-missing": ({"\nramp = 0.5": ""}, "simulate",
+                            "[domain] ramp is required for initial = ball_plateau"),
+    "ramp-zero": ({"ramp = 0.5": "ramp = 0"}, "simulate",
+                  "[domain] ramp must be positive"),
+    "box-missing": ({"box_radius = 4.0\n": ""}, "simulate",
+                    "[domain] box_radius is required"),
+    "model-kind": ({"kind = singular": "kind = porous"}, "simulate",
+                   "[model] kind = 'porous' is not one of"),
+    "t-end-negative": ({"t_end = 1.0": "t_end = -1.0"}, "simulate",
+                       "[model] t_end must be nonnegative"),
+    "dx-missing": ({"dx = 0.05\n": ""}, "simulate", "[kernel] dx is required"),
+    "kernel-kind": ({"kind = indicator_ball": "kind = square"}, "simulate",
+                    "[kernel] unknown kernel kind 'square'"),
+    "speed-uncapped": ({"kind = linear\nrate = 1.0":
+                        "kind = logistic\nrate = 1.0\ncapacity = 1.2"}, "speed",
+                       "[growth] the speed study requires monotone_cap growth"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(GUARDS))
+def test_config_guard_exits_2(tmp_path, capsys, case):
+    edits, command, message = GUARDS[case]
+    text = BASE
+    for old, new in edits.items():
+        assert text.count(old) == 1, old
+        text = text.replace(old, new)
+    assert main([command, "--config", str(write_config(tmp_path, text)),
+                 "--out", str(tmp_path / "o")]) == 2
+    assert f"config error: {message}" in capsys.readouterr().err
 
 
 class TestSimulateCommand:
@@ -239,6 +348,7 @@ class TestSimulateCommand:
     @pytest.mark.parametrize("edits,message", [
         # 0.4 cells per side: the grid would have none
         ({"box_radius = 4.0": "box_radius = 0.02"}, "[domain] box_radius"),
+        ({"box_radius = 4.0": "box_radius = -1"}, "[domain] box_radius"),
         ({"initial = ball_plateau\nheight = 1.0\nradius = 1.0\nramp = 0.5":
           "initial = gaussian_bump\nheight = 1.0\nsigma = 0\ncutoff = 1.0"},
          "[domain] sigma"),
@@ -254,7 +364,7 @@ class TestSimulateCommand:
         ({"initial = ball_plateau\nheight = 1.0\nradius = 1.0\nramp = 0.5":
           "initial = wave_envelope\nspeed_factor = -1\noffset = -1.0"},
          "[domain] speed_factor"),
-    ], ids=["box-below-one-cell", "sigma-zero", "snapshot-absorbed",
+    ], ids=["box-below-one-cell", "box-negative", "sigma-zero", "snapshot-absorbed",
             "snapshot-below-dt", "wave-speed-zero", "wave-speed-negative"])
     def test_bad_domain_or_output_value_exits_2(self, tmp_path, capsys, edits,
                                                 message):

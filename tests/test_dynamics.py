@@ -1,8 +1,11 @@
 """Stepping, invariants and diagnostics of the two models."""
 from __future__ import annotations
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import satspread as ss
 
@@ -86,9 +89,6 @@ class TestModelParams:
             ss.ModelParams(model="gamma", dt=0.01, t_end=1.0)  # missing gamma
         with pytest.raises(ValueError):
             ss.ModelParams(model="singular", dt=-0.1, t_end=1.0)
-        with pytest.raises(ValueError):
-            ss.ModelParams(model="singular", dt=0.1, t_end=1.0,
-                           saturation_eps=1e-3)
         with pytest.raises(ValueError):
             ss.ModelParams(model="nope", dt=0.1, t_end=1.0)
 
@@ -294,6 +294,20 @@ class TestStep:
         assert u1.values.max() == 1.0
 
 
+@st.composite
+def decimal_schedules(draw):
+    """Mantissas of ``dt <= 0.1``, a snapshot interval ``>= dt`` and ``t_end``
+    at most 600 steps, at one decimal exponent; an interval and ``t_end``
+    are often multiples of ``dt``."""
+    exp = draw(st.sampled_from([2, 3, 4]))
+    dt = draw(st.integers(1, 10 ** (exp - 1)))
+    interval = draw(st.one_of(st.integers(1, 40).map(lambda j: j * dt),
+                              st.integers(dt, 50 * dt)))
+    t_end = draw(st.one_of(st.integers(0, 600).map(lambda j: j * dt),
+                           st.integers(0, 600 * dt)))
+    return exp, dt, interval, t_end
+
+
 class TestRun:
     def test_vacuum_run_records_nothing(self, small1d, linear_g):
         _, st = small1d
@@ -313,6 +327,38 @@ class TestRun:
         with pytest.raises(ValueError, match="snapshot_interval"):
             ss.run(u0, params, st, linear_g, snapshot_interval=interval)
         assert len(ss.run(u0, params, st, linear_g, snapshot_interval=0.1).times) == 1
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=100)
+    @given(decimal_schedules())
+    # dt = 0.0125 to t = 30 and dt = 0.025 to t = 40, each snapshot every 1.0:
+    # the accumulated clock used to fall behind, and snapshots a step with it
+    @example((4, 125, 10000, 300000))
+    @example((3, 25, 1000, 40000))
+    def test_snapshot_steps_match_exact_schedule(self, small1d, linear_g, case):
+        """The snapshot steps are those of the exact schedule: step ``k`` ends
+        at ``k * dt``, a shorter last step at ``t_end``, and each multiple of
+        the interval is taken at the first step that reaches it."""
+        exp, dt, interval, t_end = case
+        dt_q, interval_q, t_end_q = (Fraction(m, 10 ** exp) for m in (dt, interval, t_end))
+        ends = [k * dt_q for k in range(1, int(t_end_q // dt_q) + 1)]
+        if t_end_q > len(ends) * dt_q:
+            ends.append(t_end_q)
+        expected, target = {len(ends)} if ends else set(), interval_q
+        for k, t in enumerate(ends, 1):
+            if t >= target:
+                expected.add(k)
+                while target <= t:
+                    target += interval_q
+        params = ss.ModelParams(model="singular", dt=float(f"{dt}e-{exp}"),
+                                t_end=float(f"{t_end}e-{exp}"))
+        interval = float(f"{interval}e-{exp}")
+        assert ss.dynamics._snapshot_steps(params, interval) == expected
+        # run records the accumulated clock of those steps
+        u0 = ss.grid_field(0.25, 0.125, 1)
+        clock = [u.time for u, *_ in ss.dynamics._euler_steps(u0, params, small1d[1],
+                                                              linear_g)]
+        res = ss.run(u0, params, small1d[1], linear_g, snapshot_interval=interval)
+        assert res.times == [0.0] + [clock[k - 1] for k in sorted(expected)]
 
     def test_monotonicity_and_bounds_monitors(self, small1d, linear_g):
         _, st = small1d
@@ -386,16 +432,6 @@ class TestRun:
         support0 = np.count_nonzero(u0.values > 0)
         assert np.count_nonzero(res.final.values > 0) > support0
 
-    def test_saturation_eps_widens_the_mask(self, small1d, linear_g):
-        _, st = small1d
-        vals = np.full(33, 1.0)
-        vals[16] = 1.0 - 5e-7
-        u = field1d(vals)
-        assert not ss.saturated_mask(u.values).all()
-        assert ss.saturated_mask(u.values, 1e-6).all()
-        rhs = ss.rhs_singular(u, st, linear_g, saturation_eps=1e-6)
-        assert np.all(rhs == 0.0)
-
     def test_time_shifted_states_stay_ordered(self, small1d, linear_g):
         _, st = small1d
         u0 = ss.grid_field(4.0, 0.125, 1, seed_plateau(1.0, 0.5))
@@ -420,26 +456,25 @@ class TestRun:
 def step_loop(u0, params, stencil, growth):
     """Direct-convolution oracle for run(): step() to t_end, first-crossing times."""
     u = u0
-    eps = params.saturation_eps
-    sat_time = np.where(ss.saturated_mask(u.values, eps), 0.0, np.inf)
+    sat_time = np.where(ss.saturated_mask(u.values), 0.0, np.inf)
     for _ in range(round(params.t_end / params.dt)):
         u, _ = ss.step(u, params, stencil, growth)
-        sat_time[ss.saturated_mask(u.values, eps) & np.isinf(sat_time)] = u.time
+        sat_time[ss.saturated_mask(u.values) & np.isinf(sat_time)] = u.time
     return u.values, sat_time
 
 
 GAINED = ss.linear_growth(1.0).with_gain(ss.constant_gain(0.5))
 
-#: (model, dim, box radius, t_end, saturation_eps, growth); the small boxes
-#: saturate up to the box edge.
+#: (model, dim, box radius, t_end, growth); the small boxes saturate up to
+#: the box edge.
 RUNNING_FIELD_CASES = {
-    "1d-singular": ("singular", 1, 4.0, 3.0, 0.0, None),
-    "1d-generalized-eps": ("generalized_singular", 1, 4.0, 3.0, 1e-6, GAINED),
-    "1d-to-box-edge": ("singular", 1, 2.0, 6.0, 0.0, None),
-    "1d-box-below-stencil": ("singular", 1, 0.875, 2.0, 0.0, None),
-    "2d-singular": ("singular", 2, 2.5, 2.0, 0.0, None),
-    "2d-generalized-eps": ("generalized_singular", 2, 2.5, 2.0, 1e-6, GAINED),
-    "2d-to-box-edge": ("singular", 2, 1.5, 4.0, 0.0, None),
+    "1d-singular": ("singular", 1, 4.0, 3.0, None),
+    "1d-generalized": ("generalized_singular", 1, 4.0, 3.0, GAINED),
+    "1d-to-box-edge": ("singular", 1, 2.0, 6.0, None),
+    "1d-box-below-stencil": ("singular", 1, 0.875, 2.0, None),
+    "2d-singular": ("singular", 2, 2.5, 2.0, None),
+    "2d-generalized": ("generalized_singular", 2, 2.5, 2.0, GAINED),
+    "2d-to-box-edge": ("singular", 2, 1.5, 4.0, None),
 }
 
 
@@ -448,20 +483,19 @@ class TestRunningMaskConvolution:
 
     @staticmethod
     def compare(case, kernel_kind, linear_g):
-        model, dim, box, t_end, eps, growth = RUNNING_FIELD_CASES[case]
+        model, dim, box, t_end, growth = RUNNING_FIELD_CASES[case]
         growth = growth or linear_g
         profile = (lambda r: np.clip(1.0 - r, 0.0, None)
                    if kernel_kind == "custom_radial" else None)
         _, st = ss.build_kernel(kernel_kind, 1.0, dim, 0.125, profile=profile)
         u0 = ss.grid_field(box, 0.125, dim, seed_plateau(0.5, 0.5))
-        params = ss.ModelParams(model=model, dt=0.05, t_end=t_end,
-                                saturation_eps=eps)
+        params = ss.ModelParams(model=model, dt=0.05, t_end=t_end)
         res = ss.run(u0, params, st, growth, snapshot_interval=0.5)
         final, sat_time = step_loop(u0, params, st, growth)
         # the masks are derived from the saturation times
         assert len(res.masks) == len(res.snapshots) > 2
         for mask, snap in zip(res.masks, res.snapshots):
-            assert np.array_equal(mask, ss.saturated_mask(snap, eps))
+            assert np.array_equal(mask, ss.saturated_mask(snap))
         # the front must have moved, and the edge cases must reach the edge
         assert np.count_nonzero(np.isfinite(res.saturation_time)) > np.count_nonzero(
             u0.values >= 1.0)
@@ -477,8 +511,7 @@ class TestRunningMaskConvolution:
         assert np.array_equal(res.final.values, final)
         assert np.array_equal(res.saturation_time, sat_time)
 
-    @pytest.mark.parametrize("case", ["1d-singular", "2d-singular",
-                                      "2d-generalized-eps"])
+    @pytest.mark.parametrize("case", ["1d-singular", "2d-singular", "2d-generalized"])
     def test_custom_kernel_within_rounding(self, case, linear_g):
         res, final, sat_time = self.compare(case, "custom_radial", linear_g)
         assert np.max(np.abs(res.final.values - final)) <= 1e-14

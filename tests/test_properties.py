@@ -37,11 +37,9 @@ def cases(draw):
         growth = growth.with_gain(ss.constant_gain(draw(st.floats(0.1, 1.0))))
     if model == "gamma":
         gamma = draw(st.floats(1.0, 8.0))
-    eps = draw(st.sampled_from([0.0, 1e-6]))
     dt = ss.stability_cap(model, growth, gamma) * draw(st.sampled_from([1.0, 0.5]))
     n_steps = draw(st.integers(1, 40))
-    params = ss.ModelParams(model=model, dt=dt, t_end=n_steps * dt, gamma=gamma,
-                            saturation_eps=eps)
+    params = ss.ModelParams(model=model, dt=dt, t_end=n_steps * dt, gamma=gamma)
     plateau = seed_plateau(radius, ramp)
     u0 = ss.grid_field(box, DX, dim, lambda r: height * plateau(r))
     if draw(st.booleans()):
@@ -60,8 +58,7 @@ def direct_loop(u0, params, stencil, growth, n_steps, record_lipschitz=False):
     """step() n times with full-grid monitors and first-crossing times; with
     ``record_lipschitz``, also the running max of ``discrete_lipschitz``."""
     u = u0
-    eps = params.saturation_eps
-    sat_time = np.where(ss.saturated_mask(u.values, eps), 0.0, np.inf)
+    sat_time = np.where(ss.saturated_mask(u.values), 0.0, np.inf)
     monitors = {"min_u": float(u.values.min()), "max_u": float(u.values.max()),
                 "max_rhs": 0.0, "time_monotonicity_gap": 0.0}
     if record_lipschitz:
@@ -77,7 +74,7 @@ def direct_loop(u0, params, stencil, growth, n_steps, record_lipschitz=False):
         monitors["time_monotonicity_gap"] = max(
             monitors["time_monotonicity_gap"], float((u.values - new.values).max()))
         u = new
-        sat_time[ss.saturated_mask(u.values, eps) & np.isinf(sat_time)] = u.time
+        sat_time[ss.saturated_mask(u.values) & np.isinf(sat_time)] = u.time
         if record_lipschitz:
             monitors["max_lipschitz"] = max(monitors["max_lipschitz"],
                                             ss.discrete_lipschitz(u))
@@ -162,7 +159,6 @@ def test_euler_steps_yield_contract(case):
     u0, params, stencil, growth, n_steps = case
     kept = u0.values.copy()
     prev = u0.copy()
-    eps = params.saturation_eps
     n = 0
     for u, before, after, lo, rhs, proposed, newly, written in ss.dynamics._euler_steps(
             u0, params, stencil, growth):
@@ -177,7 +173,7 @@ def test_euler_steps_yield_contract(case):
         off[written] = False
         assert np.array_equal(bits(u.values.ravel()[off]),
                               bits(prev.values.ravel()[off]))
-        joined = ss.saturated_mask(u.values, eps) & ~ss.saturated_mask(prev.values, eps)
+        joined = ss.saturated_mask(u.values) & ~ss.saturated_mask(prev.values)
         assert np.array_equal(np.sort(newly), joined.ravel().nonzero()[0])
         prev = u.copy()
     assert n == n_steps
@@ -212,7 +208,7 @@ def test_band_after_each_event_equals_full_rebuild(case, negative_zeros):
             assert not conv[kept].any()
             rebuilt = None
         if newly.size and params.model != "gamma":
-            sat = ss.saturated_mask(u.values, params.saturation_eps)
+            sat = ss.saturated_mask(u.values)
             conv = ss.convolve_field(stencil, sat.astype(float))
             band = ss.dynamics._band(sat, conv, u.values, np.zeros(sat.shape, dtype=bool),
                                      tuple(slice(0, n) for n in sat.shape), growth.g1)

@@ -21,14 +21,13 @@ RECORDS = [
                         fn=abs), dict(gain=None, fn=None), True),
     (ss.Kernel, dict(kind="indicator_ball", radius=1.0, dim=1, profile=abs), {}, True),
     (ss.ConvolutionStencil, dict(offsets=ARRAY, weights=ARRAY, grid_spacing=0.25,
-                                 dim=1, radius=1.0, dense=ARRAY),
-     dict(grid_spacing=0.0, dim=1, radius=0.0, dense=None), True),
+                                 dim=1, radius=1.0, dense=ARRAY), {}, True),
     (ss.FrontKernelProfile, dict(ell=1.0, s=ARRAY, samples=ARRAY), {}, True),
     (ss.CapInequalityReport, dict(radii=(1.0,), max_violation=(0.0,),
                                   least_nonviolating_radius=1.0, tolerance=0.0),
      dict(tolerance=CAP_VIOLATION_TOL), True),
-    (ss.WaveProfile, dict(c=1.0, s=ARRAY, phi=ARRAY, ell=1.0, phi_at_ell=0.5),
-     dict(ell=0.0, phi_at_ell=0.0), True),
+    (ss.WaveProfile, dict(c=1.0, s=ARRAY, phi=ARRAY, ell=1.0, phi_at_ell=0.5), {},
+     True),
     (ss.MinimalSpeedResult, dict(c_star=1.0, bracket=(0.9, 1.1), tol=1e-8,
                                  analytic_bounds=(0.5, 2.0), phi_ell_lo=-0.1,
                                  phi_ell_hi=0.1, interior_min=0.2, ode_step=0.01),
@@ -51,9 +50,8 @@ RECORDS = [
     (ss.ConfinementReport, dict(violations_per_snapshot=(0, 0), total_violations=0,
                                 coverage_snapshot=1, max_annulus_after_coverage=0.5,
                                 annulus_bound=1.25), {}, True),
-    (ss.ModelParams, dict(model="singular", dt=0.05, t_end=1.0, gamma=2.0,
-                          saturation_eps=1e-6), dict(gamma=None, saturation_eps=0.0),
-     True),
+    (ss.ModelParams, dict(model="singular", dt=0.05, t_end=1.0, gamma=2.0),
+     dict(gamma=None), True),
     (ss.GridField, dict(values=ARRAY, spacing=0.25, origin=np.zeros(1), time=0.5),
      dict(time=0.0), False),
     (ss.RunResult, dict(final=FIELD, saturation_time=ARRAY, times=[0.0],
@@ -109,8 +107,6 @@ def test_model_params_compare_by_value_and_check_when_built():
         ss.ModelParams("gamma", 0.05, 1.0)
     with pytest.raises(ValueError, match="dt must be positive"):
         params._replace(dt=-1.0)
-    with pytest.raises(ValueError, match="saturation_eps must lie"):
-        params._replace(saturation_eps=1.0)
     assert params._replace(t_end=2.0) == ss.ModelParams("singular", 0.05, 2.0)
 
 
