@@ -196,7 +196,7 @@ def _cmd_converge(cfg: RunConfig, out_dir: Path) -> int:
     gammas = cfg.study.get("gamma_list", [8.0, 32.0, 128.0, 512.0])
     try:
         study = gamma_convergence_study(u0, gammas, cfg.stencil, cfg.growth,
-                                        horizon=cfg.model.t_end,
+                                        horizon=cfg.t_end,
                                         **_study(cfg, threshold="threshold"))
     except ValueError as exc:
         raise ConfigError(f"[study] {exc}") from exc

@@ -15,41 +15,52 @@ class ConfigError(ValueError):
     """Configuration file is invalid; the message names the offending key."""
 
 
-_INITIAL_KEYS = {"initial": "str", "height": "float", "radius": "float",
-                 "ramp": "float", "sigma": "float", "cutoff": "float",
-                 "value": "float", "speed_factor": "float", "offset": "float"}
-#: Every key each section accepts and the type of its value.  Floats, and
-#: each entry of a float list, must be finite.
-_KEYS = {
-    "model": {"kind": "str", "gamma": "float", "dt": "float", "t_end": "float"},
-    "kernel": {"kind": "str", "ell": "float", "dim": "int", "dx": "float"},
-    "growth": {"kind": "str", "rate": "float", "capacity": "float",
-               "gain_kind": "str", "gain_value": "float"},
-    "domain": {"box_radius": "float", **_INITIAL_KEYS},
-    "output": {"directory": "str", "snapshot_interval": "float"},
+#: The keys of each kind of initial datum.
+_INITIAL_KEYS = {"ball_plateau": ("height", "radius", "ramp"),
+                 "gaussian_bump": ("height", "sigma", "cutoff"),
+                 "wave_envelope": ("speed_factor", "offset"), "constant": ("value",)}
+#: The keys a run reads, all of them required: per section, the keys every
+#: run reads, then per selector ``(section, key)`` the keys that each of its
+#: values adds.  A selector of the section itself lists every value it may take.
+_READS = {
+    "model": (("kind", "dt", "t_end"),
+              {("model", "kind"): {**dict.fromkeys(dynamics.MODEL_KINDS, ()),
+                                   "gamma": ("gamma",)}}),
+    "kernel": (("kind", "ell", "dim", "dx"), {}),
+    "growth": (("kind", "rate"),
+               {("growth", "kind"): {"linear": (), "logistic": ("capacity",)},
+                ("model", "kind"): {"generalized_singular": ("gain_kind",)},
+                ("growth", "gain_kind"): {"constant": ("gain_value",)}}),
+    "domain": (("box_radius", "initial"), {("domain", "initial"): _INITIAL_KEYS}),
+    "domain_high": (("initial",), {("domain_high", "initial"): _INITIAL_KEYS}),
 }
-#: The sections each subcommand reads beyond ``_KEYS``, with its own ``[study]`` keys.
+#: The optional keys each subcommand accepts besides ``[output] directory``:
+#: the ``[output]`` and ``[study]`` keys it reads, and the ``[model]`` keys of
+#: ``_READS`` that ``wave`` and ``converge`` do not read but accept, because
+#: perfbench's configs set them.  A selector among those adds no key.
 _COMMAND_KEYS = {
-    "simulate": {"study": {}},
-    "compare": {"domain_high": _INITIAL_KEYS, "study": {}},
-    "wave": {"study": {"wave_tol": "float", "ode_step": "float",
-                       "sample_spacing": "float", "s_max": "float"}},
-    "speed": {"study": {"window_fraction": "float", "tolerance": "float"}},
-    "converge": {"study": {"gamma_list": "float_list", "threshold": "float"}},
+    "simulate": {"output": ("snapshot_interval",)},
+    "speed": {"output": ("snapshot_interval",), "study": ("window_fraction", "tolerance")},
+    "compare": {},
+    "converge": {"model": ("kind", "dt"), "study": ("gamma_list", "threshold")},
+    "wave": {"model": ("kind", "dt", "t_end"),
+             "study": ("wave_tol", "ode_step", "sample_spacing", "s_max")},
 }
-_REQUIRED_SECTIONS = ("model", "kernel", "growth", "domain")
-_INITIAL_KINDS = ("ball_plateau", "gaussian_bump", "wave_envelope", "constant")
+#: The type of each key that holds no float; every float must be finite.
+_TYPES = {"kind": "str", "initial": "str", "gain_kind": "str", "directory": "str",
+          "dim": "int", "gamma_list": "float_list"}
 
 
 class RunConfig:
-    """Validated configuration with resolved model objects."""
+    """Validated configuration with resolved model objects, None where unread."""
 
-    def __init__(self, model: ModelParams, kernel: Kernel,
+    def __init__(self, model: ModelParams | None, t_end: float | None, kernel: Kernel,
                  stencil: ConvolutionStencil, growth: GrowthLaw, box_radius: float,
                  initial_spec: dict, initial_high_spec: dict | None,
                  output_dir: str, snapshot_interval: float | None, study: dict,
                  raw: dict | None = None, warnings: list[str] | None = None):
         self.model = model
+        self.t_end = t_end
         self.kernel = kernel
         self.stencil = stencil
         self.growth = growth
@@ -88,65 +99,71 @@ def _parse_sections(path: Path, command: str
             parser.read_file(fh)
     except configparser.Error as exc:
         raise ConfigError(f"cannot parse config: {exc}") from exc
-
-    keys = {**_KEYS, **_COMMAND_KEYS[command]}
-    raw = {}
-    for section in parser.sections():
-        if section not in keys:
-            raise ConfigError(f"unknown section [{section}]")
-        raw[section] = dict(parser.items(section))
-        for key in raw[section]:
-            if key not in keys[section]:
-                raise ConfigError(f"unknown key {key!r} in section [{section}]")
-    for section in _REQUIRED_SECTIONS:
-        if section not in raw:
-            raise ConfigError(f"missing required section [{section}]")
-    if command == "compare" and "domain_high" not in raw:
-        raise ConfigError("compare needs a [domain_high] section")
-    typed = {section: {key: _typed(section, key, value, keys[section][key])
+    raw = {section: dict(parser.items(section)) for section in parser.sections()}
+    _check_keys(raw, command)
+    typed = {section: {key: _typed(section, key, value, _TYPES.get(key, "float"))
                        for key, value in items.items()}
              for section, items in raw.items()}
     return typed, raw
 
 
-def _build_growth(items: dict) -> GrowthLaw:
-    kind = items.get("kind", "")
-    rate = items.get("rate", 1.0)
-    if kind == "linear":
-        law = growth_mod.linear_growth(rate)
-    elif kind == "logistic":
-        if "capacity" not in items:
-            raise ConfigError("[growth] capacity is required for logistic kind")
-        law = growth_mod.logistic_growth(rate, items["capacity"])
-    else:
-        raise ConfigError(f"[growth] kind = {kind!r} is not supported")
-    gain_kind = items.get("gain_kind")
-    if gain_kind is not None:
-        if gain_kind != "constant":
-            raise ConfigError("[growth] gain_kind must be 'constant'")
-        if "gain_value" not in items:
-            raise ConfigError("[growth] gain_value is required with gain_kind")
-        law = law.with_gain(growth_mod.constant_gain(items["gain_value"]))
-    return law
+def _check_keys(raw: dict[str, dict[str, str]], command: str) -> None:
+    """Hold the sections to ``_READS`` and ``_COMMAND_KEYS``: a section or key
+    that the run would not read is an error, and so is every missing key of
+    the chosen kinds."""
+    accepted = {"output": {"directory"}, "study": set()}
+    for section, keys in _COMMAND_KEYS[command].items():
+        accepted.setdefault(section, set()).update(keys)
+    sections = [name for name in _READS if name != "domain_high" or command == "compare"]
+    for section in raw:
+        if section not in sections and section not in accepted:
+            raise ConfigError(f"unknown section [{section}]")
+    missing, reads = [], {}
+    for section in sections:
+        always, selectors = _READS[section]
+        reads[section] = set(always) - accepted.setdefault(section, set())
+        if reads[section] and section not in raw:
+            raise ConfigError(f"missing required section [{section}]")
+        items = raw.get(section, {})
+        missing += [f"[{section}] {key} is required" for key in always
+                    if key in reads[section] and key not in items]
+        for (where, key), kinds in selectors.items():
+            value = raw[where].get(key) if key in reads[where] else None
+            if where == section and value is not None and value not in kinds:
+                raise ConfigError(f"[{section}] {key} = {value!r} is not one of"
+                                  f" {tuple(kinds)}")
+            reads[section].update(kinds.get(value, ()))
+            label = key if where == section else f"[{where}] {key}"
+            missing += [f"[{section}] {name} is required for {label} = {value}"
+                        for name in kinds.get(value, ()) if name not in items]
+        accepted[section] |= reads[section]
+    unread = [_unread(section, key, command) for section, items in raw.items()
+              for key in items if key not in accepted[section]]
+    if unread or missing:
+        raise ConfigError("; ".join(unread + missing))
+
+
+def _unread(section: str, key: str, command: str) -> str:
+    """Why the run rejects ``key``: the kinds or subcommands that read it."""
+    for (where, selector), kinds in _READS.get(section, ((), {}))[1].items():
+        values = [value for value, keys in kinds.items() if key in keys]
+        if values:
+            label = selector if where == section else f"[{where}] {selector}"
+            idle = selector in _COMMAND_KEYS[command].get(where, ())
+            return (f"[{section}] {key} is read only with {label} = {' or '.join(values)}"
+                    + (f", which {command} does not read" if idle else ""))
+    commands = [c for c, keys in _COMMAND_KEYS.items() if key in keys.get(section, ())]
+    if commands:
+        return f"[{section}] {key} is read only by {' or '.join(commands)}, not {command}"
+    return f"unknown key {key!r} in section [{section}]"
 
 
 def _initial_spec(section: str, items: dict) -> dict:
-    kind = items.get("initial", "")
-    if kind not in _INITIAL_KINDS:
-        raise ConfigError(f"[{section}] initial = {kind!r} is not one of {_INITIAL_KINDS}")
-    spec = {"kind": kind, **{key: value for key, value in items.items()
-                             if key not in ("initial", "box_radius")}}
-    required = {"ball_plateau": ("height", "radius", "ramp"),
-                "gaussian_bump": ("height", "sigma", "cutoff"),
-                "wave_envelope": ("speed_factor", "offset"),
-                "constant": ("value",)}[kind]
-    for key in required:
-        if key not in spec:
-            raise ConfigError(f"[{section}] {key} is required for initial = {kind}")
-    if kind == "gaussian_bump" and spec["sigma"] <= 0:
-        raise ConfigError(f"[{section}] sigma must be positive")
-    if kind == "wave_envelope" and spec["speed_factor"] <= 0:
-        raise ConfigError(f"[{section}] speed_factor must be positive")
+    spec = {"kind": items["initial"], **{key: value for key, value in items.items()
+                                         if key not in ("initial", "box_radius")}}
+    for key in ("sigma", "speed_factor", "ramp"):  # each only where its kind reads it
+        if spec.get(key, 1.0) <= 0:
+            raise ConfigError(f"[{section}] {key} must be positive")
     return spec
 
 
@@ -154,49 +171,46 @@ def load_config(path: str | Path, command: str = "simulate") -> RunConfig:
     """Parse, validate and resolve a run configuration for one subcommand."""
     sections, raw = _parse_sections(Path(path), command)
 
-    model = sections["model"]
-    model_kind = model.get("kind", "")
-    if model_kind not in dynamics.MODEL_KINDS:
-        raise ConfigError(f"[model] kind = {model_kind!r} is not one of {dynamics.MODEL_KINDS}")
-    try:
-        params = ModelParams(model=model_kind, dt=model.get("dt", 0.05),
-                             t_end=model.get("t_end", 1.0), gamma=model.get("gamma"))
-    except ValueError as exc:
-        raise ConfigError(f"[model] {exc}") from exc
+    model, idle = sections.get("model", {}), _COMMAND_KEYS[command].get("model", ())
+    t_end = None if "t_end" in idle else model["t_end"]
+    if t_end is not None and t_end < 0:
+        raise ConfigError("[model] t_end must be nonnegative")
 
     kern = sections["kernel"]
-    if "dx" not in kern:
-        raise ConfigError("[kernel] dx is required")
-    ell = kern.get("ell", 1.0)
+    ell = kern["ell"]
     try:
-        kernel, stencil = kernels.build_kernel(kern.get("kind", ""), ell,
-                                               kern.get("dim", 1), kern["dx"])
+        kernel, stencil = kernels.build_kernel(kern["kind"], ell, kern["dim"], kern["dx"])
     except kernels.KernelError as exc:
         raise ConfigError(f"[kernel] {exc}") from exc
 
+    grow = sections["growth"]
     try:
-        growth = _build_growth(sections["growth"])
+        growth = (growth_mod.linear_growth(grow["rate"]) if grow["kind"] == "linear"
+                  else growth_mod.logistic_growth(grow["rate"], grow["capacity"]))
+        if "gain_kind" in grow:
+            growth = growth.with_gain(growth_mod.constant_gain(grow["gain_value"]))
     except growth_mod.GrowthError as exc:
         raise ConfigError(f"[growth] {exc}") from exc
-    if params.model == "generalized_singular" and growth.gain is None:
-        raise ConfigError("[growth] gain_kind is required for the generalized model")
 
-    cap = stability_cap(params.model, growth, params.gamma)
-    if params.dt > cap * (1 + 1e-12):
-        raise ConfigError(
-            f"[model] dt = {params.dt} exceeds the stability cap {cap:.6g}")
+    params = None
+    if "kind" not in idle:
+        try:
+            params = ModelParams(model=model["kind"], dt=model["dt"], t_end=t_end,
+                                 gamma=model.get("gamma"))
+        except ValueError as exc:
+            raise ConfigError(f"[model] {exc}") from exc
+        cap = stability_cap(params.model, growth, params.gamma)
+        if params.dt > cap * (1 + 1e-12):
+            raise ConfigError(f"[model] dt = {params.dt} exceeds the stability cap {cap:.6g}")
 
     domain = sections["domain"]
-    if "box_radius" not in domain:
-        raise ConfigError("[domain] box_radius is required")
     box_radius = domain["box_radius"]
     if int(round(box_radius / stencil.grid_spacing)) < 1:
         raise ConfigError(f"[domain] box_radius = {box_radius} holds no cell per"
                           f" side at dx = {stencil.grid_spacing}")
     initial_spec = _initial_spec("domain", domain)
-    high_spec = None
-    if command == "compare":
-        high_spec = _initial_spec("domain_high", sections["domain_high"])
+    high_spec = (_initial_spec("domain_high", sections["domain_high"])
+                 if command == "compare" else None)
 
     output = sections.get("output", {})
     snap = output.get("snapshot_interval")
@@ -204,19 +218,16 @@ def load_config(path: str | Path, command: str = "simulate") -> RunConfig:
         raise ConfigError(f"[output] snapshot_interval = {snap} is below"
                           f" dt = {params.dt}")
 
-    warnings = []
     support_radius = _support_radius(initial_spec, ell)
-    needed = support_radius + ell + ell * growth.sup * params.t_end
-    if box_radius < needed:
-        warnings.append(
-            f"box_radius {box_radius} may truncate the run: support can reach "
-            f"{needed:.6g} by t_end (initial {support_radius:.6g} + ell + "
-            "upper speed bound * t_end)")
+    needed = support_radius + ell + ell * growth.sup * (t_end or 0.0)
+    warnings = [] if t_end is None or box_radius >= needed else [
+        f"box_radius {box_radius} may truncate the run: support can reach "
+        f"{needed:.6g} by t_end (initial {support_radius:.6g} + ell + "
+        "upper speed bound * t_end)"]
 
-    return RunConfig(model=params, kernel=kernel, stencil=stencil, growth=growth,
-                     box_radius=box_radius, initial_spec=initial_spec,
-                     initial_high_spec=high_spec,
-                     output_dir=output.get("directory", "out"),
+    return RunConfig(model=params, t_end=t_end, kernel=kernel, stencil=stencil,
+                     growth=growth, box_radius=box_radius, initial_spec=initial_spec,
+                     initial_high_spec=high_spec, output_dir=output.get("directory", "out"),
                      snapshot_interval=snap, study=sections.get("study", {}),
                      raw=raw, warnings=warnings)
 
@@ -253,8 +264,6 @@ def build_initial_field(cfg: RunConfig, spec: dict | None = None) -> GridField:
         return GridField(sampler(grid.coords()), grid.spacing, grid.origin)
     if kind == "ball_plateau":
         height, radius, ramp = spec["height"], spec["radius"], spec["ramp"]
-        if ramp <= 0:
-            raise ConfigError("[domain] ramp must be positive for a Lipschitz plateau")
         fn = lambda r: height * np.clip((radius + ramp - r) / ramp, 0.0, 1.0)
     elif kind == "gaussian_bump":
         height, sigma, cutoff = spec["height"], spec["sigma"], spec["cutoff"]

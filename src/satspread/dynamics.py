@@ -261,11 +261,11 @@ def step(u: GridField, params: ModelParams, stencil: ConvolutionStencil,
 
 
 def _step_count(params: ModelParams) -> tuple[int, float]:
-    """The number of steps to ``t_end`` and the length of the last: whole
-    ``dt`` steps, then one shorter step when ``t_end`` is not a multiple."""
-    n_full = int(math.floor(params.t_end / params.dt + 1e-12))
+    """The number of steps to ``t_end`` and the length of the last: whole ``dt``
+    steps, then a shorter one if ``t_end`` passes a multiple by over 1e-12 t_end."""
+    n_full = int(math.floor(params.t_end / params.dt * (1 + 1e-12)))
     remainder = params.t_end - n_full * params.dt
-    if remainder < 1e-12 * params.dt:
+    if remainder <= 1e-12 * params.t_end:
         return n_full, params.dt
     return n_full + 1, remainder
 
@@ -400,10 +400,10 @@ def run(u0: GridField, params: ModelParams, stencil: ConvolutionStencil,
     decide.  ``max_u`` is not reduced once it reads 1.0, the clamp's cap (a
     NaN has raised).  With ``rhs >= 0`` and ``before <= 1``,
     ``min(before + dt * rhs, 1) >= before``, so ``before - after`` is reduced
-    only on a step with an rhs below 0 or NaN.  In the saturated models a
-    clamped cell ends in ``S`` and was off it (on ``S`` the rhs has the factor
-    ``1 - 1_S = 0``), so ``proposed > 1`` is counted only on steps where a
-    cell joins ``S``.
+    only on a step with an rhs below 0 or NaN.  A clamped cell ends in ``S``
+    and was off it (on ``S`` the rhs has an exact zero factor, ``1 - 1_S``, or
+    ``1 - p`` in the gamma model), so ``proposed > 1`` is counted only on
+    steps where a cell joins ``S``.
     """
     if snapshot_interval is not None and not snapshot_interval >= params.dt:
         raise ValueError(f"snapshot_interval={snapshot_interval} is below dt={params.dt}")
@@ -429,9 +429,8 @@ def run(u0: GridField, params: ModelParams, stencil: ConvolutionStencil,
         max_rhs = max(max_rhs, float(np.maximum.reduce(rhs, initial=0.0)))
         if not np.minimum.reduce(rhs, initial=0.0) >= 0.0:
             gap = max(gap, float(np.maximum.reduce(before - after, initial=0.0)))
-        if newly.size or params.model == "gamma":
-            clamped_total += int(np.count_nonzero(proposed > 1.0))
         if newly.size:
+            clamped_total += int(np.count_nonzero(proposed > 1.0))
             sat_time.ravel()[newly] = u.time
         if record_lipschitz:
             if written is not band:  # a new band, after an event

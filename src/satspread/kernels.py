@@ -193,11 +193,9 @@ def build_kernel(kind: str, ell: float, dim: int, grid_spacing: float,
         offsets = np.stack([ox.ravel(), oy.ravel()], axis=1)
         radii = np.hypot(offsets[:, 0], offsets[:, 1]) * grid_spacing
     inside = radii <= ell * (1 + 1e-12)
-    offsets = offsets[inside]
-    radii = radii[inside]
+    offsets, radii = offsets[inside], radii[inside]
 
-    cell_volume = grid_spacing ** dim
-    raw_weights = _profile_values(normalized, radii) * cell_volume
+    raw_weights = _profile_values(normalized, radii) * grid_spacing ** dim
     if np.any(raw_weights < 0):
         raise KernelError("kernel takes negative values on the stencil")
     discrete_mass = float(raw_weights.sum())
@@ -207,13 +205,8 @@ def build_kernel(kind: str, ell: float, dim: int, grid_spacing: float,
 
     _check_radial_symmetry(offsets, weights)
 
-    dense_half = m
-    if dim == 1:
-        dense = np.zeros(2 * dense_half + 1)
-        dense[offsets[:, 0] + dense_half] = weights
-    else:
-        dense = np.zeros((2 * dense_half + 1, 2 * dense_half + 1))
-        dense[offsets[:, 0] + dense_half, offsets[:, 1] + dense_half] = weights
+    dense = np.zeros((2 * m + 1,) * dim)
+    dense[tuple((offsets + m).T)] = weights
 
     kernel = Kernel(kind=kind, radius=ell, dim=dim, profile=normalized)
     stencil = ConvolutionStencil(offsets=offsets, weights=weights,

@@ -12,13 +12,15 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import satspread as ss
-from satspread import cli
+from satspread import cli, config
 from satspread.cli import main
 
 from conftest import sagging_growth
 from oracles import write_csv_one_template
 
-BASE = """
+#: A run of the singular model, with no ``[output]`` key: every subcommand
+#: loads it (``compare`` with a ``[domain_high]`` section).
+CORE = """
 [model]
 kind = singular
 dt = 0.05
@@ -40,18 +42,21 @@ initial = ball_plateau
 height = 1.0
 radius = 1.0
 ramp = 0.5
-
+"""
+#: ``CORE`` with the snapshot interval that ``simulate`` and ``speed`` read.
+BASE = CORE + """
 [output]
 snapshot_interval = 0.5
 """
 
 
-#: The ``[study]`` keys each subcommand reads; it rejects every other one.
-STUDY_KEYS = {
-    "simulate": set(),
+#: The optional ``[output]`` and ``[study]`` keys each subcommand reads; it
+#: rejects every other one.
+COMMAND_KEYS = {
+    "simulate": {"snapshot_interval"},
     "compare": set(),
     "wave": {"wave_tol", "ode_step", "sample_spacing", "s_max"},
-    "speed": {"window_fraction", "tolerance"},
+    "speed": {"snapshot_interval", "window_fraction", "tolerance"},
     "converge": {"gamma_list", "threshold"},
 }
 DOMAIN_HIGH = "\n[domain_high]\ninitial = constant\nvalue = 1.0\n"
@@ -78,6 +83,59 @@ def read_report(out: Path, name: str) -> dict:
     return payload
 
 
+def readme_block() -> str:
+    """The README's ``ini`` config reference, as written."""
+    return README.read_text(encoding="utf-8").split("```ini\n", 1)[1].split("```", 1)[0]
+
+
+def readme_rows() -> list[tuple]:
+    """Each key line of the README's config reference, commented out or not,
+    as ``(section, key, commented, condition)``: ``condition`` is the text
+    before ``:`` of the last ``; with ...`` or ``; by ...`` note above it in
+    its paragraph, and None if another note, or none, came last."""
+    rows, section, condition = [], None, None
+    for line in readme_block().splitlines():
+        entry = line.removeprefix(";").strip()
+        key, eq, _ = entry.partition(" = ")
+        if line.startswith("["):
+            section, condition = line.strip("[] "), None
+        elif not entry:
+            condition = None
+        elif eq and key.isidentifier():
+            rows.append((section, key, line.startswith(";"), condition))
+        else:
+            head = entry.partition(": ")[0]
+            condition = head if head.startswith(("with ", "by ")) else None
+    return rows
+
+
+def table_notes() -> set[tuple]:
+    """``(section, key, condition)`` for each key ``load_config`` accepts, with
+    the condition a README note must give it: the kind that selects it, the
+    subcommands that read it (and those that accept it unread), or None for a
+    key every run reads.  ``[domain_high]``, which takes the keys of
+    ``[domain]``, is described in prose."""
+    optional = config._COMMAND_KEYS
+    taking = lambda section, key: [c for c in optional if key in optional[c].get(section, ())]
+    notes = {("output", "directory", None)}
+    for section, (always, selectors) in config._READS.items():
+        if section == "domain_high":
+            continue
+        for key in always:
+            idle = taking(section, key)
+            readers = " or ".join(c for c in optional if c not in idle)
+            notes.add((section, key, idle and f"by {readers} ({' and '.join(idle)}"
+                       f" accept{'s' * (len(idle) == 1)} it unread)" or None))
+        for (where, selector), kinds in selectors.items():
+            label = selector if where == section else f"[{where}] {selector}"
+            notes |= {(section, key, f"with {label} = {value}")
+                      for value, keys in kinds.items() for key in keys}
+    notes |= {(section, key, "by " + " or ".join(taking(section, key)))
+              for keys in optional.values() for section in ("output", "study")
+              for key in keys.get(section, ())}
+    return notes
+
+
 def write_config(tmp_path: Path, text: str, name: str = "run.ini") -> Path:
     path = tmp_path / name
     path.write_text(text, encoding="utf-8")
@@ -96,6 +154,7 @@ class TestLoadConfig:
         cfg = ss.load_config(write_config(tmp_path, BASE))
         assert cfg.model.model == "singular"
         assert cfg.model.dt == 0.05
+        assert cfg.t_end == cfg.model.t_end == 1.0
         assert cfg.kernel.radius == 1.0
         assert cfg.growth.kind == "linear"
         assert cfg.box_radius == 4.0
@@ -144,13 +203,13 @@ class TestLoadConfig:
         assert any("truncate" in w for w in cfg.warnings)
 
     def test_domain_high_only_for_compare(self, tmp_path):
-        extra = BASE + "\n[domain_high]\ninitial = constant\nvalue = 0.8\n"
+        extra = CORE + "\n[domain_high]\ninitial = constant\nvalue = 0.8\n"
         with pytest.raises(ss.ConfigError, match="domain_high"):
             ss.load_config(write_config(tmp_path, extra), "simulate")
         cfg = ss.load_config(write_config(tmp_path, extra), "compare")
         assert cfg.initial_high_spec == {"kind": "constant", "value": 0.8}
-        with pytest.raises(ss.ConfigError, match="domain_high"):
-            ss.load_config(write_config(tmp_path, BASE), "compare")
+        with pytest.raises(ss.ConfigError, match="missing required section .domain_high"):
+            ss.load_config(write_config(tmp_path, CORE), "compare")
 
     def test_initial_presets_resolve(self, tmp_path):
         gauss = BASE.replace(
@@ -190,7 +249,7 @@ class TestLoadConfig:
     def test_non_finite_number_exits_2(self, tmp_path, capsys, value, section,
                                        key, line):
         text = (BASE.replace(line, f"{key} = {value}") if line
-                else BASE + f"\n[study]\n{key} = {value}\n")
+                else CORE + f"\n[study]\n{key} = {value}\n")
         command = {"wave_tol": "wave", "gamma_list": "converge"}.get(key, "simulate")
         cfg_path = write_config(tmp_path, text)
         assert main([command, "--config", str(cfg_path),
@@ -198,55 +257,60 @@ class TestLoadConfig:
         err = capsys.readouterr().err
         assert f"config error: [{section}] {key} = '{value}' is not finite" in err
 
-    @pytest.mark.parametrize("key", sorted(set().union(*STUDY_KEYS.values())))
-    @pytest.mark.parametrize("command", sorted(STUDY_KEYS))
-    def test_study_key_accepted_only_by_the_subcommand_that_reads_it(
+    @pytest.mark.parametrize("key", sorted(set().union(*COMMAND_KEYS.values())))
+    @pytest.mark.parametrize("command", sorted(COMMAND_KEYS))
+    def test_command_key_accepted_only_by_the_subcommand_that_reads_it(
             self, tmp_path, capsys, command, key):
-        """A subcommand that would ignore a ``[study]`` key rejects it: for
-        one, ``speed`` shoots its reference c* with the library's defaults
-        whatever the wave keys say."""
-        value = "4, 16" if key == "gamma_list" else "0.01"
-        text = (BASE + (DOMAIN_HIGH if command == "compare" else "")
-                + f"\n[study]\n{key} = {value}\n")
+        """A subcommand that would ignore an ``[output]`` or ``[study]`` key
+        rejects it, naming the subcommands that read it: for one, ``speed``
+        shoots its reference c* with the library's defaults whatever the wave
+        keys say, and ``converge`` keeps no snapshot."""
+        section = "output" if key == "snapshot_interval" else "study"
+        value = {"gamma_list": "4, 16", "snapshot_interval": "0.5"}.get(key, "0.01")
+        text = (CORE + (DOMAIN_HIGH if command == "compare" else "")
+                + f"\n[{section}]\n{key} = {value}\n")
         path = write_config(tmp_path, text)
-        if key in STUDY_KEYS[command]:
-            assert key in ss.load_config(path, command).study
+        if key in COMMAND_KEYS[command]:
+            assert key in ss.load_config(path, command).raw[section]
         else:
             assert main([command, "--config", str(path), "--out", str(tmp_path / "o")]) == 2
-            assert (f"config error: unknown key '{key}' in section [study]"
-                    in capsys.readouterr().err)
+            readers = " or ".join(c for c, keys in COMMAND_KEYS.items() if key in keys)
+            assert (f"config error: [{section}] {key} is read only by {readers},"
+                    f" not {command}\n") in capsys.readouterr().err
 
-    def test_readme_config_reference_is_accepted(self, tmp_path):
-        """Every key of the README's ``ini`` block, commented ones included,
-        loads in its section, and its ``[study]`` part marks each key with the
-        one subcommand that reads it."""
-        block = README.read_text(encoding="utf-8").split("```ini\n", 1)[1]
-        rows, section = [], None
-        for line in block.split("```", 1)[0].splitlines():
-            entry, _, note = line.strip().removeprefix(";").partition(";")
-            if entry.startswith("["):
-                section = entry.strip()[1:-1]
-            elif "=" in entry:
-                key, _, value = entry.partition("=")
-                rows.append((section, key.strip(), value.strip(), note.strip()))
-        marked = {row[1]: row[3].partition(":")[0] for row in rows if row[0] == "study"}
-        assert {command: {key for key, by in marked.items() if by == command}
-                for command in STUDY_KEYS} == STUDY_KEYS
-        for command, keys in STUDY_KEYS.items():
-            sections = {}
-            for section, key, value, _ in rows:
-                if section != "study" or key in keys:
-                    sections.setdefault(section, []).append(f"{key} = {value}\n")
-            text = "".join(f"[{name}]\n" + "".join(lines)
-                           for name, lines in sections.items())
-            path = write_config(tmp_path,
-                                text + (DOMAIN_HIGH if command == "compare" else ""))
-            cfg = ss.load_config(path, command)
-            assert set(cfg.study) == keys
-            assert {(name, key) for name, items in cfg.raw.items() for key in items
-                    if name != "domain_high"} == {
-                (section, key) for section, key, *_ in rows
-                if section != "study" or key in keys}
+    def test_readme_config_block_loads_as_written(self, tmp_path):
+        """The README's ``ini`` block loads as written for the subcommands that
+        read its ``[output]`` keys, and ``simulate`` reads each key it sets."""
+        path = write_config(tmp_path, readme_block())
+        assert ss.load_config(path, "speed").snapshot_interval == 1.0
+        raw = ss.load_config(path, "simulate").raw
+        assert {(section, key) for section, items in raw.items() for key in items} == {
+            (section, key) for section, key, commented, _ in readme_rows() if not commented}
+
+    def test_readme_notes_match_the_table_of_keys(self):
+        """The README lists every key the parser accepts, and no other, each
+        under a note that names the kinds or subcommands that read it."""
+        assert {(section, key, condition)
+                for section, key, _, condition in readme_rows()} == table_notes()
+
+    def test_wave_and_converge_accept_model_keys_they_do_not_read(self, tmp_path):
+        """``wave`` reads no ``[model]`` key and ``converge`` only ``t_end``:
+        they accept the others without requiring them, and their ``[model]
+        kind`` selects no key, so the generalized model needs no gain there."""
+        no_model = CORE.replace("[model]\nkind = singular\ndt = 0.05\nt_end = 1.0\n", "")
+        cfg = ss.load_config(write_config(tmp_path, no_model), "wave")
+        assert (cfg.model, cfg.t_end, cfg.warnings) == (None, None, [])
+        t_end_only = CORE.replace("kind = singular\ndt = 0.05\n", "")
+        cfg = ss.load_config(write_config(tmp_path, t_end_only), "converge")
+        assert (cfg.model, cfg.t_end) == (None, 1.0)
+        with pytest.raises(ss.ConfigError) as exc:
+            ss.load_config(write_config(tmp_path, t_end_only), "simulate")
+        assert str(exc.value) == "[model] kind is required; [model] dt is required"
+        generalized = CORE.replace("kind = singular", "kind = generalized_singular")
+        for command in ("wave", "converge"):
+            cfg = ss.load_config(write_config(tmp_path, generalized), command)
+            assert cfg.raw["model"]["kind"] == "generalized_singular"
+            assert cfg.growth.gain is None
 
     def test_generalized_model_needs_gain(self, tmp_path):
         bad = BASE.replace("kind = singular", "kind = generalized_singular")
@@ -261,19 +325,47 @@ class TestLoadConfig:
 #: the subcommands' growth checks: (edits, subcommand, message fragment).
 GUARDS = {
     "logistic-without-capacity": ({"kind = linear": "kind = logistic"}, "simulate",
-                                  "[growth] capacity is required"),
+                                  "[growth] capacity is required for kind = logistic"),
     "growth-kind": ({"kind = linear": "kind = cubic"}, "simulate",
-                    "[growth] kind = 'cubic' is not supported"),
-    "gain-kind": ({"rate = 1.0": "rate = 1.0\ngain_kind = ramp"}, "simulate",
-                  "[growth] gain_kind must be 'constant'"),
-    "gain-without-value": ({"rate = 1.0": "rate = 1.0\ngain_kind = constant"},
-                           "simulate", "[growth] gain_value is required"),
+                    "[growth] kind = 'cubic' is not one of ('linear', 'logistic')"),
+    "gain-kind": ({"kind = singular": "kind = generalized_singular",
+                   "rate = 1.0": "rate = 1.0\ngain_kind = ramp"}, "simulate",
+                  "[growth] gain_kind = 'ramp' is not one of ('constant',)"),
+    "gain-without-value": ({"kind = singular": "kind = generalized_singular",
+                            "rate = 1.0": "rate = 1.0\ngain_kind = constant"}, "simulate",
+                           "[growth] gain_value is required for gain_kind = constant"),
+    # keys that the chosen kind or subcommand would ignore
+    "gamma-unread": ({"kind = singular": "kind = singular\ngamma = 128"}, "simulate",
+                     "[model] gamma is read only with kind = gamma\n"),
+    "gamma-missing": ({"kind = singular": "kind = gamma"}, "simulate",
+                      "[model] gamma is required for kind = gamma"),
+    "gamma-idle": ({"kind = singular": "kind = gamma\ngamma = 8"}, "converge",
+                   "[model] gamma is read only with kind = gamma, which converge does"
+                   " not read"),
+    "capacity-unread": ({"rate = 1.0": "rate = 1.0\ncapacity = 3.0"}, "converge",
+                        "[growth] capacity is read only with kind = logistic; [output]"
+                        " snapshot_interval is read only by simulate or speed, not"
+                        " converge\n"),
+    "gain-unread": ({"rate = 1.0": "rate = 1.0\ngain_kind = constant\ngain_value = 0.5"},
+                    "simulate", "[growth] gain_kind is read only with [model] kind ="
+                    " generalized_singular; [growth] gain_value is read only with"
+                    " gain_kind = constant\n"),
+    "initial-keys-unread": ({"ramp = 0.5": "ramp = 0.5\nsigma = 0.5\nvalue = 1.0"},
+                            "simulate", "[domain] sigma is read only with initial ="
+                            " gaussian_bump; [domain] value is read only with initial ="
+                            " constant\n"),
+    "snapshot-unread": ({}, "converge", "[output] snapshot_interval is read only by"
+                        " simulate or speed, not converge"),
     "growth-rate": ({"rate = 1.0": "rate = -1.0"}, "simulate",
                     "[growth] linear rate must be positive"),
     "initial-kind": ({"initial = ball_plateau": "initial = square"}, "simulate",
                      "[domain] initial = 'square' is not one of"),
     "initial-key-missing": ({"\nramp = 0.5": ""}, "simulate",
                             "[domain] ramp is required for initial = ball_plateau"),
+    "initial-keys-missing": ({"\nradius = 1.0\nramp = 0.5": "\nsigma = 0.5"}, "simulate",
+                             "[domain] sigma is read only with initial = gaussian_bump;"
+                             " [domain] radius is required for initial = ball_plateau;"
+                             " [domain] ramp is required for initial = ball_plateau\n"),
     "ramp-zero": ({"ramp = 0.5": "ramp = 0"}, "simulate",
                   "[domain] ramp must be positive"),
     "box-missing": ({"box_radius = 4.0\n": ""}, "simulate",
@@ -301,6 +393,29 @@ def test_config_guard_exits_2(tmp_path, capsys, case):
     assert main([command, "--config", str(write_config(tmp_path, text)),
                  "--out", str(tmp_path / "o")]) == 2
     assert f"config error: {message}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["simulate", "converge", "wave", "compare"])
+def test_every_ignored_setting_is_named(tmp_path, capsys, command):
+    """Settings of other kinds, which a run of the singular model with linear
+    growth from a plateau would ignore, fail every subcommand, each named with
+    the kind or subcommands that read it; ``snapshot_interval`` fails those
+    that keep no snapshot."""
+    text = BASE.replace("kind = singular", "kind = singular\ngamma = 128").replace(
+        "rate = 1.0", "rate = 1.0\ncapacity = 3.0\ngain_kind = constant\ngain_value = 0.5"
+    ).replace("ramp = 0.5", "ramp = 0.5\nsigma = 0.5\nvalue = 1.0")
+    path = write_config(tmp_path, text + (DOMAIN_HIGH if command == "compare" else ""))
+    assert main([command, "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    for named in ("gamma is read only with kind = gamma",
+                  "capacity is read only with kind = logistic",
+                  "gain_kind is read only with [model] kind = generalized_singular",
+                  "gain_value is read only with gain_kind = constant",
+                  "sigma is read only with initial = gaussian_bump",
+                  "value is read only with initial = constant"):
+        assert named in err
+    assert ("snapshot_interval is read only by simulate or speed" in err) == (
+        command != "simulate")
 
 
 class TestSimulateCommand:
@@ -537,13 +652,13 @@ class TestArtifactFormat:
         # while a None entry in sys.modules makes any scipy import raise
         speed = BASE.replace("box_radius = 4.0", "box_radius = 14.0").replace(
             "t_end = 1.0", "t_end = 12.0") + "\n[study]\ntolerance = 0.08\n"
-        converge = BASE.replace("t_end = 1.0", "t_end = 2.0").replace(
+        converge = CORE.replace("t_end = 1.0", "t_end = 2.0").replace(
             "dx = 0.05", "dx = 0.125") + "\n[study]\ngamma_list = 4,16\nthreshold = 0.2\n"
-        compare = BASE + ("\n[domain_high]\ninitial = ball_plateau\nheight = 1.0\n"
+        compare = CORE + ("\n[domain_high]\ninitial = ball_plateau\nheight = 1.0\n"
                           "radius = 1.0\nramp = 0.5\n")
         configs = [(command, 1, text) for command, text in (
             ("simulate", BASE), ("speed", speed), ("converge", converge),
-            ("compare", compare), ("wave", BASE))]
+            ("compare", compare), ("wave", CORE))]
         configs += [(command, 2, text.replace("dim = 1", "dim = 2").replace(
             "dx = 0.05", "dx = 0.25").replace("dx = 0.125", "dx = 0.25"))
             for command, _, text in configs]
@@ -579,7 +694,7 @@ for dim in (1, 2):
 
 class TestWaveCommand:
     def test_minimal_speed_artifacts(self, tmp_path):
-        cfg_path = write_config(tmp_path, BASE)
+        cfg_path = write_config(tmp_path, CORE)
         out = tmp_path / "wave"
         assert main(["wave", "--config", str(cfg_path), "--out", str(out)]) == 0
         payload = read_report(out, "minimal_speed")
@@ -600,7 +715,7 @@ class TestWaveCommand:
         ("s_max = -1", "s_max"),
     ])
     def test_bad_study_value_exits_2(self, tmp_path, capsys, line, message):
-        cfg_path = write_config(tmp_path, BASE + f"\n[study]\n{line}\n")
+        cfg_path = write_config(tmp_path, CORE + f"\n[study]\n{line}\n")
         assert main(["wave", "--config", str(cfg_path),
                      "--out", str(tmp_path / "w")]) == 2
         err = capsys.readouterr().err
@@ -612,36 +727,38 @@ class TestWaveCommand:
             raise AssertionError("find_c_star ran before s_max was checked")
 
         monkeypatch.setattr(cli, "find_c_star", no_search)
-        cfg_path = write_config(tmp_path, BASE + "\n[study]\ns_max = -1\n")
+        cfg_path = write_config(tmp_path, CORE + "\n[study]\ns_max = -1\n")
         assert main(["wave", "--config", str(cfg_path),
                      "--out", str(tmp_path / "w")]) == 2
         assert "config error: [study] s_max" in capsys.readouterr().err
 
-    def test_uncapped_growth_exits_2(self, tmp_path):
-        bad = BASE.replace("kind = linear\nrate = 1.0",
+    def test_uncapped_growth_exits_2(self, tmp_path, capsys):
+        bad = CORE.replace("kind = linear\nrate = 1.0",
                            "kind = logistic\nrate = 1.0\ncapacity = 1.2")
         cfg_path = write_config(tmp_path, bad)
         assert main(["wave", "--config", str(cfg_path),
                      "--out", str(tmp_path / "w")]) == 2
+        assert "requires monotone_cap growth" in capsys.readouterr().err
 
 
 class TestStudyCommands:
     def test_compare_equal_data_passes(self, tmp_path):
-        text = BASE + "\n[domain_high]\ninitial = ball_plateau\nheight = 1.0\nradius = 1.0\nramp = 0.5\n"
+        text = CORE + "\n[domain_high]\ninitial = ball_plateau\nheight = 1.0\nradius = 1.0\nramp = 0.5\n"
         cfg_path = write_config(tmp_path, text)
         out = tmp_path / "cmp"
         assert main(["compare", "--config", str(cfg_path), "--out", str(out)]) == 0
         payload = read_report(out, "compare_report")
         assert payload["max_violation"] == 0.0
 
-    def test_compare_unordered_data_exits_2(self, tmp_path):
-        text = BASE + "\n[domain_high]\ninitial = constant\nvalue = 0.2\n"
+    def test_compare_unordered_data_exits_2(self, tmp_path, capsys):
+        text = CORE + "\n[domain_high]\ninitial = constant\nvalue = 0.2\n"
         cfg_path = write_config(tmp_path, text)
         assert main(["compare", "--config", str(cfg_path),
                      "--out", str(tmp_path / "c2")]) == 2
+        assert "u_low <= u_high pointwise" in capsys.readouterr().err
 
     def test_converge_study_passes(self, tmp_path):
-        text = BASE.replace("t_end = 1.0", "t_end = 2.0").replace(
+        text = CORE.replace("t_end = 1.0", "t_end = 2.0").replace(
             "dx = 0.05", "dx = 0.125")
         text += "\n[study]\ngamma_list = 4,16\nthreshold = 0.2\n"
         cfg_path = write_config(tmp_path, text)
@@ -679,7 +796,7 @@ class TestStudyCommands:
 
     @pytest.mark.parametrize("gammas", ["8, 8", "8", "0.5, 8", "8, nan", "8, inf"])
     def test_bad_gamma_list_exits_2(self, tmp_path, capsys, gammas):
-        text = BASE + f"\n[study]\ngamma_list = {gammas}\n"
+        text = CORE + f"\n[study]\ngamma_list = {gammas}\n"
         cfg_path = write_config(tmp_path, text)
         assert main(["converge", "--config", str(cfg_path),
                      "--out", str(tmp_path / "g")]) == 2

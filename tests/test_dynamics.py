@@ -360,6 +360,28 @@ class TestRun:
         res = ss.run(u0, params, small1d[1], linear_g, snapshot_interval=interval)
         assert res.times == [0.0] + [clock[k - 1] for k in sorted(expected)]
 
+    @settings(derandomize=True, database=None, deadline=None, max_examples=200)
+    @given(st.integers(1, 999), st.integers(1, 5), st.integers(5_000, 50_000),
+           st.one_of(st.just(0), st.integers(1, 99)))
+    # dt = 0.011 to 70.4, 0.022 to 140.8 and 0.009 to 450 took a last step of
+    # about 1e-14 when the slack was absolute
+    @example(11, 3, 6400, 0)
+    @example(22, 3, 6400, 0)
+    @example(9, 3, 50000, 0)
+    def test_step_count_matches_exact_count(self, mantissa, exp, n, hundredths):
+        """``t_end = (n + hundredths / 100) * dt``, both written as decimals,
+        takes the exact count of steps: ``n`` whole ones, then a shorter one
+        when ``hundredths > 0``, and no step of a few ulps from rounding."""
+        dt_q = Fraction(mantissa, 10 ** exp)
+        t_end_q = dt_q * (n + Fraction(hundredths, 100))
+        params = ss.ModelParams(model="singular", dt=float(dt_q), t_end=float(t_end_q))
+        steps, last = ss.dynamics._step_count(params)
+        assert steps == -(-t_end_q // dt_q)
+        if hundredths:
+            assert last == pytest.approx(float(t_end_q - n * dt_q), rel=1e-6)
+        else:
+            assert last == params.dt
+
     def test_monotonicity_and_bounds_monitors(self, small1d, linear_g):
         _, st = small1d
         u0 = ss.grid_field(4.0, 0.125, 1, seed_plateau(1.0, 0.5))

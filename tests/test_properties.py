@@ -175,6 +175,9 @@ def test_euler_steps_yield_contract(case):
                               bits(prev.values.ravel()[off]))
         joined = ss.saturated_mask(u.values) & ~ss.saturated_mask(prev.values)
         assert np.array_equal(np.sort(newly), joined.ravel().nonzero()[0])
+        # a clamped cell joins S on its step, in every model, so ``run``
+        # counts clamps on event steps only
+        assert np.isin(written[proposed > 1.0], newly).all()
         prev = u.copy()
     assert n == n_steps
 
@@ -183,6 +186,54 @@ def test_euler_steps_yield_contract(case):
     ss.comparison_harness(lower, u0, params, stencil, growth)
     ss.gamma_convergence_study(u0, [1.0, 2.0], stencil, growth, horizon=params.dt)
     assert np.array_equal(bits(u0.values), bits(kept)) and u0.time == 0.0
+
+
+@st.composite
+def tabulated_cases(draw):
+    """A saturated model under a random capped table (``g(0) = 0``, every
+    value in ``(0, g(1)]``) from one or two plateaus in 1-d or 2-d."""
+    nodes = [0.0, *sorted(draw(st.sets(st.floats(0.05, 0.95), max_size=4))), 1.0]
+    g1 = draw(st.floats(0.2, 3.0))
+    inner = [draw(st.floats(0.01, 1.0)) * g1 for _ in nodes[1:-1]]
+    growth = ss.tabulated_growth(nodes, [0.0, *inner, g1])
+    assert growth.monotone_cap
+    model = draw(st.sampled_from(["singular", "generalized_singular"]))
+    if model == "generalized_singular":
+        growth = growth.with_gain(ss.constant_gain(draw(st.floats(0.1, 1.0))))
+    dim = draw(st.sampled_from([1, 2]))
+    box = draw(st.sampled_from(BOXES[dim]))
+    values = np.zeros(ss.grid_field(box, DX, dim).shape)
+    for _ in range(draw(st.integers(1, 2))):
+        centre = np.zeros(dim)
+        centre[0] = draw(st.floats(-box, box))
+        plateau = seed_plateau(draw(st.floats(0.0, 1.0)), draw(st.floats(0.05, 1.0)))
+        height = draw(st.one_of(st.just(1.0), st.floats(0.1, 1.0)))
+        grid = ss.grid_field(box, DX, dim)
+        values = np.maximum(values, height * plateau(
+            np.linalg.norm(grid.coords() - centre, axis=-1)))
+    dt = ss.stability_cap(model, growth) * draw(st.sampled_from([1.0, 0.5]))
+    params = ss.ModelParams(model=model, dt=dt, t_end=draw(st.integers(1, 40)) * dt)
+    return ss.GridField(values, DX, grid.origin), params, STENCILS[dim], growth
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=80)
+@given(tabulated_cases())
+def test_exact_invariants_under_tabulated_laws(case):
+    """On every step under a capped tabulated law: ``0 <= u <= 1``,
+    ``rhs >= 0`` and ``after >= before`` on the band, exactly; and a cell of
+    ``S`` stays at 1.0 and is never reported as joining it."""
+    u0, params, stencil, growth = case
+    sat = ss.saturated_mask(u0.values).ravel()
+    for u, before, after, _, rhs, _, newly, _ in ss.dynamics._euler_steps(
+            u0, params, stencil, growth):
+        assert np.all(after >= 0.0) and np.all(after <= 1.0)
+        assert np.all(rhs >= 0.0)
+        assert np.all(after >= before)
+        assert not sat[newly].any()
+        assert np.all(u.values.ravel()[sat] == 1.0)
+        assert np.all((u.values >= 0.0) & (u.values <= 1.0))
+        sat = sat.copy()
+        sat[newly] = True
 
 
 @settings(derandomize=True, database=None, deadline=None, max_examples=60)

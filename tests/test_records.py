@@ -56,8 +56,8 @@ RECORDS = [
      dict(time=0.0), False),
     (ss.RunResult, dict(final=FIELD, saturation_time=ARRAY, times=[0.0],
                         snapshots=[ARRAY], clamped_total=0, monitors={}), {}, False),
-    (ss.RunConfig, dict(model=ss.ModelParams("singular", 0.05, 1.0), kernel=KERNEL,
-                        stencil=STENCIL, growth=LAW, box_radius=1.0,
+    (ss.RunConfig, dict(model=ss.ModelParams("singular", 0.05, 1.0), t_end=1.0,
+                        kernel=KERNEL, stencil=STENCIL, growth=LAW, box_radius=1.0,
                         initial_spec={}, initial_high_spec=None, output_dir="out",
                         snapshot_interval=None, study={}, raw={"model": {}},
                         warnings=["w"]), dict(raw={}, warnings=[]), False),
