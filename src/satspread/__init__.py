@@ -20,8 +20,7 @@ from .dynamics import (GridField, ModelParams, RunResult, discrete_lipschitz,
                        model_rhs, obstacle_residual, rhs_gamma, rhs_singular,
                        run, saturated_mask, stability_cap, step)
 from .errors import BracketError, InvariantViolation, ScientificError
-from .growth import (GainLaw, GrowthError, GrowthLaw, constant_gain,
-                     linear_growth, logistic_growth, tabulated_gain,
+from .growth import (GrowthError, GrowthLaw, linear_growth, logistic_growth,
                      tabulated_growth)
 from .kernels import (CapInequalityReport, ConvolutionStencil,
                       FrontKernelProfile, Kernel, KernelError, QuadratureError,

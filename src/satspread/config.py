@@ -29,8 +29,7 @@ _READS = {
     "kernel": (("kind", "ell", "dim", "dx"), {}),
     "growth": (("kind", "rate"),
                {("growth", "kind"): {"linear": (), "logistic": ("capacity",)},
-                ("model", "kind"): {"generalized_singular": ("gain_kind",)},
-                ("growth", "gain_kind"): {"constant": ("gain_value",)}}),
+                ("model", "kind"): {"generalized_singular": ("gain_value",)}}),
     "domain": (("box_radius", "initial"), {("domain", "initial"): _INITIAL_KEYS}),
     "domain_high": (("initial",), {("domain_high", "initial"): _INITIAL_KEYS}),
 }
@@ -47,8 +46,8 @@ _COMMAND_KEYS = {
              "study": ("wave_tol", "ode_step", "sample_spacing", "s_max")},
 }
 #: The type of each key that holds no float; every float must be finite.
-_TYPES = {"kind": "str", "initial": "str", "gain_kind": "str", "directory": "str",
-          "dim": "int", "gamma_list": "float_list"}
+_TYPES = {"kind": "str", "initial": "str", "directory": "str", "dim": "int",
+          "gamma_list": "float_list"}
 
 
 class RunConfig:
@@ -187,8 +186,8 @@ def load_config(path: str | Path, command: str = "simulate") -> RunConfig:
     try:
         growth = (growth_mod.linear_growth(grow["rate"]) if grow["kind"] == "linear"
                   else growth_mod.logistic_growth(grow["rate"], grow["capacity"]))
-        if "gain_kind" in grow:
-            growth = growth.with_gain(growth_mod.constant_gain(grow["gain_value"]))
+        if "gain_value" in grow:
+            growth = growth.with_gain(grow["gain_value"])
     except growth_mod.GrowthError as exc:
         raise ConfigError(f"[growth] {exc}") from exc
 

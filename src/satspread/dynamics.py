@@ -116,7 +116,7 @@ def stability_cap(model: str, growth: GrowthLaw, gamma: float | None = None) -> 
     if model == "generalized_singular":
         if growth.gain is None:
             raise ValueError("generalized model requires a gain law")
-        rate = growth.sup + growth.gain.sup
+        rate = growth.sup + growth.gain
     return _CAP_FACTOR / max(L, rate)
 
 
@@ -162,25 +162,24 @@ def _saturated_bracket(values: np.ndarray, conv: np.ndarray, growth: GrowthLaw,
     if generalized:
         if growth.gain is None:
             raise ValueError("generalized model requires a gain law")
-        return g + np.asarray(growth.gain(values), dtype=float) * conv
+        return g + growth.gain * conv
     return g * (1.0 - conv) + growth.g1 * conv
 
 
 class _Band(NamedTuple):
     """Cells where the saturated-model rhs can be nonzero, with the terms of
-    that rhs which change only when a cell joins ``S``."""
+    that rhs, ``g(u) * free + spill``, which change only when a cell joins
+    ``S``; ``c`` is ``K * 1_S`` clipped to [0, 1]."""
 
     cells: np.ndarray  # flat indices
-    conv: np.ndarray  # K * 1_S at the cells, clipped to [0, 1]
-    free: np.ndarray  # (1 - K * 1_S) * (1 - 1_S) at the cells
-    spill: np.ndarray  # g(1) * K * 1_S * (1 - 1_S) at the cells
-    unsaturated: np.ndarray  # 1 - 1_S at the cells
+    free: np.ndarray  # (1 - c)(1 - 1_S); generalized: 1 - 1_S
+    spill: np.ndarray  # g(1) c (1 - 1_S); generalized: gain * c (1 - 1_S)
 
 
 def _band(sat: np.ndarray, mask_conv: np.ndarray, values: np.ndarray,
-          grown: np.ndarray, box: tuple[slice, ...], g1: float) -> _Band:
-    """The stepping band of the saturated models, given ``mask_conv = K * 1_S``
-    and ``g1 = g(1)``.
+          grown: np.ndarray, box: tuple[slice, ...], growth: GrowthLaw,
+          generalized: bool) -> _Band:
+    """The stepping band of the saturated models, given ``mask_conv = K * 1_S``.
 
     It holds the unsaturated cells with ``u > 0`` or ``K * 1_S > 0``, dilated
     by one cell along each axis, which adds the saturated cells that border
@@ -198,7 +197,8 @@ def _band(sat: np.ndarray, mask_conv: np.ndarray, values: np.ndarray,
     grid with ``grown`` all False, this builds the band from scratch.
     ``K * 1_S``, a sum of nonnegative terms started at +0.0, needs no clip
     below.  ``free`` and ``spill`` carry ``1 - 1_S``: 1.0 off ``S``, where
-    they keep their bits, and 0.0 on ``S``, where the step keeps ``u``.
+    they keep the bits of ``_saturated_bracket``, and 0.0 on ``S``, where the
+    step keeps ``u``.
     """
     # The cells of the box read their neighbours: one cell more per side.
     near = tuple(slice(max(b.start - 1, 0), b.stop + 1) for b in box)
@@ -214,8 +214,9 @@ def _band(sat: np.ndarray, mask_conv: np.ndarray, values: np.ndarray,
     cells = grown.ravel().nonzero()[0]
     conv = np.minimum(mask_conv.ravel()[cells], 1.0)
     unsaturated = 1.0 - sat.ravel()[cells]
-    return _Band(cells, conv, (1.0 - conv) * unsaturated, g1 * conv * unsaturated,
-                 unsaturated)
+    if generalized:
+        return _Band(cells, unsaturated, growth.gain * conv * unsaturated)
+    return _Band(cells, (1.0 - conv) * unsaturated, growth.g1 * conv * unsaturated)
 
 
 def rhs_singular(u: GridField, stencil: ConvolutionStencil, growth: GrowthLaw,
@@ -236,8 +237,6 @@ def model_rhs(u: GridField, params: ModelParams, stencil: ConvolutionStencil,
         return rhs_gamma(u, stencil, growth, params.gamma)
     if band is None:
         return rhs_singular(u, stencil, growth, params.model == "generalized_singular")
-    if params.model == "generalized_singular":
-        return _saturated_bracket(values, band.conv, growth, True) * band.unsaturated
     # _saturated_bracket's operations, with the band's terms (1 - 1_S folded in)
     return growth.fn(values) * band.free + band.spill
 
@@ -320,8 +319,9 @@ def _euler_steps(u0: GridField, params: ModelParams, stencil: ConvolutionStencil
         # K * 1_S and the band, brought up to date as cells join S.
         mask_conv = convolve_field(stencil, sat.astype(float))
         grown = np.zeros(sat.shape, dtype=bool)
+        generalized = params.model == "generalized_singular"
         band = _band(sat, mask_conv, u.values, grown,
-                     tuple(slice(0, n) for n in sat.shape), growth.g1)
+                     tuple(slice(0, n) for n in sat.shape), growth, generalized)
         cells = band.cells
     sat_band = sat.ravel()[cells]
 
@@ -356,7 +356,8 @@ def _euler_steps(u0: GridField, params: ModelParams, stencil: ConvolutionStencil
             if band is not None:
                 add_to_mask_convolution(stencil, mask_conv, sat, newly)
                 band = _band(sat, mask_conv, u.values, grown,
-                             _around(newly, sat.shape, stencil.reach + 1), growth.g1)
+                             _around(newly, sat.shape, stencil.reach + 1), growth,
+                             generalized)
                 cells = band.cells
             sat_band = sat.ravel()[cells]
         yield u, before, after, lo, rhs, proposed, newly, written

@@ -1,4 +1,4 @@
-"""Growth laws with certified constants, plus optional gain laws."""
+"""Growth laws with certified constants, plus an optional gain rate."""
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -12,44 +12,15 @@ class GrowthError(ValueError):
     """Growth specification violates the model assumptions."""
 
 
-class GainLaw(NamedTuple):
-    """Secondary rate applied to the saturated-neighborhood term.
-
-    Must be nonnegative with a positive value at zero density, which is what
-    starts the spatial expansion in the generalized model.
-    """
-
-    kind: str
-    sup: float
-    fn: Callable[[np.ndarray], np.ndarray]
-
-    def __call__(self, u):
-        return self.fn(u)
-
-
-def constant_gain(value: float) -> GainLaw:
-    if value <= 0:
-        raise GrowthError("gain must be positive at zero density")
-    return GainLaw(kind="constant", sup=float(value),
-                   fn=lambda u, _v=float(value): np.full_like(np.asarray(u, dtype=float), _v))
-
-
-def tabulated_gain(u_nodes, values) -> GainLaw:
-    u_nodes = np.asarray(u_nodes, dtype=float)
-    values = np.asarray(values, dtype=float)
-    _check_table(u_nodes, values)
-    if values[0] <= 0:
-        raise GrowthError("gain must be positive at zero density")
-    fn = lambda u, _x=u_nodes, _y=values: np.interp(u, _x, _y)
-    return GainLaw(kind="tabulated", sup=float(values.max()), fn=fn)
-
-
 class GrowthLaw(NamedTuple):
     """Rate of growth g on [0, 1] together with certified constants.
 
     ``r`` bounds g(u) >= r*u from below on (0, 1]; ``lipschitz`` bounds |g'|;
     ``monotone_cap`` certifies g(u) <= g(1) everywhere, the assumption behind
     the comparison principle.
+
+    ``gain``, read by the generalized model only, is the constant rate, in
+    ``(0, inf)``, of the mass that arrives from ``S`` (it multiplies ``K * 1_S``).
 
     ``fn`` is one expression, valid on a Python float and on a float array,
     with the same operations in the same order on either: ``fn(float(x)) ==
@@ -63,14 +34,17 @@ class GrowthLaw(NamedTuple):
     sup: float
     g1: float
     monotone_cap: bool
-    gain: GainLaw | None = None
+    gain: float | None = None
     fn: Callable[[np.ndarray], np.ndarray] = None
 
     def __call__(self, u):
         return self.fn(np.asarray(u, dtype=float))
 
-    def with_gain(self, gain: GainLaw) -> "GrowthLaw":
-        return self._replace(gain=gain)
+    def with_gain(self, gain: float) -> "GrowthLaw":
+        # Written so that NaN fails the test: every comparison with NaN is False.
+        if not 0.0 < gain < np.inf:
+            raise GrowthError("gain must be positive at zero density")
+        return self._replace(gain=float(gain))
 
     def scaled(self, factor: float) -> "GrowthLaw":
         """Multiply the rate by a positive factor (rescales time)."""
@@ -79,6 +53,7 @@ class GrowthLaw(NamedTuple):
         return self._replace(params=self.params + (factor,), r=self.r * factor,
                              lipschitz=self.lipschitz * factor, sup=self.sup * factor,
                              g1=self.g1 * factor,
+                             gain=None if self.gain is None else self.gain * factor,
                              fn=lambda u, _f=self.fn, _a=factor: _a * _f(u))
 
 

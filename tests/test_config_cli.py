@@ -316,9 +316,9 @@ class TestLoadConfig:
         bad = BASE.replace("kind = singular", "kind = generalized_singular")
         with pytest.raises(ss.ConfigError, match="gain"):
             ss.load_config(write_config(tmp_path, bad))
-        good = bad.replace("rate = 1.0", "rate = 1.0\ngain_kind = constant\ngain_value = 0.5")
+        good = bad.replace("rate = 1.0", "rate = 1.0\ngain_value = 0.5")
         cfg = ss.load_config(write_config(tmp_path, good))
-        assert cfg.growth.gain is not None
+        assert cfg.growth.gain == 0.5
 
 
 #: One config edit per guard of ``load_config``, ``build_initial_field`` and
@@ -328,12 +328,9 @@ GUARDS = {
                                   "[growth] capacity is required for kind = logistic"),
     "growth-kind": ({"kind = linear": "kind = cubic"}, "simulate",
                     "[growth] kind = 'cubic' is not one of ('linear', 'logistic')"),
-    "gain-kind": ({"kind = singular": "kind = generalized_singular",
-                   "rate = 1.0": "rate = 1.0\ngain_kind = ramp"}, "simulate",
-                  "[growth] gain_kind = 'ramp' is not one of ('constant',)"),
-    "gain-without-value": ({"kind = singular": "kind = generalized_singular",
-                            "rate = 1.0": "rate = 1.0\ngain_kind = constant"}, "simulate",
-                           "[growth] gain_value is required for gain_kind = constant"),
+    "gain-without-value": ({"kind = singular": "kind = generalized_singular"}, "simulate",
+                           "[growth] gain_value is required for [model] kind ="
+                           " generalized_singular"),
     # keys that the chosen kind or subcommand would ignore
     "gamma-unread": ({"kind = singular": "kind = singular\ngamma = 128"}, "simulate",
                      "[model] gamma is read only with kind = gamma\n"),
@@ -346,10 +343,9 @@ GUARDS = {
                         "[growth] capacity is read only with kind = logistic; [output]"
                         " snapshot_interval is read only by simulate or speed, not"
                         " converge\n"),
-    "gain-unread": ({"rate = 1.0": "rate = 1.0\ngain_kind = constant\ngain_value = 0.5"},
-                    "simulate", "[growth] gain_kind is read only with [model] kind ="
-                    " generalized_singular; [growth] gain_value is read only with"
-                    " gain_kind = constant\n"),
+    "gain-unread": ({"rate = 1.0": "rate = 1.0\ngain_value = 0.5"}, "simulate",
+                    "[growth] gain_value is read only with [model] kind ="
+                    " generalized_singular\n"),
     "initial-keys-unread": ({"ramp = 0.5": "ramp = 0.5\nsigma = 0.5\nvalue = 1.0"},
                             "simulate", "[domain] sigma is read only with initial ="
                             " gaussian_bump; [domain] value is read only with initial ="
@@ -402,15 +398,14 @@ def test_every_ignored_setting_is_named(tmp_path, capsys, command):
     the kind or subcommands that read it; ``snapshot_interval`` fails those
     that keep no snapshot."""
     text = BASE.replace("kind = singular", "kind = singular\ngamma = 128").replace(
-        "rate = 1.0", "rate = 1.0\ncapacity = 3.0\ngain_kind = constant\ngain_value = 0.5"
+        "rate = 1.0", "rate = 1.0\ncapacity = 3.0\ngain_value = 0.5"
     ).replace("ramp = 0.5", "ramp = 0.5\nsigma = 0.5\nvalue = 1.0")
     path = write_config(tmp_path, text + (DOMAIN_HIGH if command == "compare" else ""))
     assert main([command, "--config", str(path), "--out", str(tmp_path / "o")]) == 2
     err = capsys.readouterr().err
     for named in ("gamma is read only with kind = gamma",
                   "capacity is read only with kind = logistic",
-                  "gain_kind is read only with [model] kind = generalized_singular",
-                  "gain_value is read only with gain_kind = constant",
+                  "gain_value is read only with [model] kind = generalized_singular",
                   "sigma is read only with initial = gaussian_bump",
                   "value is read only with initial = constant"):
         assert named in err

@@ -95,7 +95,7 @@ class TestModelParams:
     def test_stability_caps(self, linear_g):
         assert ss.stability_cap("gamma", linear_g, 8.0) == pytest.approx(0.1 / 8.0)
         assert ss.stability_cap("singular", linear_g) == pytest.approx(0.1)
-        gained = linear_g.with_gain(ss.constant_gain(1.0))
+        gained = linear_g.with_gain(1.0)
         assert ss.stability_cap("generalized_singular", gained) == pytest.approx(0.05)
 
 
@@ -220,7 +220,7 @@ class TestRhsSingular:
 
     def test_generalized_model(self, small1d):
         _, st = small1d
-        g = ss.linear_growth(1.0).with_gain(ss.constant_gain(0.5))
+        g = ss.linear_growth(1.0).with_gain(0.5)
         a = 0.4
         u = field1d(np.full(33, a))
         rhs = ss.rhs_singular(u, st, g, generalized=True)
@@ -232,7 +232,7 @@ class TestRhsSingular:
         conv = ss.convolve_mask(st, (vals >= 1.0).astype(float))
         expected = a + 0.5 * conv[30]
         assert rhs[30] == pytest.approx(expected, abs=1e-14)
-        assert rhs.max() <= g.sup + g.gain.sup + 1e-12
+        assert rhs.max() <= g.sup + g.gain + 1e-12
 
     def test_saturated_state_is_stationary(self, small1d, linear_g):
         _, st = small1d
@@ -445,7 +445,7 @@ class TestRun:
 
     def test_generalized_model_spreads_and_keeps_invariants(self, small1d):
         _, st = small1d
-        g = ss.linear_growth(1.0).with_gain(ss.constant_gain(0.5))
+        g = ss.linear_growth(1.0).with_gain(0.5)
         u0 = ss.grid_field(3.0, 0.125, 1, seed_plateau(0.5, 0.25))
         params = ss.ModelParams(model="generalized_singular", dt=0.05, t_end=4.0)
         res = ss.run(u0, params, st, g, snapshot_interval=1.0)
@@ -453,6 +453,22 @@ class TestRun:
         assert res.monitors["max_u"] <= 1.0
         support0 = np.count_nonzero(u0.values > 0)
         assert np.count_nonzero(res.final.values > 0) > support0
+
+    @pytest.mark.parametrize("model", ["singular", "generalized_singular"])
+    def test_scaled_law_runs_in_rescaled_time(self, small1d, model):
+        """``scaled(2)`` doubles every rate, the gain included, so a run at
+        half the ``dt`` to half the ``t_end`` ends on the same bits, with
+        half the saturation times."""
+        _, st = small1d
+        g = ss.logistic_growth(1.0, 3.0).with_gain(0.5)
+        u0 = ss.grid_field(4.0, 0.125, 1, seed_plateau(0.5, 0.25))
+        params = ss.ModelParams(model=model, dt=0.05, t_end=2.0)
+        slow = ss.run(u0, params, st, g)
+        fast = ss.run(u0, params._replace(dt=0.025, t_end=1.0), st, g.scaled(2.0))
+        assert np.count_nonzero(np.isfinite(slow.saturation_time)) > np.count_nonzero(
+            u0.values >= 1.0)
+        assert np.array_equal(fast.final.values, slow.final.values)
+        assert np.array_equal(2.0 * fast.saturation_time, slow.saturation_time)
 
     def test_time_shifted_states_stay_ordered(self, small1d, linear_g):
         _, st = small1d
@@ -485,7 +501,7 @@ def step_loop(u0, params, stencil, growth):
     return u.values, sat_time
 
 
-GAINED = ss.linear_growth(1.0).with_gain(ss.constant_gain(0.5))
+GAINED = ss.linear_growth(1.0).with_gain(0.5)
 
 #: (model, dim, box radius, t_end, growth); the small boxes saturate up to
 #: the box edge.

@@ -85,22 +85,16 @@ def test_growth_must_vanish_exactly_at_zero():
 
 
 class TestGain:
-    def test_constant_gain(self):
-        gain = ss.constant_gain(0.4)
-        assert gain.sup == 0.4
-        assert np.all(np.asarray(gain(np.linspace(0, 1, 5))) == 0.4)
-        with pytest.raises(ss.GrowthError):
-            ss.constant_gain(0.0)
-
-    def test_tabulated_gain_requires_positive_start(self):
-        gain = ss.tabulated_gain([0.0, 1.0], [0.5, 0.1])
-        assert gain.sup == 0.5
-        with pytest.raises(ss.GrowthError):
-            ss.tabulated_gain([0.0, 1.0], [0.0, 0.5])
+    def test_gain_must_be_positive_and_finite(self):
+        law = ss.linear_growth(1.0)
+        for bad in (np.nan, np.inf, 0.0, -0.5):
+            with pytest.raises(ss.GrowthError, match="gain must be positive"):
+                law.with_gain(bad)
+        assert law.with_gain(1e300).gain == 1e300
 
     def test_with_gain_keeps_growth_constants(self):
-        g = ss.linear_growth(1.0).with_gain(ss.constant_gain(0.3))
-        assert g.gain is not None and g.gain.sup == 0.3
+        g = ss.linear_growth(1.0).with_gain(0.3)
+        assert type(g.gain) is float and g.gain == 0.3
         assert g.sup == 1.0
 
 

@@ -34,7 +34,7 @@ def cases(draw):
     model = draw(st.sampled_from(ss.dynamics.MODEL_KINDS))
     gamma = None
     if model == "generalized_singular":
-        growth = growth.with_gain(ss.constant_gain(draw(st.floats(0.1, 1.0))))
+        growth = growth.with_gain(draw(st.floats(0.1, 1.0)))
     if model == "gamma":
         gamma = draw(st.floats(1.0, 8.0))
     dt = ss.stability_cap(model, growth, gamma) * draw(st.sampled_from([1.0, 0.5]))
@@ -88,7 +88,7 @@ def test_run_equals_direct_step_loop_where_density_falls(model):
     count are still the direct loop's, with a positive gap."""
     growth = sagging_growth()
     if model == "generalized_singular":
-        growth = growth.with_gain(ss.constant_gain(0.5))
+        growth = growth.with_gain(0.5)
     dt, n_steps = ss.stability_cap(model, growth), 12
     params = ss.ModelParams(model=model, dt=dt, t_end=n_steps * dt)
     plateau = seed_plateau(1.0, 0.5)
@@ -188,6 +188,41 @@ def test_euler_steps_yield_contract(case):
     assert np.array_equal(bits(u0.values), bits(kept)) and u0.time == 0.0
 
 
+@settings(derandomize=True, database=None, deadline=None, max_examples=150)
+@given(cases(), st.floats(0.0, 1.0), st.integers(-24, 24))
+def test_comparison_principle_on_ordered_pairs(case, scale, shift):
+    """Under a capped law, data below ``u0`` stay below its run at every
+    step of a saturated model, to ``COMPARISON_TOL``: the lower data are the
+    least of ``u0`` scaled down and ``u0`` moved along axis 0.  The pairs of
+    the finite-pressure model are run too, but that model does not keep the
+    order (see ``test_finite_pressure_model_does_not_keep_the_order``)."""
+    u0, params, stencil, growth, n_steps = case
+    lower = ss.GridField(np.minimum(scale * u0.values, shifted(u0, shift).values),
+                         u0.spacing, u0.origin)
+    report = ss.comparison_harness(lower, u0, params, stencil, growth)
+    assert report.n_steps == n_steps and report.tolerance == ss.analysis.COMPARISON_TOL
+    assert report.passed or params.model == "gamma", report
+
+
+def test_finite_pressure_model_does_not_keep_the_order():
+    """A cell at 0.5 among neighbours at 0.1 grows more slowly than among
+    empty ones: with ``p = u`` each neighbour ``j`` blocks ``g(0.5) p_j`` of
+    its growth and sends back only ``g(u_j) p_j``.  So the pair crosses on the
+    first step, by ``dt (1 - w0) 0.02`` (``w0`` the centre weight), in the
+    finite-pressure model; the singular model keeps it ordered."""
+    stencil = STENCILS[1]
+    high = ss.grid_field(2.0, DX, 1, lambda r: np.where(r == 0.0, 0.5, 0.1))
+    low = ss.GridField(np.where(high.values == 0.5, 0.5, 0.0), DX, high.origin)
+    growth = ss.linear_growth(1.0)
+    w0 = float(stencil.weights[stencil.offsets[:, 0] == 0][0])
+    params = ss.ModelParams("gamma", dt=0.1, t_end=0.1, gamma=1.0)
+    report = ss.comparison_harness(low, high, params, stencil, growth)
+    assert not report.passed
+    assert report.max_violation == pytest.approx(0.1 * (1 - w0) * 0.02, rel=1e-9)
+    params = ss.ModelParams("singular", dt=0.1, t_end=2.0)
+    assert ss.comparison_harness(low, high, params, stencil, growth).passed
+
+
 @st.composite
 def tabulated_cases(draw):
     """A saturated model under a random capped table (``g(0) = 0``, every
@@ -199,7 +234,7 @@ def tabulated_cases(draw):
     assert growth.monotone_cap
     model = draw(st.sampled_from(["singular", "generalized_singular"]))
     if model == "generalized_singular":
-        growth = growth.with_gain(ss.constant_gain(draw(st.floats(0.1, 1.0))))
+        growth = growth.with_gain(draw(st.floats(0.1, 1.0)))
     dim = draw(st.sampled_from([1, 2]))
     box = draw(st.sampled_from(BOXES[dim]))
     values = np.zeros(ss.grid_field(box, DX, dim).shape)
@@ -262,7 +297,8 @@ def test_band_after_each_event_equals_full_rebuild(case, negative_zeros):
             sat = ss.saturated_mask(u.values)
             conv = ss.convolve_field(stencil, sat.astype(float))
             band = ss.dynamics._band(sat, conv, u.values, np.zeros(sat.shape, dtype=bool),
-                                     tuple(slice(0, n) for n in sat.shape), growth.g1)
+                                     tuple(slice(0, n) for n in sat.shape), growth,
+                                     params.model == "generalized_singular")
             rebuilt = band.cells, u.values.ravel().copy(), conv.ravel()
 
 

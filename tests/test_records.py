@@ -15,9 +15,8 @@ KERNEL, STENCIL = ss.build_kernel("indicator_ball", 1.0, 1, 0.25)
 #: Each class with its fields in constructor order, sample values for all of
 #: them, the defaults of the trailing optional ones, and whether it is frozen.
 RECORDS = [
-    (ss.GainLaw, dict(kind="constant", sup=0.5, fn=abs), {}, True),
     (ss.GrowthLaw, dict(kind="linear", params=(1.0,), r=1.0, lipschitz=1.0, sup=1.0,
-                        g1=1.0, monotone_cap=True, gain=ss.constant_gain(0.5),
+                        g1=1.0, monotone_cap=True, gain=0.5,
                         fn=abs), dict(gain=None, fn=None), True),
     (ss.Kernel, dict(kind="indicator_ball", radius=1.0, dim=1, profile=abs), {}, True),
     (ss.ConvolutionStencil, dict(offsets=ARRAY, weights=ARRAY, grid_spacing=0.25,
@@ -118,9 +117,9 @@ def test_run_config_defaults_are_not_shared():
 
 
 def test_growth_law_with_gain_and_scaled():
-    gain = ss.constant_gain(0.5)
+    gain = 0.5
     gained = LAW.with_gain(gain)
-    assert type(gained) is ss.GrowthLaw and gained.gain is gain
+    assert type(gained) is ss.GrowthLaw and gained.gain == gain
     assert gained == ss.GrowthLaw(kind=LAW.kind, params=LAW.params, r=LAW.r,
                                   lipschitz=LAW.lipschitz, sup=LAW.sup, g1=LAW.g1,
                                   monotone_cap=LAW.monotone_cap, gain=gain, fn=LAW.fn)
@@ -133,3 +132,4 @@ def test_growth_law_with_gain_and_scaled():
     assert np.array_equal(scaled(u), 2.0 * LAW(u))
     with pytest.raises(ss.GrowthError):
         LAW.scaled(0.0)
+    assert gained.scaled(2.0).gain == 1.0
