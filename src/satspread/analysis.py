@@ -5,11 +5,9 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .dynamics import (GridField, ModelParams, RunResult, _euler_steps,
-                       rhs_singular, run, stability_cap)
+from .dynamics import GridField, ModelParams, RunResult, _euler_steps, run, stability_cap
 from .growth import GrowthLaw
-from .kernels import ConvolutionStencil, Kernel, front_profile
-from .waves import WaveProfile, sample_wave
+from .kernels import ConvolutionStencil
 
 #: Densities above this count as support.
 SUPPORT_FLOOR = 1e-12
@@ -58,14 +56,18 @@ def track_fronts(result: RunResult, direction=None) -> FrontTrack:
                       radius_support=np.asarray(r_sup))
 
 
+def _check_window_fraction(window_fraction: float) -> None:
+    if not 0.0 < window_fraction <= 0.5:
+        raise ValueError("window_fraction must lie in (0, 0.5]")
+
+
 def estimate_speed(track: FrontTrack, window_fraction: float = 0.5) -> SpeedEstimate:
     """Least-squares slope of the saturated radius over the trailing window.
 
     The window never extends into the first half of the run, which removes
     the start-up delay before the front settles into linear motion.
     """
-    if not 0.0 < window_fraction <= 0.5:
-        raise ValueError("window_fraction must lie in (0, 0.5]")
+    _check_window_fraction(window_fraction)
     t_end = float(track.times[-1])
     t_start = t_end * (1.0 - window_fraction)
     sel = track.times >= t_start - 1e-12
@@ -112,76 +114,6 @@ def comparison_harness(u0_low: GridField, u0_high: GridField,
                             n_steps=n_steps, tolerance=COMPARISON_TOL)
 
 
-class CounterexampleReport(NamedTuple):
-    crossed: bool
-    first_crossing_time: float
-    min_probe_gap: float
-    rhs_gap_discrete: float
-    rhs_gap_analytic: float
-    probe_location: float
-
-
-def comparison_counterexample(kernel: Kernel, stencil: ConvolutionStencil,
-                              growth: GrowthLaw, u0_value: float,
-                              box_radius: float, dt: float, horizon: float,
-                              ) -> CounterexampleReport:
-    """Ordered data that lose their order when the growth cap fails.
-
-    The lower datum is the constant u0; the upper one is saturated on the left
-    half line, ramps down to u0 at ell/2, and never dips below u0.  The
-    saturated half line drags the upper solution at the probe point, so the
-    ordering flips there in short time whenever g(u0) > g(1).
-    """
-    if growth.monotone_cap:
-        raise ValueError("counterexample needs a growth law violating the cap")
-    if not 0.0 < u0_value < 1.0:
-        raise ValueError("u0 must lie in (0, 1)")
-    g0 = float(growth(u0_value))
-    if g0 <= growth.g1:
-        raise ValueError("construction needs g(u0) > g(1)")
-    if kernel.dim != 1 or stencil.dim != 1:
-        raise ValueError("the construction is one-dimensional")
-    if float(stencil.weights.min()) <= 0.0:
-        raise ValueError("kernel must be strictly positive on its support")
-
-    ell = kernel.radius
-    dx = stencil.grid_spacing
-    n = int(round(box_radius / dx))
-    x = (np.arange(2 * n + 1) - n) * dx
-    probe_idx = int(np.argmin(np.abs(x - ell / 2)))
-    if abs(x[probe_idx] - ell / 2) > 1e-9 * ell:
-        raise ValueError("grid must place a cell at ell/2")
-
-    ramp = np.clip(1.0 - 2.0 * x / ell, 0.0, None) ** 2
-    upper_vals = np.where(x <= 0.0, 1.0, u0_value + (1.0 - u0_value) * ramp)
-    origin = np.array([-n * dx])
-    upper = GridField(upper_vals, dx, origin)
-    lower = GridField(np.full_like(x, u0_value), dx, origin)
-
-    params = ModelParams(model="singular", dt=dt, t_end=horizon)
-    rhs_upper = rhs_singular(upper, stencil, growth)
-    rhs_lower = rhs_singular(lower, stencil, growth)
-    gap_discrete = float(rhs_upper[probe_idx] - rhs_lower[probe_idx])
-    h = front_profile(kernel)
-    gap_analytic = (growth.g1 - g0) * float(h(ell / 2))
-
-    crossed = False
-    first_t = math.nan
-    min_gap = float(upper.values[probe_idx] - lower.values[probe_idx])
-    for (upper, *_), (lower, *_) in zip(_euler_steps(upper, params, stencil, growth),
-                                        _euler_steps(lower, params, stencil, growth)):
-        gap = float(upper.values[probe_idx] - lower.values[probe_idx])
-        min_gap = min(min_gap, gap)
-        if gap < 0.0 and not crossed:
-            crossed = True
-            first_t = upper.time
-    return CounterexampleReport(crossed=crossed, first_crossing_time=first_t,
-                                min_probe_gap=min_gap,
-                                rhs_gap_discrete=gap_discrete,
-                                rhs_gap_analytic=gap_analytic,
-                                probe_location=float(x[probe_idx]))
-
-
 class GammaConvergenceStudy(NamedTuple):
     gammas: tuple[float, ...]
     dts: tuple[float, ...]
@@ -208,6 +140,8 @@ def gamma_convergence_study(u0: GridField, gamma_list: Sequence[float],
             and all(a < b for a, b in zip(gammas, gammas[1:]))):
         raise ValueError("gamma_list must hold at least 2 strictly increasing"
                          " finite values >= 1")
+    if not threshold > 0:
+        raise ValueError("threshold must be positive")
 
     dts = [stability_cap("gamma", growth, g) for g in gammas]
     finals = [run(u0, ModelParams(model="gamma", gamma=g, dt=dt, t_end=horizon),
@@ -255,23 +189,23 @@ def _dilate_one_cell(mask: np.ndarray) -> np.ndarray:
     return _reduce_shifts(np.logical_or, mask, _box(mask.ndim), False)
 
 
-def support_confinement_check(result: RunResult, stencil: ConvolutionStencil,
-                              slack_cells: int = 1) -> ConfinementReport:
+def support_confinement_check(result: RunResult,
+                              stencil: ConvolutionStencil) -> ConfinementReport:
     """Verify the support stays in the initial support plus stencil reach of
     the saturated set, with one grid cell of slack for the cell/continuum gap.
 
     The weights are nonnegative, so ``K * 1_S(t) > 0`` exactly where a nonzero
     tap hits a cell with ``saturation_time <= t``: where ``reached <= t``, with
-    ``reached`` the least ``saturation_time`` under the taps."""
+    ``reached`` the least ``saturation_time`` under the taps.  The slack cell
+    is a 3-wide min filter of ``reached`` and a dilation of the initial
+    support."""
     initial_support = result.snapshots[0] > SUPPORT_FLOOR
     radii = result.final.radii()
     # convolve_field is a convolution: the tap at index k reads x + reach - k
     reached = _reduce_shifts(np.minimum, result.saturation_time,
                              stencil.reach - np.argwhere(stencil.dense), np.inf)
-    near_initial = initial_support
-    for _ in range(slack_cells):
-        near_initial = _dilate_one_cell(near_initial)
-        reached = _reduce_shifts(np.minimum, reached, _box(reached.ndim), np.inf)
+    near_initial = _dilate_one_cell(initial_support)
+    reached = _reduce_shifts(np.minimum, reached, _box(reached.ndim), np.inf)
 
     violations = []
     coverage_idx: int | None = None
@@ -295,40 +229,3 @@ def support_confinement_check(result: RunResult, stencil: ConvolutionStencil,
                              coverage_snapshot=coverage_idx,
                              max_annulus_after_coverage=max_annulus,
                              annulus_bound=bound)
-
-
-def upper_envelope_gap(result: RunResult, wave: WaveProfile, direction,
-                       offset: float) -> float:
-    """Worst excess of the run over the translating wave envelope.
-
-    The envelope is evaluated one cell behind each point, which absorbs the
-    half-cell ambiguity of grid-sampled fronts.
-    """
-    e = np.atleast_1d(np.asarray(direction, dtype=float))
-    coords = result.final.coords()
-    proj = np.tensordot(coords, e, axes=([-1], [0]))
-    slack = result.final.spacing
-    worst = -math.inf
-    for t, snap in zip(result.times, result.snapshots):
-        env = sample_wave(wave, proj - wave.c * t - offset - slack, minimal=True)
-        worst = max(worst, float(np.max(snap - env)))
-    return worst
-
-
-def subsolution_gap(result: RunResult, wave: WaveProfile, c_sub: float,
-                    radius_offset: float) -> float:
-    """Worst excess of the inward radial wave sampler over the run.
-
-    The sampler travels at ``c_sub`` from t = 0 and is evaluated one cell
-    ahead of each point, which absorbs the half-cell ambiguity of
-    grid-sampled fronts; nonpositive return means the run dominates the
-    subsolution throughout.
-    """
-    radii = result.final.radii()
-    slack = result.final.spacing
-    worst = -math.inf
-    for t, snap in zip(result.times, result.snapshots):
-        s = radii - c_sub * t - radius_offset + slack
-        env = sample_wave(wave, s, minimal=True)
-        worst = max(worst, float(np.max(env - snap)))
-    return worst

@@ -5,7 +5,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .analysis import (comparison_harness, estimate_speed,
+from .analysis import (_check_window_fraction, comparison_harness, estimate_speed,
                        gamma_convergence_study, support_confinement_check,
                        track_fronts)
 from .config import ConfigError, RunConfig, build_initial_field, load_config
@@ -159,6 +159,16 @@ def _cmd_wave(cfg: RunConfig, out_dir: Path) -> int:
 
 
 def _cmd_speed(cfg: RunConfig, out_dir: Path) -> int:
+    tolerance = cfg.study.get("tolerance", 0.05)
+    if not tolerance > 0:
+        raise ConfigError("[study] tolerance must be positive")
+    window_fraction = cfg.study.get("window_fraction")
+    try:
+        # estimate_speed checks it too, but only after the c* search and the run
+        if window_fraction is not None:
+            _check_window_fraction(window_fraction)
+    except ValueError as exc:
+        raise ConfigError(f"[study] {exc}") from exc
     if not cfg.growth.monotone_cap:
         raise ConfigError("[growth] the speed study requires monotone_cap growth")
     profile = front_profile(cfg.kernel)
@@ -171,7 +181,6 @@ def _cmd_speed(cfg: RunConfig, out_dir: Path) -> int:
     except ValueError as exc:
         raise ConfigError(f"[study] {exc}") from exc
     confinement = support_confinement_check(result, cfg.stencil)
-    tolerance = cfg.study.get("tolerance", 0.05)
     ratio = estimate.fitted_speed / reference
     passed = (not estimate.degenerate and abs(ratio - 1.0) <= tolerance
               and confinement.total_violations == 0)

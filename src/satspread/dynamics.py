@@ -7,7 +7,7 @@ import numpy as np
 from .errors import InvariantViolation
 from .growth import GrowthLaw
 from .kernels import (ConvolutionStencil, add_to_mask_convolution, convolve_dense,
-                      convolve_field, convolve_mask)
+                      convolve_field)
 
 MODEL_KINDS = ("gamma", "singular", "generalized_singular")
 
@@ -154,18 +154,6 @@ def rhs_gamma(u: GridField, stencil: ConvolutionStencil, growth: GrowthLaw,
     return (g * (1.0 - conv_p) + conv_gp) * (1.0 - p)
 
 
-def _saturated_bracket(values: np.ndarray, conv: np.ndarray, growth: GrowthLaw,
-                       generalized: bool) -> np.ndarray:
-    """Evolution bracket of the saturated models, given ``conv = K * 1_S``
-    clipped to [0, 1]."""
-    g = np.asarray(growth(values), dtype=float)
-    if generalized:
-        if growth.gain is None:
-            raise ValueError("generalized model requires a gain law")
-        return g + growth.gain * conv
-    return g * (1.0 - conv) + growth.g1 * conv
-
-
 class _Band(NamedTuple):
     """Cells where the saturated-model rhs can be nonzero, with the terms of
     that rhs, ``g(u) * free + spill``, which change only when a cell joins
@@ -197,8 +185,9 @@ def _band(sat: np.ndarray, mask_conv: np.ndarray, values: np.ndarray,
     grid with ``grown`` all False, this builds the band from scratch.
     ``K * 1_S``, a sum of nonnegative terms started at +0.0, needs no clip
     below.  ``free`` and ``spill`` carry ``1 - 1_S``: 1.0 off ``S``, where
-    they keep the bits of ``_saturated_bracket``, and 0.0 on ``S``, where the
-    step keeps ``u``.
+    ``g(u) * free + spill`` has every bit of the bracket ``g(u)(1 - c) + g(1) c``
+    (generalized: ``g(u) + gain * c``), and 0.0 on ``S``, where the step keeps
+    ``u``.
     """
     # The cells of the box read their neighbours: one cell more per side.
     near = tuple(slice(max(b.start - 1, 0), b.stop + 1) for b in box)
@@ -219,44 +208,16 @@ def _band(sat: np.ndarray, mask_conv: np.ndarray, values: np.ndarray,
     return _Band(cells, (1.0 - conv) * unsaturated, growth.g1 * conv * unsaturated)
 
 
-def rhs_singular(u: GridField, stencil: ConvolutionStencil, growth: GrowthLaw,
-                 generalized: bool = False) -> np.ndarray:
-    """Right-hand side of the saturated-dispersal model; zero on the saturated set."""
-    mask = saturated_mask(u.values)
-    return (_saturated_bracket(u.values, convolve_mask(stencil, mask), growth,
-                               generalized) * (1.0 - mask))
-
-
 def model_rhs(u: GridField, params: ModelParams, stencil: ConvolutionStencil,
-              growth: GrowthLaw, band: _Band | None = None,
-              values: np.ndarray | None = None) -> np.ndarray:
-    """Right-hand side of ``params.model`` at ``u``; given the ``_Band`` of
-    ``_euler_steps`` and ``values``, the densities at its cells, that of a
-    saturated model at the band's cells only."""
+              growth: GrowthLaw, band: _Band | None,
+              values: np.ndarray | None) -> np.ndarray:
+    """Right-hand side of ``params.model`` at ``u``: of the gamma model on the
+    whole grid, and of a saturated model at the cells of ``band``, the
+    ``_Band`` of ``_euler_steps``, whose densities are ``values``."""
     if params.model == "gamma":
         return rhs_gamma(u, stencil, growth, params.gamma)
-    if band is None:
-        return rhs_singular(u, stencil, growth, params.model == "generalized_singular")
-    # _saturated_bracket's operations, with the band's terms (1 - 1_S folded in)
+    # the bracket of the saturated model, with 1 - 1_S folded into the band's terms
     return growth.fn(values) * band.free + band.spill
-
-
-def step(u: GridField, params: ModelParams, stencil: ConvolutionStencil,
-         growth: GrowthLaw) -> tuple[GridField, np.ndarray]:
-    """One clamped explicit Euler step with the direct convolution.
-
-    Returns the advanced field and the boolean mask of cells clamped at the
-    ceiling on this step.  Clamping realizes the constraint u <= 1 exactly and
-    is what drives cells into the saturated set in finite time.  ``run`` and
-    the comparison harnesses step with ``_euler_steps`` instead; this one is
-    their test oracle.
-    """
-    _check_stepping(u, params, stencil, growth)
-    rhs = model_rhs(u, params, stencil, growth)
-    proposed = u.values + params.dt * rhs
-    clamped = proposed > 1.0
-    new_values = np.minimum(proposed, 1.0)
-    return GridField(new_values, u.spacing, u.origin, u.time + params.dt), clamped
 
 
 def _step_count(params: ModelParams) -> tuple[int, float]:
@@ -449,23 +410,6 @@ def run(u0: GridField, params: ModelParams, stencil: ConvolutionStencil,
                      monitors=monitors)
 
 
-def obstacle_residual(u_before: GridField, u_after: GridField, dt: float,
-                      stencil: ConvolutionStencil, growth: GrowthLaw) -> np.ndarray:
-    """Max-form residual of the constrained evolution across one accepted step.
-
-    The evolution bracket is evaluated at the post-step state, so the residual
-    measures the combined time/space discretization error instead of the
-    identically-zero defect of the explicit update itself.
-    """
-    if dt <= 0:
-        raise ValueError("dt must be positive")
-    du = (u_after.values - u_before.values) / dt
-    mask = saturated_mask(u_after.values)
-    bracket = _saturated_bracket(u_after.values, convolve_mask(stencil, mask), growth,
-                                 generalized=False)
-    return np.maximum(u_after.values - 1.0, du - bracket)
-
-
 def _around(cells: np.ndarray, shape: tuple[int, ...], by: int) -> tuple[slice, ...]:
     """Bounding box of the flat indices ``cells``, in ascending order, dilated
     by ``by`` cells and clipped below at 0."""
@@ -486,26 +430,3 @@ def _max_slope(values: np.ndarray) -> float:
 def discrete_lipschitz(u: GridField) -> float:
     """Largest absolute slope between adjacent cells."""
     return _max_slope(u.values) / u.spacing
-
-
-def gradient_tv_surrogate(stencil: ConvolutionStencil) -> float:
-    """Total variation of the kernel gradient measured on the discrete stencil."""
-    density = stencil.dense / stencil.grid_spacing ** stencil.dim
-    padded = np.pad(density, 1)
-    total = 0.0
-    for axis in range(stencil.dim):
-        total += float(np.sum(np.abs(np.diff(padded, axis=axis))))
-    return total * stencil.grid_spacing ** (stencil.dim - 1)
-
-
-def local_production(u: GridField, stencil: ConvolutionStencil,
-                     growth: GrowthLaw, gamma: float) -> np.ndarray:
-    """Local birth term of the finite-pressure model, g(u)(1 - K*p).
-
-    The full right-hand side differs from it by a rearrangement operator whose
-    grid sum vanishes by stencil symmetry, so summing this term tracks the
-    total mass produced per unit time.
-    """
-    p = u.values ** gamma
-    conv_p = np.clip(convolve_dense(stencil, p)[0], 0.0, 1.0)
-    return np.asarray(growth(u.values), dtype=float) * (1.0 - conv_p)

@@ -1,7 +1,7 @@
 """Radial dispersal kernels, their grid stencils, and planar front profiles."""
 import functools
 import math
-from typing import Callable, NamedTuple, Sequence
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -11,9 +11,6 @@ KERNEL_KINDS = ("indicator_ball", "custom_radial")
 STENCIL_MASS_TOL = 1e-12
 #: Largest gap allowed between the coarse and fine rules of ``_quad``.
 FRONT_QUAD_TOL = 1e-8
-#: Positive-violation threshold for the cap-inequality report (absorbs
-#: quadrature noise at the support endpoint where both sides vanish).
-CAP_VIOLATION_TOL = 1e-10
 #: FFT convolution outputs at most this many machine epsilons times the
 #: field's largest output are set to 0 (the rounding noise seen there, where
 #: the direct sum is exactly 0, stays below 3 epsilons of that maximum).
@@ -398,15 +395,6 @@ def add_to_mask_convolution(stencil: ConvolutionStencil, conv: np.ndarray,
                        else _convolve_1d(stencil, window)[lo - w0:hi - w0])
 
 
-def convolve_mask(stencil: ConvolutionStencil, mask: np.ndarray) -> np.ndarray:
-    """Convolve a binary field; output lies in [0, 1]."""
-    mask = np.asarray(mask)
-    as_float = mask.astype(float)
-    if not np.all((as_float == 0.0) | (as_float == 1.0)):
-        raise ValueError("mask values must be 0 or 1")
-    return np.clip(convolve_field(stencil, as_float), 0.0, 1.0)
-
-
 def front_profile(kernel: Kernel, sample_spacing: float | None = None,
                   ) -> FrontKernelProfile:
     """Mass of the kernel ahead of a planar saturated half-space.
@@ -442,68 +430,3 @@ def front_profile(kernel: Kernel, sample_spacing: float | None = None,
     # monotonicity invariant hold exactly.
     h_full = np.minimum.accumulate(h_full)
     return FrontKernelProfile(ell=ell, s=s_full, samples=h_full)
-
-
-def ball_convolution_on_ray(kernel: Kernel, ball_radius: float,
-                            s_values: np.ndarray) -> np.ndarray:
-    """K * 1_{B_R} evaluated at radial points |x| = R + s, d = 2 only.
-
-    Needs a finite R > 0 and R + s > 0 for every s.  The circle of radius rho
-    around x lies in B_R for rho <= -s and crosses its boundary for |s| < rho
-    < 2R + s; ``_quad`` integrates on exactly these ranges, cut at ell.
-    """
-    if kernel.dim != 2:
-        raise KernelError("ball convolution ray is defined for dim 2")
-    R, s = float(ball_radius), np.asarray(s_values, dtype=float)
-    if not 0.0 < R < math.inf or not np.all(R + s > 0.0):
-        raise KernelError("ball radius R must be positive and finite, with R + s > 0")
-    ell, x1 = kernel.radius, (R + s)[..., None]
-
-    def crossing(rho):
-        cos_lim = (x1 * x1 + rho * rho - R * R) / (2.0 * x1 * rho)
-        return kernel.profile(rho) * rho * 2.0 * np.arccos(np.clip(cos_lim, -1.0, 1.0))
-
-    return (_quad(crossing, np.abs(s), np.minimum(2.0 * R + s, ell), "cap inequality")
-            + _quad(lambda rho: kernel.profile(rho) * rho * 2.0 * math.pi,
-                    0.0, np.minimum(-s, ell), "cap inequality"))
-
-
-class CapInequalityReport(NamedTuple):
-    """Worst-case gap between the damped front profile and the ball convolution."""
-
-    radii: tuple[float, ...]
-    max_violation: tuple[float, ...]
-    least_nonviolating_radius: float | None
-    tolerance: float = CAP_VIOLATION_TOL
-
-
-def check_cap_inequality(kernel: Kernel, delta: float,
-                         R_list: Sequence[float],
-                         n_samples: int = 81) -> CapInequalityReport:
-    """Evaluate (1-delta)*h(|x|-R) <= K*1_{B_R}(x) along a radial ray.
-
-    For each R the report holds the maximum of the left side minus the right
-    side over |x| in [R, R+ell]; a value above the tolerance is a violation.
-    Every R must be positive and finite.
-    """
-    if kernel.dim != 2:
-        raise KernelError("cap inequality check is for dim 2 kernels")
-    if not 0.0 < delta < 1.0:
-        raise KernelError("delta must lie in (0, 1)")
-    radii = [float(R) for R in R_list]
-    if any(b <= a for a, b in zip(radii, radii[1:])):
-        raise KernelError("R_list must be strictly increasing")
-
-    profile = front_profile(kernel)
-    s_vals = np.linspace(0.0, kernel.radius, n_samples)
-    lhs = (1.0 - delta) * profile(s_vals)
-    worst = []
-    least = None
-    for R in radii:
-        rhs = ball_convolution_on_ray(kernel, R, s_vals)
-        gap = float(np.max(lhs - rhs))
-        worst.append(gap)
-        if least is None and gap <= CAP_VIOLATION_TOL:
-            least = R
-    return CapInequalityReport(radii=tuple(radii), max_violation=tuple(worst),
-                               least_nonviolating_radius=least)

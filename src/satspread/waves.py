@@ -110,8 +110,8 @@ def find_c_star(growth: GrowthLaw, profile: FrontKernelProfile,
     outside the assumptions or an under-resolved front profile.
 
     The bisection is replayed: Anderson-Bjorck regula falsi narrows the root to
-    ``[a, b]``, ``phi(a) <= 0 < phi(b)``, and as phi_c(ell) grows with c (see
-    ``monotone_in_c_check``) only midpoints inside ``(a, b)`` are shot.  The
+    ``[a, b]``, ``phi(a) <= 0 < phi(b)``, and as phi_c(ell) grows with c (the
+    ordering of the waves in c) only midpoints inside ``(a, b)`` are shot.  The
     final ends are shot too; unless they straddle the root, plain bisection
     runs from the analytic bounds.  The result is that of plain bisection.
     """
@@ -183,28 +183,6 @@ def find_c_star(growth: GrowthLaw, profile: FrontKernelProfile,
                               phi_ell_hi=phi_hi, interior_min=interior_min,
                               ode_step=ode_step if ode_step is not None
                               else ell * DEFAULT_STEP_FRACTION)
-
-
-def monotone_in_c_check(c0: float, c1: float, growth: GrowthLaw,
-                        profile: FrontKernelProfile) -> tuple[bool, float]:
-    """Check strict ordering phi_{c1} > phi_{c0} where the slower profile is nonnegative.
-
-    Returns the verdict together with the minimum pointwise gap on (0, s0],
-    where s0 <= ell is the extent of the nonnegative region of phi_{c0}.
-    """
-    if not 0 < c0 < c1:
-        raise ValueError("speeds must satisfy 0 < c0 < c1")
-    slow = shoot_profile(c0, growth, profile, s_max=profile.ell)
-    fast = shoot_profile(c1, growth, profile, s_max=profile.ell)
-    nonneg = slow.phi >= 0.0
-    if not nonneg[0]:
-        raise ValueError("slower profile is negative at the origin")
-    upto = len(nonneg) if nonneg.all() else int(np.argmin(nonneg))
-    gaps = fast.phi[1:upto] - slow.phi[1:upto]
-    if gaps.size == 0:
-        return True, 0.0
-    min_gap = float(gaps.min())
-    return min_gap > 0.0, min_gap
 
 
 def sample_wave(profile: WaveProfile, signed_distance, minimal: bool | None = None):

@@ -6,6 +6,10 @@ import pytest
 from hypothesis import strategies as st
 
 import satspread as ss
+# Hypothesis adds the literal constants of the loaded modules outside tests/
+# to the values it draws. Only test_config_cli imports the CLI; loading it
+# here gives every run, of one file or of the suite, the same draws.
+import satspread.cli  # noqa: F401
 
 from oracles import C_STAR_LINEAR_1D
 

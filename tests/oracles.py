@@ -294,8 +294,8 @@ def find_c_star_bisection(growth, profile, tol: float = DEFAULT_SPEED_TOL,
                               else ell * DEFAULT_STEP_FRACTION)
 
 
-def support_confinement_per_snapshot(result, stencil, support_floor: float = 1e-12,
-                                     slack_cells: int = 1) -> tuple:
+def support_confinement_per_snapshot(result, stencil,
+                                     support_floor: float = 1e-12) -> tuple:
     """``support_confinement_check`` with one convolution of the saturated
     set per snapshot, as an oracle of its rule on saturation times."""
     initial_support = result.snapshots[0] > support_floor
@@ -307,8 +307,7 @@ def support_confinement_per_snapshot(result, stencil, support_floor: float = 1e-
         allowed = initial_support.copy()
         if mask.any():
             allowed |= convolve_field(stencil, mask) > 0.0
-        for _ in range(slack_cells):
-            allowed = _dilate_one_cell(allowed)
+        allowed = _dilate_one_cell(allowed)
         violations.append(int(np.count_nonzero((snap > support_floor) & ~allowed)))
         if coverage_idx is None and bool(mask[initial_support].all()):
             coverage_idx = idx

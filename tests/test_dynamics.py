@@ -10,6 +10,8 @@ from hypothesis import example, given, settings, strategies as st
 import satspread as ss
 
 from conftest import seed_plateau
+from harnesses import (convolve_mask, direct_loop, gradient_tv_surrogate,
+                       local_production, obstacle_residual, rhs_singular, step)
 
 
 @pytest.fixture(scope="module")
@@ -167,7 +169,7 @@ class TestRhsGamma:
         _, st = small2d
         u = field2d(np.ones((41, 41)))
         assert np.count_nonzero(ss.convolve_dense(st, u.values)[0] > 1.0)
-        assert ss.local_production(u, st, linear_g, 1.0).min() >= 0.0
+        assert local_production(u, st, linear_g, 1.0).min() >= 0.0
 
     def test_birth_term_vanishes_where_pressure_mass_rounds_above_one(
             self, small2d, linear_g):
@@ -194,7 +196,7 @@ class TestRhsSingular:
         _, st = small1d
         vals = np.clip(np.linspace(-0.5, 1.5, 33), 0, 1)
         u = field1d(vals)
-        rhs = ss.rhs_singular(u, st, linear_g)
+        rhs = rhs_singular(u, st, linear_g)
         assert np.all(rhs[vals >= 1.0] == 0.0)
 
     def test_empty_mask_reduces_to_pure_growth(self, small1d):
@@ -202,7 +204,7 @@ class TestRhsSingular:
         g = ss.logistic_growth(1.0, 3.0)
         a = 0.37
         u = field1d(np.full(33, a))
-        rhs = ss.rhs_singular(u, st, g)
+        rhs = rhs_singular(u, st, g)
         assert np.max(np.abs(rhs - float(g(a)))) == 0.0
 
     def test_empty_point_next_to_saturated_wall_grows_at_g1(self, small1d, linear_g):
@@ -211,7 +213,7 @@ class TestRhsSingular:
         center = 32
         vals[center] = 0.0
         u = field1d(vals)
-        rhs = ss.rhs_singular(u, st, linear_g)
+        rhs = rhs_singular(u, st, linear_g)
         w0 = float(st.weights[np.all(st.offsets == 0, axis=1)][0])
         # g(0) = 0 kills the local term; the neighborhood term carries g(1)
         # up to the one missing center weight.
@@ -223,13 +225,13 @@ class TestRhsSingular:
         g = ss.linear_growth(1.0).with_gain(0.5)
         a = 0.4
         u = field1d(np.full(33, a))
-        rhs = ss.rhs_singular(u, st, g, generalized=True)
+        rhs = rhs_singular(u, st, g, generalized=True)
         assert np.max(np.abs(rhs - a)) == 0.0  # no mask: gain term inactive
         vals = np.full(65, a)
         vals[:20] = 1.0
         u = field1d(vals)
-        rhs = ss.rhs_singular(u, st, g, generalized=True)
-        conv = ss.convolve_mask(st, (vals >= 1.0).astype(float))
+        rhs = rhs_singular(u, st, g, generalized=True)
+        conv = convolve_mask(st, (vals >= 1.0).astype(float))
         expected = a + 0.5 * conv[30]
         assert rhs[30] == pytest.approx(expected, abs=1e-14)
         assert rhs.max() <= g.sup + g.gain + 1e-12
@@ -237,7 +239,7 @@ class TestRhsSingular:
     def test_saturated_state_is_stationary(self, small1d, linear_g):
         _, st = small1d
         u = field1d(np.ones(33))
-        assert np.all(ss.rhs_singular(u, st, linear_g) == 0.0)
+        assert np.all(rhs_singular(u, st, linear_g) == 0.0)
 
 
 class TestStep:
@@ -246,7 +248,7 @@ class TestStep:
         params = ss.ModelParams(model="singular", dt=0.1, t_end=1.0)
         for vals in (np.zeros(33), np.ones(33)):
             u = field1d(vals)
-            u1, clamped = ss.step(u, params, st, linear_g)
+            u1, clamped = step(u, params, st, linear_g)
             assert np.array_equal(u1.values, vals)
             assert not clamped.any()
             assert u1.time == pytest.approx(0.1)
@@ -258,7 +260,7 @@ class TestStep:
         vals[center] = 1.0
         u = field1d(vals)
         params = ss.ModelParams(model="singular", dt=0.1, t_end=1.0)
-        u1, _ = ss.step(u, params, st, linear_g)
+        u1, _ = step(u, params, st, linear_g)
         x = u.axis_coords(0)
         near = (np.abs(x - x[center]) <= 1.0) & (np.abs(x - x[center]) > 0)
         assert np.all(u1.values[near] > 0.0)
@@ -268,7 +270,7 @@ class TestStep:
         _, st = small1d
         params = ss.ModelParams(model="gamma", gamma=10.0, dt=0.05, t_end=1.0)
         with pytest.raises(ValueError, match="stability cap"):
-            ss.step(field1d(np.zeros(33)), params, st, linear_g)
+            step(field1d(np.zeros(33)), params, st, linear_g)
 
     @pytest.mark.parametrize("model", ["singular", "gamma"])
     def test_growth_not_vanishing_at_zero_rejected(self, small1d, model):
@@ -280,7 +282,7 @@ class TestStep:
                            fn=lambda u: 1.0 * u + 1e-16)
         u0 = ss.grid_field(2.0, 0.125, 1, seed_plateau(0.5, 0.25))
         params = ss.ModelParams(model=model, dt=0.01, t_end=0.1, gamma=2.0)
-        for stepper in (ss.step, ss.run):
+        for stepper in (step, ss.run):
             with pytest.raises(ValueError, match="g\\(0\\) != 0"):
                 stepper(u0, params, st, law)
 
@@ -289,7 +291,7 @@ class TestStep:
         vals = np.full(33, 0.995)
         u = field1d(vals)
         params = ss.ModelParams(model="singular", dt=0.1, t_end=1.0)
-        u1, clamped = ss.step(u, params, st, linear_g)
+        u1, clamped = step(u, params, st, linear_g)
         assert clamped.any()
         assert u1.values.max() == 1.0
 
@@ -486,19 +488,9 @@ class TestRun:
         u0.values[0] = -0.0
         params = ss.ModelParams(model="singular", dt=0.1, t_end=0.2)
         res = ss.run(u0, params, st, linear_g)
-        final, _ = step_loop(u0, params, st, linear_g)
+        final = direct_loop(u0, params, st, linear_g, 2)[0].values
         assert not np.signbit(final[0])
         assert np.array_equal(np.signbit(res.final.values), np.signbit(final))
-
-
-def step_loop(u0, params, stencil, growth):
-    """Direct-convolution oracle for run(): step() to t_end, first-crossing times."""
-    u = u0
-    sat_time = np.where(ss.saturated_mask(u.values), 0.0, np.inf)
-    for _ in range(round(params.t_end / params.dt)):
-        u, _ = ss.step(u, params, stencil, growth)
-        sat_time[ss.saturated_mask(u.values) & np.isinf(sat_time)] = u.time
-    return u.values, sat_time
 
 
 GAINED = ss.linear_growth(1.0).with_gain(0.5)
@@ -529,7 +521,7 @@ class TestRunningMaskConvolution:
         u0 = ss.grid_field(box, 0.125, dim, seed_plateau(0.5, 0.5))
         params = ss.ModelParams(model=model, dt=0.05, t_end=t_end)
         res = ss.run(u0, params, st, growth, snapshot_interval=0.5)
-        final, sat_time = step_loop(u0, params, st, growth)
+        final, sat_time, _, _ = direct_loop(u0, params, st, growth, round(t_end / 0.05))
         # the masks are derived from the saturation times
         assert len(res.masks) == len(res.snapshots) > 2
         for mask, snap in zip(res.masks, res.snapshots):
@@ -546,13 +538,13 @@ class TestRunningMaskConvolution:
     @pytest.mark.parametrize("case", sorted(RUNNING_FIELD_CASES))
     def test_indicator_kernel_exact(self, case, linear_g):
         res, final, sat_time = self.compare(case, "indicator_ball", linear_g)
-        assert np.array_equal(res.final.values, final)
+        assert np.array_equal(res.final.values, final.values)
         assert np.array_equal(res.saturation_time, sat_time)
 
     @pytest.mark.parametrize("case", ["1d-singular", "2d-singular", "2d-generalized"])
     def test_custom_kernel_within_rounding(self, case, linear_g):
         res, final, sat_time = self.compare(case, "custom_radial", linear_g)
-        assert np.max(np.abs(res.final.values - final)) <= 1e-14
+        assert np.max(np.abs(res.final.values - final.values)) <= 1e-14
         assert np.array_equal(np.isfinite(res.saturation_time), np.isfinite(sat_time))
         finite = np.isfinite(sat_time)
         assert np.max(np.abs(res.saturation_time[finite] - sat_time[finite])) <= 1e-14
@@ -592,11 +584,11 @@ class TestMassIdentity:
             inner = (slice(stencil.reach + 2, cells - stencil.reach - 2),) * dim
             vals[inner] = 0.5 * rng.uniform(size=vals[inner].shape)
             u = field1d(vals) if dim == 1 else field2d(vals)
-            u1, clamped = ss.step(u, params, stencil, g)
+            u1, clamped = step(u, params, stencil, g)
             assert not clamped.any()
             cell = stencil.grid_spacing ** dim
             gained = float(np.sum(u1.values - u.values)) * cell
-            produced = float(np.sum(ss.local_production(u, stencil, g, gamma))) * cell
+            produced = float(np.sum(local_production(u, stencil, g, gamma))) * cell
             # the rearrangement part sums to zero by stencil symmetry
             assert abs(gained - dt * produced) <= dt * 1e-10
 
@@ -632,7 +624,7 @@ class TestLipschitzPropagation:
         _, st = small1d
         u0 = ss.grid_field(4.0, 0.125, 1, seed_plateau(1.0, 0.5))
         lip0 = ss.discrete_lipschitz(u0)
-        tv = ss.gradient_tv_surrogate(st)
+        tv = gradient_tv_surrogate(st)
         params = ss.ModelParams(model="singular", dt=0.05, t_end=2.0)
         res = ss.run(u0, params, st, linear_g, record_lipschitz=True)
         bound = (lip0 + 2.0 * tv) * np.exp(linear_g.lipschitz * 2.0)
@@ -641,7 +633,7 @@ class TestLipschitzPropagation:
     def test_tv_surrogate_value_for_1d_indicator(self, bench40):
         _, st = bench40
         # two edge jumps of height 1/(2 ell) give total variation about 1/ell
-        assert ss.gradient_tv_surrogate(st) == pytest.approx(1.0, rel=0.05)
+        assert gradient_tv_surrogate(st) == pytest.approx(1.0, rel=0.05)
 
 
 class TestObstacleResidual:
@@ -650,8 +642,8 @@ class TestObstacleResidual:
         params = ss.ModelParams(model="singular", dt=0.1, t_end=1.0)
         for vals in (np.zeros(33), np.ones(33)):
             u = field1d(vals)
-            u1, _ = ss.step(u, params, st, linear_g)
-            res = ss.obstacle_residual(u, u1, 0.1, st, linear_g)
+            u1, _ = step(u, params, st, linear_g)
+            res = obstacle_residual(u, u1, 0.1, st, linear_g)
             assert np.all(res == 0.0)
 
     def test_saturated_interior_residual_zero(self, small1d, linear_g):
@@ -659,8 +651,8 @@ class TestObstacleResidual:
         vals = np.clip(np.linspace(1.8, -1.2, 65), 0, 1)
         u = field1d(vals)
         params = ss.ModelParams(model="singular", dt=0.05, t_end=1.0)
-        u1, _ = ss.step(u, params, st, linear_g)
-        res = ss.obstacle_residual(u, u1, 0.05, st, linear_g)
+        u1, _ = step(u, params, st, linear_g)
+        res = obstacle_residual(u, u1, 0.05, st, linear_g)
         saturated_both = (u.values >= 1.0) & (u1.values >= 1.0)
         assert np.all(res[saturated_both] == 0.0)
         assert np.all(res <= 1e-12)  # max-form residual is never positive here

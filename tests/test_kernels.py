@@ -11,6 +11,7 @@ import satspread as ss
 from satspread.analysis import _dilate_one_cell
 from satspread.kernels import _fast_length, _stencil_spectrum
 
+from harnesses import ball_convolution_on_ray, check_cap_inequality, convolve_mask
 from oracles import (CONE_1D_H_HALF, CONE_2D_H_HALF, H2D_INDICATOR_HALF,
                      brute_convolve, convolve_field_direct, h1d_indicator,
                      h2d_indicator, quad_ball_on_ray, quad_front_profile,
@@ -82,12 +83,12 @@ class TestBuildKernel:
 class TestConvolve:
     def test_zero_mask_gives_zero(self, bench40):
         _, stencil = bench40
-        out = ss.convolve_mask(stencil, np.zeros(201))
+        out = convolve_mask(stencil, np.zeros(201))
         assert np.all(out == 0.0)
 
     def test_full_mask_gives_one_on_interior(self, bench40):
         _, stencil = bench40
-        out = ss.convolve_mask(stencil, np.ones(201))
+        out = convolve_mask(stencil, np.ones(201))
         reach = stencil.reach
         assert np.max(np.abs(out[reach:-reach] - 1.0)) <= 1e-12
 
@@ -95,20 +96,20 @@ class TestConvolve:
         _, stencil = bench40
         n = 200
         x = (np.arange(2 * n + 1) - n) * stencil.grid_spacing
-        out = ss.convolve_mask(stencil, (x <= 0.0).astype(float))
+        out = convolve_mask(stencil, (x <= 0.0).astype(float))
         assert abs(out[n] - 0.5) <= stencil.grid_spacing
 
     def test_nonbinary_mask_rejected(self, bench40):
         _, stencil = bench40
         with pytest.raises(ValueError, match="0 or 1"):
-            ss.convolve_mask(stencil, np.full(100, 0.5))
+            convolve_mask(stencil, np.full(100, 0.5))
 
     @pytest.mark.parametrize("seed", range(10))
     def test_output_in_unit_interval_for_random_masks(self, bench40, seed):
         _, stencil = bench40
         rng = np.random.default_rng(seed)
         mask = (rng.uniform(size=300) < 0.4).astype(float)
-        out = ss.convolve_mask(stencil, mask)
+        out = convolve_mask(stencil, mask)
         assert out.min() >= 0.0 and out.max() <= 1.0
 
     def test_translation_equivariance_exact(self, bench40):
@@ -116,8 +117,8 @@ class TestConvolve:
         rng = np.random.default_rng(3)
         mask = (rng.uniform(size=400) < 0.3).astype(float)
         shift = 7
-        direct = ss.convolve_mask(stencil, np.roll(mask, shift))
-        rolled = np.roll(ss.convolve_mask(stencil, mask), shift)
+        direct = convolve_mask(stencil, np.roll(mask, shift))
+        rolled = np.roll(convolve_mask(stencil, mask), shift)
         reach = stencil.reach
         inner = slice(shift + reach, 400 - reach)
         assert np.array_equal(direct[inner], rolled[inner])
@@ -600,7 +601,7 @@ class TestFrontProfile:
         _, stencil = bench40
         n = 200
         x = (np.arange(2 * n + 1) - n) * stencil.grid_spacing
-        out = ss.convolve_mask(stencil, (x <= 0.0).astype(float))
+        out = convolve_mask(stencil, (x <= 0.0).astype(float))
         probe = (x >= 0.0) & (x <= 1.0)
         assert np.max(np.abs(out[probe] - h1d_indicator(x[probe]))) <= stencil.grid_spacing
 
@@ -681,7 +682,7 @@ class TestQuadratureOracles:
         kernel, _ = ss.build_kernel(kind, 1.0, 2, 0.1, profile=profile)
         s = np.linspace(0.0, 1.0, 41)
         expected = [quad_ball_on_ray(kernel, R, x) for x in s]
-        assert np.max(np.abs(ss.ball_convolution_on_ray(kernel, R, s) - expected)) <= 1e-11
+        assert np.max(np.abs(ball_convolution_on_ray(kernel, R, s) - expected)) <= 1e-11
 
 
 @pytest.fixture(scope="module")
@@ -693,12 +694,12 @@ def kernel2d():
 class TestCapInequality:
 
     def test_far_ball_has_no_violation(self, kernel2d):
-        report = ss.check_cap_inequality(kernel2d, 0.5, [100.0], n_samples=41)
+        report = check_cap_inequality(kernel2d, 0.5, [100.0], n_samples=41)
         assert report.least_nonviolating_radius == 100.0
         assert report.max_violation[0] <= report.tolerance
 
     def test_violation_margin_monotone_in_radius(self, kernel2d):
-        report = ss.check_cap_inequality(kernel2d, 0.5, [2.0, 10.0, 50.0],
+        report = check_cap_inequality(kernel2d, 0.5, [2.0, 10.0, 50.0],
                                          n_samples=41)
         margins = report.max_violation
         assert all(b <= a + 1e-12 for a, b in zip(margins, margins[1:]))
@@ -706,7 +707,7 @@ class TestCapInequality:
     def test_tight_damping_shows_decaying_violations(self, kernel2d):
         # with little damping the near-field genuinely violates the bound and
         # the violation dies off as the ball flattens toward a half plane
-        report = ss.check_cap_inequality(kernel2d, 0.02,
+        report = check_cap_inequality(kernel2d, 0.02,
                                          [2.0, 5.0, 10.0, 50.0, 100.0],
                                          n_samples=41)
         margins = report.max_violation
@@ -715,12 +716,12 @@ class TestCapInequality:
         assert report.least_nonviolating_radius == 50.0
 
     def test_all_violated_list_is_a_valid_report(self, kernel2d):
-        report = ss.check_cap_inequality(kernel2d, 0.02, [2.0], n_samples=21)
+        report = check_cap_inequality(kernel2d, 0.02, [2.0], n_samples=21)
         assert report.least_nonviolating_radius is None
         assert report.max_violation[0] > 0.0
 
     def test_support_endpoint_vanishes_on_both_sides(self, kernel2d):
-        rhs = ss.ball_convolution_on_ray(kernel2d, 5.0, np.array([1.0]))
+        rhs = ball_convolution_on_ray(kernel2d, 5.0, np.array([1.0]))
         assert rhs[0] == 0.0
         prof = ss.front_profile(kernel2d)
         assert 0.5 * prof(1.0) == 0.0
@@ -728,29 +729,29 @@ class TestCapInequality:
     def test_preconditions(self, kernel2d, bench40):
         kernel1d, _ = bench40
         with pytest.raises(ss.KernelError):
-            ss.check_cap_inequality(kernel1d, 0.5, [2.0])
+            check_cap_inequality(kernel1d, 0.5, [2.0])
         with pytest.raises(ss.KernelError):
-            ss.check_cap_inequality(kernel2d, 1.5, [2.0])
+            check_cap_inequality(kernel2d, 1.5, [2.0])
         with pytest.raises(ss.KernelError):
-            ss.check_cap_inequality(kernel2d, 0.5, [5.0, 2.0])
+            check_cap_inequality(kernel2d, 0.5, [5.0, 2.0])
 
     def test_negative_radius_rejected(self, kernel2d):
         with pytest.raises(ss.KernelError, match="ball radius"):
-            ss.check_cap_inequality(kernel2d, 0.5, [-1.0, 2.0])
+            check_cap_inequality(kernel2d, 0.5, [-1.0, 2.0])
 
     def test_zero_radius_rejected(self, kernel2d):
         with pytest.raises(ss.KernelError, match="ball radius"):
-            ss.check_cap_inequality(kernel2d, 0.5, [0.0, 2.0])
+            check_cap_inequality(kernel2d, 0.5, [0.0, 2.0])
         with pytest.raises(ss.KernelError, match="ball radius"):
-            ss.ball_convolution_on_ray(kernel2d, 0.0, np.array([0.5]))
+            ball_convolution_on_ray(kernel2d, 0.0, np.array([0.5]))
 
     @pytest.mark.parametrize("R", [np.inf, np.nan])
     def test_non_finite_radius_rejected(self, kernel2d, R):
         with pytest.raises(ss.KernelError, match="ball radius"):
-            ss.ball_convolution_on_ray(kernel2d, R, np.array([0.5]))
+            ball_convolution_on_ray(kernel2d, R, np.array([0.5]))
 
     def test_point_at_or_behind_the_centre_rejected(self, kernel2d):
         with pytest.raises(ss.KernelError, match="R \\+ s > 0"):
-            ss.ball_convolution_on_ray(kernel2d, 0.5, np.array([0.2, -0.5]))
+            ball_convolution_on_ray(kernel2d, 0.5, np.array([0.2, -0.5]))
         with pytest.raises(ss.KernelError, match="R \\+ s > 0"):
-            ss.ball_convolution_on_ray(kernel2d, 0.5, np.array([-0.7]))
+            ball_convolution_on_ray(kernel2d, 0.5, np.array([-0.7]))

@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 import satspread as ss
-from satspread.kernels import CAP_VIOLATION_TOL
+
+from harnesses import CAP_VIOLATION_TOL, CapInequalityReport, CounterexampleReport
 
 ARRAY = np.linspace(0.0, 1.0, 5)
 FIELD = ss.GridField(ARRAY, 0.25, np.zeros(1))
@@ -22,7 +23,7 @@ RECORDS = [
     (ss.ConvolutionStencil, dict(offsets=ARRAY, weights=ARRAY, grid_spacing=0.25,
                                  dim=1, radius=1.0, dense=ARRAY), {}, True),
     (ss.FrontKernelProfile, dict(ell=1.0, s=ARRAY, samples=ARRAY), {}, True),
-    (ss.CapInequalityReport, dict(radii=(1.0,), max_violation=(0.0,),
+    (CapInequalityReport, dict(radii=(1.0,), max_violation=(0.0,),
                                   least_nonviolating_radius=1.0, tolerance=0.0),
      dict(tolerance=CAP_VIOLATION_TOL), True),
     (ss.WaveProfile, dict(c=1.0, s=ARRAY, phi=ARRAY, ell=1.0, phi_at_ell=0.5), {},
@@ -38,7 +39,7 @@ RECORDS = [
      dict(degenerate=False), True),
     (ss.ComparisonReport, dict(max_violation=0.0, passed=True, n_steps=3,
                                tolerance=1e-12), {}, True),
-    (ss.CounterexampleReport, dict(crossed=True, first_crossing_time=0.5,
+    (CounterexampleReport, dict(crossed=True, first_crossing_time=0.5,
                                    min_probe_gap=-0.1, rhs_gap_discrete=-0.2,
                                    rhs_gap_analytic=-0.2, probe_location=0.5),
      {}, True),

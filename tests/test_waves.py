@@ -9,6 +9,7 @@ import satspread as ss
 from satspread import waves
 
 from conftest import growth_laws
+from harnesses import monotone_in_c_check
 from oracles import (C_STAR_LINEAR_1D, c_star_quadrature_root, find_c_star_bisection,
                      shoot_profile_direct)
 
@@ -115,13 +116,13 @@ class TestFindCStar:
 class TestMonotoneInC:
     def test_equal_speeds_give_zero_gap(self, linear_g, front_profile_1d):
         with pytest.raises(ValueError):
-            ss.monotone_in_c_check(0.5, 0.5, linear_g, front_profile_1d)
+            monotone_in_c_check(0.5, 0.5, linear_g, front_profile_1d)
 
     def test_strict_ordering_above_minimal_speed(self, linear_g,
                                                  front_profile_1d,
                                                  c_star_result):
         c = c_star_result.c_star
-        ordered, gap = ss.monotone_in_c_check(c, 2 * c, linear_g,
+        ordered, gap = monotone_in_c_check(c, 2 * c, linear_g,
                                               front_profile_1d)
         assert ordered and gap > 0.0
 
@@ -129,7 +130,7 @@ class TestMonotoneInC:
                                                 front_profile_1d,
                                                 c_star_result):
         c = c_star_result.c_star
-        ordered, gap = ss.monotone_in_c_check(c, 1.01 * c, linear_g,
+        ordered, gap = monotone_in_c_check(c, 1.01 * c, linear_g,
                                               front_profile_1d)
         assert ordered and gap > 0.0
 
