@@ -5,7 +5,8 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .dynamics import GridField, ModelParams, RunResult, _euler_steps, run, stability_cap
+from .dynamics import (GridField, ModelParams, RunResult, _euler_steps, _snapshot_steps,
+                       _step_count, run, stability_cap)
 from .growth import GrowthLaw
 from .kernels import ConvolutionStencil
 
@@ -59,6 +60,18 @@ def track_fronts(result: RunResult, direction=None) -> FrontTrack:
 def _check_window_fraction(window_fraction: float) -> None:
     if not 0.0 < window_fraction <= 0.5:
         raise ValueError("window_fraction must lie in (0, 0.5]")
+
+
+def _check_fit_window(params: ModelParams, snapshot_interval: float | None,
+                      window_fraction: float = 0.5) -> None:
+    """Raise ``ValueError`` before a run unless its snapshots, timed as ``run``
+    adds up its steps, put 10 in the fit window of ``estimate_speed``."""
+    _check_window_fraction(window_fraction)
+    n, last_dt = _step_count(params)
+    ends = np.cumsum([0.0] + [params.dt] * (n - 1) + [last_dt])  # ends[k]: after step k
+    times = ends[sorted(_snapshot_steps(params, snapshot_interval) | {0})]
+    if np.count_nonzero(times >= times[-1] * (1.0 - window_fraction) - 1e-12) < 10:
+        raise ValueError("fit window must contain at least 10 usable snapshots")
 
 
 def estimate_speed(track: FrontTrack, window_fraction: float = 0.5) -> SpeedEstimate:

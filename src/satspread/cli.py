@@ -5,7 +5,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .analysis import (_check_window_fraction, comparison_harness, estimate_speed,
+from .analysis import (_check_fit_window, comparison_harness, estimate_speed,
                        gamma_convergence_study, support_confinement_check,
                        track_fronts)
 from .config import ConfigError, RunConfig, build_initial_field, load_config
@@ -159,18 +159,17 @@ def _cmd_wave(cfg: RunConfig, out_dir: Path) -> int:
 
 
 def _cmd_speed(cfg: RunConfig, out_dir: Path) -> int:
+    if not cfg.growth.monotone_cap:
+        raise ConfigError("[growth] the speed study requires monotone_cap growth")
     tolerance = cfg.study.get("tolerance", 0.05)
     if not tolerance > 0:
         raise ConfigError("[study] tolerance must be positive")
-    window_fraction = cfg.study.get("window_fraction")
     try:
-        # estimate_speed checks it too, but only after the c* search and the run
-        if window_fraction is not None:
-            _check_window_fraction(window_fraction)
+        # estimate_speed checks the window too, but only after the c* search and the run
+        _check_fit_window(cfg.model, cfg.snapshot_interval,
+                          **_study(cfg, window_fraction="window_fraction"))
     except ValueError as exc:
         raise ConfigError(f"[study] {exc}") from exc
-    if not cfg.growth.monotone_cap:
-        raise ConfigError("[growth] the speed study requires monotone_cap growth")
     profile = front_profile(cfg.kernel)
     reference = find_c_star(cfg.growth, profile).c_star
     result = _run_once(cfg)

@@ -97,13 +97,13 @@ class ModelParams(_ModelFields):
         self = super().__new__(cls, *args, **kwargs)
         if self.model not in MODEL_KINDS:
             raise ValueError(f"unknown model {self.model!r}")
-        if self.model == "gamma":
-            if self.gamma is None or self.gamma < 1:
-                raise ValueError("gamma model requires gamma >= 1")
-        if self.dt <= 0:
+        # Written so that NaN fails each test: every comparison with NaN is False.
+        if self.model == "gamma" and not 1 <= (self.gamma or 0) < math.inf:
+            raise ValueError("gamma model requires gamma >= 1, finite")
+        if not self.dt > 0:
             raise ValueError("dt must be positive")
-        if self.t_end < 0:
-            raise ValueError("t_end must be nonnegative")
+        if not 0 <= self.t_end < math.inf:
+            raise ValueError("t_end must be nonnegative and finite")
         return self
 
 
@@ -139,12 +139,17 @@ def saturated_mask(values: np.ndarray) -> np.ndarray:
 
 
 def rhs_gamma(u: GridField, stencil: ConvolutionStencil, growth: GrowthLaw,
-              gamma: float) -> np.ndarray:
-    """Right-hand side of the finite-pressure model with p = u**gamma."""
-    if gamma < 1:
-        raise ValueError("gamma must be >= 1")
-    p = u.values ** gamma
-    g = np.asarray(growth(u.values), dtype=float)
+              gamma: float, box: tuple[slice, ...] = ()) -> np.ndarray:
+    """Right-hand side of the finite-pressure model with p = u**gamma on the
+    cells of ``box`` (default: all).  ``_euler_steps`` passes the bounding box
+    of ``u > 0`` dilated by ``reach`` (1-d: ``2 * reach``, so each output
+    within reach of the support is an all-taps ``np.convolve`` dot product).
+    Off it ``u = g(u) = K*p = K*(g p) = 0``; in it the bits are the grid's."""
+    if not 1 <= gamma < math.inf:
+        raise ValueError("gamma must be finite and >= 1")
+    v = u.values[box]
+    p = _pressure(v, gamma)
+    g = np.asarray(growth(v), dtype=float)
     conv_p, conv_gp = convolve_dense(stencil, p, g * p)
     # The 2-d FFT path agrees with the direct sum only to rounding; with both
     # terms clipped rhs >= 0 holds exactly, and with it pointwise time
@@ -152,6 +157,12 @@ def rhs_gamma(u: GridField, stencil: ConvolutionStencil, growth: GrowthLaw,
     conv_p = np.clip(conv_p, 0.0, 1.0)
     conv_gp = np.maximum(conv_gp, 0.0)
     return (g * (1.0 - conv_p) + conv_gp) * (1.0 - p)
+
+
+def _pressure(v: np.ndarray, gamma: float) -> np.ndarray:
+    """``v ** gamma``, with the slow ``pow`` of 0 and of underflows skipped below
+    ``2**(-1100/gamma)``: there ``v**gamma < 2**-1100``, and +0.0 is kept."""
+    return np.power(v, gamma, out=np.zeros_like(v), where=v >= 2.0 ** (-1100.0 / gamma))
 
 
 class _Band(NamedTuple):
@@ -209,13 +220,13 @@ def _band(sat: np.ndarray, mask_conv: np.ndarray, values: np.ndarray,
 
 
 def model_rhs(u: GridField, params: ModelParams, stencil: ConvolutionStencil,
-              growth: GrowthLaw, band: _Band | None,
-              values: np.ndarray | None) -> np.ndarray:
+              growth: GrowthLaw, band: _Band | tuple[slice, ...],
+              values: np.ndarray) -> np.ndarray:
     """Right-hand side of ``params.model`` at ``u``: of the gamma model on the
-    whole grid, and of a saturated model at the cells of ``band``, the
+    live box ``band``, and of a saturated model at the cells of ``band``, the
     ``_Band`` of ``_euler_steps``, whose densities are ``values``."""
     if params.model == "gamma":
-        return rhs_gamma(u, stencil, growth, params.gamma)
+        return rhs_gamma(u, stencil, growth, params.gamma, band)
     # the bracket of the saturated model, with 1 - 1_S folded into the band's terms
     return growth.fn(values) * band.free + band.spill
 
@@ -262,10 +273,11 @@ def _euler_steps(u0: GridField, params: ModelParams, stencil: ConvolutionStencil
     terms that depend on it alone are kept with the band, and only the cells
     of ``_band`` are stepped, with every bit of a full-grid step.  The copy
     holds 0.0 where ``u0`` holds -0.0, as a step would write there, and no
-    step writes -0.0, so a vacuum is never live.  The gamma model steps the
-    whole box, where ``g(u)`` can be nonzero.  A cell leaving ``S`` raises
-    ``InvariantViolation``, and so does a density outside [0, 1] or NaN; both
-    are checked on every cell the step wrote.
+    step writes -0.0, so a vacuum is never live.  The gamma model steps its
+    live box (see ``rhs_gamma``), found again after a step that leaves more
+    cells with ``u > 0`` (none falls to 0: ``rhs >= -L u``, ``dt L <= 0.1``).
+    A cell leaving ``S`` raises ``InvariantViolation``, and so does a density
+    outside [0, 1] or NaN; both are checked on every cell the step wrote.
     """
     _check_stepping(u0, params, stencil, growth)
     u = u0.copy()
@@ -273,9 +285,10 @@ def _euler_steps(u0: GridField, params: ModelParams, stencil: ConvolutionStencil
     flat = u.values.ravel()
     sat = u.values >= 1.0
     if params.model == "gamma":
-        # The whole box, as indices: a slice would gather ``before`` as a view
-        # of the cells this step overwrites.
-        mask_conv, band, cells = None, None, np.arange(flat.size)
+        # The live box of rhs_gamma, and its cells as indices: a slice would
+        # gather ``before`` as a view of the cells this step overwrites.
+        mask_conv, by = None, stencil.reach * (2 if u.dim == 1 else 1)
+        band, cells, support = _live_box(u.values, by)
     else:
         # K * 1_S and the band, brought up to date as cells join S.
         mask_conv = convolve_field(stencil, sat.astype(float))
@@ -314,12 +327,15 @@ def _euler_steps(u0: GridField, params: ModelParams, stencil: ConvolutionStencil
                     f"{left} cells left the saturated set at t={u.time:.6g}")
             newly = cells[flips]
             sat.ravel()[newly] = True
-            if band is not None:
+            if mask_conv is not None:
                 add_to_mask_convolution(stencil, mask_conv, sat, newly)
                 band = _band(sat, mask_conv, u.values, grown,
                              _around(newly, sat.shape, stencil.reach + 1), growth,
                              generalized)
                 cells = band.cells
+            sat_band = sat.ravel()[cells]
+        if mask_conv is None and np.count_nonzero(after) != support:
+            band, cells, support = _live_box(u.values, by)  # a new cell with u > 0
             sat_band = sat.ravel()[cells]
         yield u, before, after, lo, rhs, proposed, newly, written
         before = after if cells is written else None
@@ -358,7 +374,7 @@ def run(u0: GridField, params: ModelParams, stencil: ConvolutionStencil,
 
     The monitors read the band each step wrote: off it the density did not
     change and the rhs was 0.0, and every slope that changed lies in the
-    band's bounding box (see ``_band``).  They skip what the invariants
+    band's bounding box dilated by one cell.  They skip what the invariants
     decide.  ``max_u`` is not reduced once it reads 1.0, the clamp's cap (a
     NaN has raised).  With ``rhs >= 0`` and ``before <= 1``,
     ``min(before + dt * rhs, 1) >= before``, so ``before - after`` is reduced
@@ -396,7 +412,7 @@ def run(u0: GridField, params: ModelParams, stencil: ConvolutionStencil,
             sat_time.ravel()[newly] = u.time
         if record_lipschitz:
             if written is not band:  # a new band, after an event
-                band, window = written, _around(written, u.shape, 0)
+                band, window = written, _around(written, u.shape, 1)
             lipschitz = max(lipschitz, _max_slope(u.values[window]) / u.spacing)
         if k in snapshot_steps:
             times.append(u.time)
@@ -419,6 +435,14 @@ def _around(cells: np.ndarray, shape: tuple[int, ...], by: int) -> tuple[slice, 
         return (slice(max(int(cells[0]) - by, 0), int(cells[-1]) + by + 1),)
     return tuple(slice(max(int(a.min()) - by, 0), int(a.max()) + by + 1)
                  for a in np.unravel_index(cells, shape))
+
+
+def _live_box(values: np.ndarray, by: int) -> tuple[tuple[slice, ...], np.ndarray, int]:
+    """The bounding box of ``values > 0`` dilated by ``by``, as slices and as
+    flat indices, and the number of cells with ``values > 0``."""
+    support = np.flatnonzero(values)
+    box = _around(support, values.shape, by)
+    return box, np.arange(values.size).reshape(values.shape)[box].ravel(), support.size
 
 
 def _max_slope(values: np.ndarray) -> float:

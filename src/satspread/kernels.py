@@ -232,9 +232,9 @@ def _as_field(stencil: ConvolutionStencil, values) -> np.ndarray:
 
 def _convolve_1d(stencil: ConvolutionStencil, values: np.ndarray) -> np.ndarray:
     # mode="same" returns max(cells, taps) values; this slice is the same on
-    # boxes at least as long as the stencil.
+    # boxes at least as long as the stencil.  np.convolve rejects an empty box.
     r, n = stencil.reach, values.shape[0]
-    return np.convolve(values, stencil.dense, mode="full")[r:r + n]
+    return np.convolve(values, stencil.dense, mode="full")[r:r + n] if n else values
 
 
 def convolve_field(stencil: ConvolutionStencil, values: np.ndarray) -> np.ndarray:
@@ -296,13 +296,13 @@ def convolve_dense(stencil: ConvolutionStencil, *fields: np.ndarray) -> np.ndarr
     values = [_as_field(stencil, f) for f in fields]
     if stencil.dim == 1:
         return np.stack([_convolve_1d(stencil, v) for v in values])
-    stack = np.stack(values)
+    stack = np.array(values)
     out = np.zeros_like(stack)
     support = stack.any(axis=0)
-    rows = np.flatnonzero(support.any(axis=1))
+    rows = support.any(axis=1).nonzero()[0]
     if rows.size == 0:
         return out
-    cols = np.flatnonzero(support.any(axis=0))
+    cols = support.any(axis=0).nonzero()[0]
     r = stencil.reach
     nx, ny = support.shape
     # Python ints: cheaper to pad and to key the spectrum cache with
@@ -316,11 +316,13 @@ def convolve_dense(stencil: ConvolutionStencil, *fields: np.ndarray) -> np.ndarr
     box = np.fft.irfft2(spectrum, s=shape)[:, i0 - a0 + r:i1 - a0 + r,
                                            j0 - b0 + r:j1 - b0 + r]
     magnitude = np.abs(box)
-    box[magnitude <= FFT_ZERO_FLOOR * magnitude.max(axis=(1, 2), keepdims=True)] = 0.0
-    out[:, i0:i1, j0:j1] = box
+    # The floored outputs keep the +0.0 of ``out``; a NaN is written.
+    np.copyto(out[:, i0:i1, j0:j1], box, where=~(
+        magnitude <= FFT_ZERO_FLOOR * magnitude.max(axis=(1, 2), keepdims=True)))
     return out
 
 
+@functools.lru_cache(maxsize=256)
 def _fast_length(n: int) -> int:
     """The least length ``>= n`` whose only prime factors are 2, 3 and 5."""
     while True:

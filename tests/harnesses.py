@@ -9,8 +9,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from satspread.dynamics import (GridField, ModelParams, RunResult, _check_stepping,
-                                _euler_steps, discrete_lipschitz, rhs_gamma,
-                                saturated_mask)
+                                _euler_steps, discrete_lipschitz, saturated_mask)
 from satspread.growth import GrowthLaw
 from satspread.kernels import (ConvolutionStencil, FrontKernelProfile, Kernel,
                                KernelError, _quad, convolve_dense, convolve_field,
@@ -51,11 +50,24 @@ def rhs_singular(u: GridField, stencil: ConvolutionStencil, growth: GrowthLaw,
                                generalized) * (1.0 - mask))
 
 
+def rhs_gamma_full_grid(u: GridField, stencil: ConvolutionStencil, growth: GrowthLaw,
+                        gamma: float) -> np.ndarray:
+    """Right-hand side of the finite-pressure model with ``pow`` and both
+    convolutions on every cell: ``rhs_gamma`` without its live box and its
+    ``pow`` threshold."""
+    p = u.values ** gamma
+    g = np.asarray(growth(u.values), dtype=float)
+    conv_p, conv_gp = convolve_dense(stencil, p, g * p)
+    conv_p = np.clip(conv_p, 0.0, 1.0)
+    conv_gp = np.maximum(conv_gp, 0.0)
+    return (g * (1.0 - conv_p) + conv_gp) * (1.0 - p)
+
+
 def full_grid_rhs(u: GridField, params: ModelParams, stencil: ConvolutionStencil,
                   growth: GrowthLaw) -> np.ndarray:
     """Right-hand side of ``params.model`` at every cell of ``u``."""
     if params.model == "gamma":
-        return rhs_gamma(u, stencil, growth, params.gamma)
+        return rhs_gamma_full_grid(u, stencil, growth, params.gamma)
     return rhs_singular(u, stencil, growth, params.model == "generalized_singular")
 
 

@@ -16,7 +16,7 @@ from scipy import integrate, optimize
 from satspread import waves
 from satspread.analysis import _dilate_one_cell
 from satspread.errors import BracketError, ScientificError
-from satspread.kernels import convolve_field
+from satspread.kernels import FFT_ZERO_FLOOR, _fast_length, convolve_field
 from satspread.output import SCHEMA_VERSION, _jsonable
 from satspread.waves import (DEFAULT_SPEED_TOL, DEFAULT_STEP_FRACTION,
                              MinimalSpeedResult, WaveProfile)
@@ -156,6 +156,34 @@ def convolve_field_direct(stencil, values: np.ndarray) -> np.ndarray:
     out = np.zeros_like(values)
     for p, q in reversed(np.argwhere(dense).tolist()):
         out += dense[p, q] * padded[2 * r - p:2 * r - p + nx, 2 * r - q:2 * r - q + ny]
+    return out
+
+
+def convolve_dense_plain(stencil, *fields: np.ndarray) -> np.ndarray:
+    """The 2-d ``kernels.convolve_dense`` written plainly, as a bit-for-bit
+    oracle: the fields stacked, their support found by ``np.flatnonzero``,
+    the padded length searched afresh, and the floor applied by a boolean
+    assignment before the box is copied into the zeroed result."""
+    stack = np.stack([np.asarray(f, dtype=float) for f in fields])
+    out = np.zeros_like(stack)
+    support = stack.any(axis=0)
+    rows = np.flatnonzero(support.any(axis=1))
+    if rows.size == 0:
+        return out
+    cols = np.flatnonzero(support.any(axis=0))
+    r = stencil.reach
+    nx, ny = support.shape
+    a0, a1, b0, b1 = int(rows[0]), int(rows[-1]) + 1, int(cols[0]), int(cols[-1]) + 1
+    shape = tuple(_fast_length.__wrapped__(n + 2 * r) for n in (a1 - a0, b1 - b0))
+    spectrum = (np.fft.rfft2(stack[:, a0:a1, b0:b1], s=shape)
+                * np.fft.rfft2(stencil.dense, s=shape))
+    i0, i1 = max(a0 - r, 0), min(a1 + r, nx)
+    j0, j1 = max(b0 - r, 0), min(b1 + r, ny)
+    box = np.fft.irfft2(spectrum, s=shape)[:, i0 - a0 + r:i1 - a0 + r,
+                                           j0 - b0 + r:j1 - b0 + r]
+    magnitude = np.abs(box)
+    box[magnitude <= FFT_ZERO_FLOOR * magnitude.max(axis=(1, 2), keepdims=True)] = 0.0
+    out[:, i0:i1, j0:j1] = box
     return out
 
 

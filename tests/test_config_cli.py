@@ -810,13 +810,42 @@ class TestStudyCommands:
         key = line.split(" = ")[0]
         assert f"config error: [study] {key}" in capsys.readouterr().err
 
-    def test_speed_window_with_too_few_snapshots_exits_2(self, tmp_path, capsys):
+    def test_speed_window_with_too_few_snapshots_exits_2(self, tmp_path, capsys,
+                                                          monkeypatch):
+        """Three snapshots (t = 0, 1, 2) leave two in the fit window: the
+        count is known from the config, so neither the c* search nor the
+        run starts."""
+        def no_work(*args, **kwargs):
+            raise AssertionError("speed ran before its fit window was checked")
+
+        monkeypatch.setattr(cli, "find_c_star", no_work)
+        monkeypatch.setattr(cli, "run", no_work)
         text = BASE.replace("t_end = 1.0", "t_end = 2.0").replace(
             "snapshot_interval = 0.5", "snapshot_interval = 1.0")
         cfg_path = write_config(tmp_path, text)
         assert main(["speed", "--config", str(cfg_path),
                      "--out", str(tmp_path / "f")]) == 2
         assert "10 usable snapshots" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("t_end,interval,window,count", [
+        (40.0, 1.0, 0.5, 21), (2.0, 0.1, 0.5, 11), (0.9, 0.1, 0.5, 5),
+        (0.0, 0.1, 0.5, 1), (1.0, None, 0.5, 1), (0.95, 0.05, 0.45, 9),
+        (0.03, 0.003, 0.5, 6), (1.0, 0.1, 0.05, 1)])
+    def test_fit_window_count_equals_the_runs(self, t_end, interval, window, count):
+        """The pre-run check counts the window's snapshots exactly as
+        ``estimate_speed`` does on the times the run records."""
+        params = ss.ModelParams("singular", 0.003, t_end)
+        _, st = ss.build_kernel("indicator_ball", 1.0, 1, 0.25)
+        res = ss.run(ss.grid_field(1.0, 0.25, 1), params, st, ss.linear_growth(1.0),
+                     snapshot_interval=interval)
+        times = np.asarray(res.times)
+        assert np.count_nonzero(
+            times >= times[-1] * (1.0 - window) - 1e-12) == count
+        if count >= 10:
+            ss.analysis._check_fit_window(params, interval, window)
+        else:
+            with pytest.raises(ValueError, match="10 usable snapshots"):
+                ss.analysis._check_fit_window(params, interval, window)
 
     def test_seed_and_threads_flags_accepted(self, tmp_path):
         cfg_path = write_config(tmp_path, BASE)

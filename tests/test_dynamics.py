@@ -1,6 +1,7 @@
 """Stepping, invariants and diagnostics of the two models."""
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -93,6 +94,19 @@ class TestModelParams:
             ss.ModelParams(model="singular", dt=-0.1, t_end=1.0)
         with pytest.raises(ValueError):
             ss.ModelParams(model="nope", dt=0.1, t_end=1.0)
+
+    @pytest.mark.parametrize("fields,message", [
+        (dict(model="gamma", gamma=math.nan), "gamma >= 1, finite"),
+        (dict(model="gamma", gamma=math.inf), "gamma >= 1, finite"),
+        (dict(model="gamma", gamma=0.5), "gamma >= 1, finite"),
+        (dict(model="gamma", gamma=8.0, dt=math.nan), "dt must be positive"),
+        (dict(model="singular", dt=math.nan), "dt must be positive"),
+        (dict(model="singular", t_end=math.nan), "t_end must be nonnegative"),
+        (dict(model="singular", t_end=math.inf), "t_end must be nonnegative and finite")])
+    def test_nan_and_infinite_values_rejected(self, fields, message):
+        """Each check is written so that NaN fails it, when the record is built."""
+        with pytest.raises(ValueError, match=message):
+            ss.ModelParams(**{"dt": 0.01, "t_end": 1.0, **fields})
 
     def test_stability_caps(self, linear_g):
         assert ss.stability_cap("gamma", linear_g, 8.0) == pytest.approx(0.1 / 8.0)
@@ -189,6 +203,130 @@ class TestRhsGamma:
                 probed += np.count_nonzero(over)
                 assert np.array_equal(rhs[over], conv_gp[over] * (1.0 - vals[over]))
         assert probed
+
+
+def bits(values):
+    """The bit patterns of ``values``: equal bits, not just equal numbers."""
+    return np.ascontiguousarray(values, dtype=float).view(np.uint64)
+
+
+def near_threshold(gamma):
+    """Densities an ulp below, at and an ulp above ``2**(-1100/gamma)``, the
+    least density whose pressure ``rhs_gamma`` computes with ``pow``."""
+    t = 2.0 ** (-1100.0 / gamma)
+    return np.array([np.nextafter(t, 0.0), t, np.nextafter(t, 1.0)])
+
+
+class TestGammaLiveBox:
+    """The gamma model steps only the bounding box of ``u > 0``, dilated by
+    ``reach`` (in 1-d by ``2 * reach``), and calls ``pow`` only from
+    ``2**(-1100/gamma)`` up: bit for bit the full-grid direct loop."""
+
+    @staticmethod
+    def against_direct(u0, stencil, gamma, n_steps):
+        growth = ss.logistic_growth(1.0, 3.0)
+        dt = ss.stability_cap("gamma", growth, gamma)
+        params = ss.ModelParams(model="gamma", gamma=gamma, dt=dt, t_end=n_steps * dt)
+        res = ss.run(u0, params, stencil, growth, record_lipschitz=True)
+        final, sat_time, monitors, clamped = direct_loop(u0, params, stencil, growth,
+                                                         n_steps, record_lipschitz=True)
+        assert np.array_equal(bits(res.final.values), bits(final.values))
+        assert np.array_equal(res.saturation_time, sat_time)
+        assert res.clamped_total == clamped
+        for key, value in monitors.items():
+            assert res.monitors[key] == value, key
+        # every step, not only the last: a rounding apart can wash out by then
+        direct = u0
+        for u, *_ in ss.dynamics._euler_steps(u0, params, stencil, growth):
+            direct = step(direct, params, stencil, growth)[0]
+            assert np.array_equal(bits(u.values), bits(direct.values))
+        return res
+
+    @staticmethod
+    def live_box(values, by):
+        """The live box as a boolean mask of the grid."""
+        box = np.zeros(values.shape, dtype=bool)
+        nonzero = np.nonzero(values)
+        box[tuple(slice(max(a.min() - by, 0), a.max() + by + 1) for a in nonzero)] = True
+        return box
+
+    @pytest.mark.parametrize("gamma", [1.0, 8.0, 128.0])
+    @pytest.mark.parametrize("where", ["corner", "rows", "centre"])
+    def test_two_dimensional_boxes(self, small2d, gamma, where):
+        """A support in a corner (the box is clipped at two edges), one that
+        spans whole rows (the box's cells are one contiguous run), and one
+        clear of the edges; each box is smaller than the grid."""
+        _, st = small2d
+        rng = np.random.default_rng(int(gamma))
+        vals = np.zeros((45, 41))
+        block = {"corner": np.s_[:6, -9:], "rows": np.s_[20:24, :],
+                 "centre": np.s_[18:27, 15:22]}[where]
+        vals[block] = rng.uniform(0.05, 1.0, vals[block].shape)
+        vals[block][rng.uniform(size=vals[block].shape) < 0.2] = 1.0
+        res = self.against_direct(field2d(vals), st, gamma, 30)
+        assert 0 < np.count_nonzero(self.live_box(vals, st.reach)) < vals.size
+        assert np.count_nonzero(res.final.values != vals) > 50
+
+    @pytest.mark.parametrize("gamma", [1.0, 8.0, 128.0])
+    @pytest.mark.parametrize("block", [np.s_[:5], np.s_[-3:], np.s_[60:70],
+                                       np.s_[30:31], np.s_[:]])
+    def test_one_dimensional_windows(self, small1d, gamma, block):
+        """Supports at either end, clear of both, one cell wide, and filling
+        the line; the window reaches ``2 * reach`` past the support, so every
+        output within reach of it is an all-taps dot product."""
+        _, st = small1d
+        vals = np.zeros(129)
+        vals[block] = np.random.default_rng(7).uniform(0.05, 1.0, vals[block].shape)
+        self.against_direct(field1d(vals), st, gamma, 40)
+
+    @pytest.mark.parametrize("gamma", [1.0, 1.02, 1.5, 8.0, 128.0, 1e3, 1e16, 1e18, 1e20])
+    def test_pressure_threshold_keeps_the_bits_of_pow(self, gamma):
+        """Densities an ulp below, at and above the threshold, some whose
+        power is subnormal, the least subnormal, 0, and the ulps at 1:
+        ``_pressure`` has the bits of ``v ** gamma``."""
+        tiny = np.finfo(float).smallest_subnormal
+        # powers of about 2**-1074 and 2**-1050: a subnormal p, skipped by no threshold
+        lowest = [2.0 ** (-1074.0 / gamma), 2.0 ** (-1050.0 / gamma)]
+        v = np.concatenate([near_threshold(gamma), lowest, [0.0, tiny, 2 * tiny, 1e-300,
+                            1e-10, 0.5, np.nextafter(1.0, 0.0), 1.0]])
+        v = np.concatenate([v, np.random.default_rng(3).uniform(size=200)])
+        assert np.array_equal(bits(ss.dynamics._pressure(v, gamma)), bits(v ** gamma))
+
+    @pytest.mark.parametrize("gamma", [8.0, 128.0])
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_densities_at_the_pow_threshold(self, small1d, small2d, gamma, dim):
+        """Cells an ulp below, at and above ``2**(-1100/gamma)``, among the
+        support and alone in the vacuum, step as on the full grid."""
+        _, st = (small1d, small2d)[dim - 1]
+        rng = np.random.default_rng(dim)
+        vals = np.zeros((97,) if dim == 1 else (41, 41))
+        vals[(slice(14, 24),) * dim] = rng.uniform(0.5, 1.0, (10,) * dim)
+        flat = vals.ravel()
+        flat[[12, 25, 27]] = near_threshold(gamma)
+        flat[flat.size - 3:] = near_threshold(gamma)
+        self.against_direct(field1d(vals) if dim == 1 else field2d(vals), st, gamma, 20)
+
+    def test_cells_off_the_box_keep_their_bits(self, small2d):
+        """Each step writes the live box of the field it starts from, and no
+        other cell; ``before`` is a copy that later steps never write, also
+        where the box spans whole rows."""
+        _, st = small2d
+        growth = ss.logistic_growth(1.0, 3.0)
+        vals = np.zeros((45, 41))
+        vals[20:24, :] = np.random.default_rng(4).uniform(0.05, 1.0, (4, 41))
+        dt = ss.stability_cap("gamma", growth, 8.0)
+        params = ss.ModelParams(model="gamma", gamma=8.0, dt=dt, t_end=30 * dt)
+        prev = vals.copy()
+        kept = []
+        for u, before, after, *_, written in ss.dynamics._euler_steps(
+                field2d(vals), params, st, growth):
+            box = self.live_box(prev, st.reach).ravel()
+            assert np.array_equal(written, np.flatnonzero(box))
+            assert np.array_equal(bits(u.values.ravel()[~box]), bits(prev.ravel()[~box]))
+            assert not np.shares_memory(before, u.values)
+            kept.append((before, before.copy()))
+            prev = u.values.copy()
+        assert all(np.array_equal(bits(a), bits(b)) for a, b in kept)
 
 
 class TestRhsSingular:

@@ -13,9 +13,9 @@ from satspread.kernels import _fast_length, _stencil_spectrum
 
 from harnesses import ball_convolution_on_ray, check_cap_inequality, convolve_mask
 from oracles import (CONE_1D_H_HALF, CONE_2D_H_HALF, H2D_INDICATOR_HALF,
-                     brute_convolve, convolve_field_direct, h1d_indicator,
-                     h2d_indicator, quad_ball_on_ray, quad_front_profile,
-                     quad_kernel_mass, riemann_h2d)
+                     brute_convolve, convolve_dense_plain, convolve_field_direct,
+                     h1d_indicator, h2d_indicator, quad_ball_on_ray,
+                     quad_front_profile, quad_kernel_mass, riemann_h2d)
 
 
 def cone_profile(rho):
@@ -562,6 +562,19 @@ class TestConvolveDenseProperty:
     def test_within_rounding_of_the_direct_sum(self, case):
         stencil, fields = case
         TestConvolveDense.against_direct(stencil, *fields)
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=60)
+    @given(dense_stacks(), st.sampled_from([None, -0.0, np.nan, np.inf]))
+    def test_bits_equal_the_plain_oracle(self, case, odd):
+        """The same bits as ``convolve_dense_plain``, also with a -0.0, a NaN
+        or an inf put in a drawn field's first cell."""
+        stencil, fields = case
+        if odd is not None:
+            fields[-1][0, 0] = odd
+        with np.errstate(invalid="ignore"):
+            got = ss.convolve_dense(stencil, *fields)
+            expected = convolve_dense_plain(stencil, *fields)
+        assert np.array_equal(got.view(np.uint64), expected.view(np.uint64))
 
 
 class TestScipyOracle:
