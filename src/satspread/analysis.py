@@ -57,40 +57,42 @@ def track_fronts(result: RunResult, direction=None) -> FrontTrack:
                       radius_support=np.asarray(r_sup))
 
 
-def _check_window_fraction(window_fraction: float) -> None:
+def _fit_window(times: np.ndarray, window_fraction: float) -> tuple[float, np.ndarray]:
+    """The start of the trailing ``window_fraction`` of ``times`` and the mask
+    of the times from it on, within 1e-12; ``ValueError`` unless
+    ``window_fraction`` lies in (0, 0.5] and the mask holds 10 times."""
     if not 0.0 < window_fraction <= 0.5:
         raise ValueError("window_fraction must lie in (0, 0.5]")
+    t_start = float(times[-1]) * (1.0 - window_fraction)
+    inside = times >= t_start - 1e-12
+    if np.count_nonzero(inside) < 10:
+        raise ValueError("fit window must contain at least 10 usable snapshots")
+    return t_start, inside
 
 
 def _check_fit_window(params: ModelParams, snapshot_interval: float | None,
                       window_fraction: float = 0.5) -> None:
-    """Raise ``ValueError`` before a run unless its snapshots, timed as ``run``
-    adds up its steps, put 10 in the fit window of ``estimate_speed``."""
-    _check_window_fraction(window_fraction)
+    """``_fit_window`` on a run's snapshot times, added up as ``run`` adds its
+    steps: ``ValueError`` before the run where ``estimate_speed`` would raise."""
     n, last_dt = _step_count(params)
     ends = np.cumsum([0.0] + [params.dt] * (n - 1) + [last_dt])  # ends[k]: after step k
-    times = ends[sorted(_snapshot_steps(params, snapshot_interval) | {0})]
-    if np.count_nonzero(times >= times[-1] * (1.0 - window_fraction) - 1e-12) < 10:
-        raise ValueError("fit window must contain at least 10 usable snapshots")
+    _fit_window(ends[sorted(_snapshot_steps(params, snapshot_interval) | {0})],
+                window_fraction)
 
 
 def estimate_speed(track: FrontTrack, window_fraction: float = 0.5) -> SpeedEstimate:
     """Least-squares slope of the saturated radius over the trailing window.
 
     The window never extends into the first half of the run, which removes
-    the start-up delay before the front settles into linear motion.
+    the start-up delay before the front settles into linear motion.  It must
+    hold 10 snapshots (``_fit_window``); fewer than 10 finite saturated radii
+    in it, or a radius that does not move, give a degenerate estimate.
     """
-    _check_window_fraction(window_fraction)
     t_end = float(track.times[-1])
-    t_start = t_end * (1.0 - window_fraction)
-    sel = track.times >= t_start - 1e-12
-    t = track.times[sel]
-    r = track.radius_saturated[sel]
-    finite = np.isfinite(r)
-    if int(finite.sum()) < 10:
-        raise ValueError("fit window must contain at least 10 usable snapshots")
-    t, r = t[finite], r[finite]
-    if float(r.max() - r.min()) <= 0.0:
+    t_start, inside = _fit_window(track.times, window_fraction)
+    keep = inside & np.isfinite(track.radius_saturated)
+    t, r = track.times[keep], track.radius_saturated[keep]
+    if r.size < 10 or float(r.max() - r.min()) <= 0.0:
         return SpeedEstimate(fitted_speed=0.0, fit_window=(t_start, t_end),
                              residual=0.0, degenerate=True)
     slope, intercept = np.polyfit(t, r, 1)

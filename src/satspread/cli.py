@@ -40,29 +40,15 @@ def main(argv=None) -> int:
                          help="accepted and ignored; every run is serial")
     args = parser.parse_args(argv)
 
-    try:
-        cfg = load_config(args.config, args.command)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except OSError as exc:
-        print(f"i/o error: {exc}", file=sys.stderr)
-        return EXIT_IO
-
-    for note in cfg.warnings:
-        print(f"warning: {note}", file=sys.stderr)
-
-    out_dir = Path(args.out) if args.out else Path(cfg.output_dir)
-    try:
-        out_dir.mkdir(parents=True, exist_ok=True)
-    except OSError as exc:
-        print(f"i/o error: {exc}", file=sys.stderr)
-        return EXIT_IO
-
     handler = {"simulate": _cmd_simulate, "wave": _cmd_wave,
                "speed": _cmd_speed, "converge": _cmd_converge,
                "compare": _cmd_compare}[args.command]
     try:
+        cfg = load_config(args.config, args.command)
+        for note in cfg.warnings:
+            print(f"warning: {note}", file=sys.stderr)
+        out_dir = Path(args.out) if args.out else Path(cfg.output_dir)
+        out_dir.mkdir(parents=True, exist_ok=True)
         return handler(cfg, out_dir)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
@@ -119,8 +105,6 @@ def _cmd_simulate(cfg: RunConfig, out_dir: Path) -> int:
 
 
 def _cmd_wave(cfg: RunConfig, out_dir: Path) -> int:
-    if not cfg.growth.monotone_cap:
-        raise ConfigError("[growth] the wave command requires monotone_cap growth")
     ode_step = cfg.study.get("ode_step")
     s_max = cfg.study.get("s_max")
     factors = (("cstar", 1.0), ("1p5cstar", 1.5), ("2cstar", 2.0))
@@ -159,26 +143,20 @@ def _cmd_wave(cfg: RunConfig, out_dir: Path) -> int:
 
 
 def _cmd_speed(cfg: RunConfig, out_dir: Path) -> int:
-    if not cfg.growth.monotone_cap:
-        raise ConfigError("[growth] the speed study requires monotone_cap growth")
     tolerance = cfg.study.get("tolerance", 0.05)
     if not tolerance > 0:
         raise ConfigError("[study] tolerance must be positive")
+    window = _study(cfg, window_fraction="window_fraction")
     try:
-        # estimate_speed checks the window too, but only after the c* search and the run
-        _check_fit_window(cfg.model, cfg.snapshot_interval,
-                          **_study(cfg, window_fraction="window_fraction"))
+        # the check estimate_speed makes after the c* search and the run
+        _check_fit_window(cfg.model, cfg.snapshot_interval, **window)
     except ValueError as exc:
         raise ConfigError(f"[study] {exc}") from exc
     profile = front_profile(cfg.kernel)
     reference = find_c_star(cfg.growth, profile).c_star
     result = _run_once(cfg)
     track = track_fronts(result)
-    try:
-        estimate = estimate_speed(track,
-                                  **_study(cfg, window_fraction="window_fraction"))
-    except ValueError as exc:
-        raise ConfigError(f"[study] {exc}") from exc
+    estimate = estimate_speed(track, **window)
     confinement = support_confinement_check(result, cfg.stencil)
     ratio = estimate.fitted_speed / reference
     passed = (not estimate.degenerate and abs(ratio - 1.0) <= tolerance

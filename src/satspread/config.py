@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 
 from . import dynamics, growth as growth_mod, kernels, waves
-from .dynamics import GridField, ModelParams, grid_field, stability_cap
+from .dynamics import GridField, ModelParams, grid_field
 from .growth import GrowthLaw
 from .kernels import ConvolutionStencil, Kernel
 
@@ -160,14 +160,16 @@ def _unread(section: str, key: str, command: str) -> str:
 def _initial_spec(section: str, items: dict) -> dict:
     spec = {"kind": items["initial"], **{key: value for key, value in items.items()
                                          if key not in ("initial", "box_radius")}}
-    for key in ("sigma", "speed_factor", "ramp"):  # each only where its kind reads it
+    for key in ("sigma", "cutoff", "speed_factor", "ramp"):  # each where its kind reads it
         if spec.get(key, 1.0) <= 0:
             raise ConfigError(f"[{section}] {key} must be positive")
     return spec
 
 
 def load_config(path: str | Path, command: str = "simulate") -> RunConfig:
-    """Parse, validate and resolve a run configuration for one subcommand."""
+    """Parse, validate and resolve a run configuration for one subcommand,
+    with the checks that need no search or run made here: among them the
+    step cap and the growth cap ``g(u) <= g(1)`` that shooting for ``c*`` needs."""
     sections, raw = _parse_sections(Path(path), command)
 
     model, idle = sections.get("model", {}), _COMMAND_KEYS[command].get("model", ())
@@ -196,11 +198,9 @@ def load_config(path: str | Path, command: str = "simulate") -> RunConfig:
         try:
             params = ModelParams(model=model["kind"], dt=model["dt"], t_end=t_end,
                                  gamma=model.get("gamma"))
+            dynamics._check_step_cap(params, growth)
         except ValueError as exc:
             raise ConfigError(f"[model] {exc}") from exc
-        cap = stability_cap(params.model, growth, params.gamma)
-        if params.dt > cap * (1 + 1e-12):
-            raise ConfigError(f"[model] dt = {params.dt} exceeds the stability cap {cap:.6g}")
 
     domain = sections["domain"]
     box_radius = domain["box_radius"]
@@ -210,6 +210,12 @@ def load_config(path: str | Path, command: str = "simulate") -> RunConfig:
     initial_spec = _initial_spec("domain", domain)
     high_spec = (_initial_spec("domain_high", sections["domain_high"])
                  if command == "compare" else None)
+    # Shooting for c* needs g(u) <= g(1), and so does the ordering compare tests.
+    reader = (command if command in ("wave", "speed", "compare")
+              else "initial = wave_envelope" if initial_spec["kind"] == "wave_envelope"
+              else None)
+    if reader and not growth.monotone_cap:
+        raise ConfigError(f"[growth] {reader} requires monotone_cap growth, g(u) <= g(1)")
 
     output = sections.get("output", {})
     snap = output.get("snapshot_interval")
@@ -245,13 +251,12 @@ def build_initial_field(cfg: RunConfig, spec: dict | None = None) -> GridField:
     """Realize an initial-data preset on the configured grid.
 
     ``wave_envelope`` places the wave of speed ``speed_factor * c*`` along the
-    first axis, saturated behind ``offset``; it finds ``c*`` first.
+    first axis, saturated behind ``offset``; it finds ``c*`` first, under the
+    growth cap that ``load_config`` checks.
     """
     spec = cfg.initial_spec if spec is None else spec
     kind = spec["kind"]
     if kind == "wave_envelope":
-        if not cfg.growth.monotone_cap:
-            raise ConfigError("[growth] wave_envelope initial data requires monotone_cap")
         profile = kernels.front_profile(cfg.kernel)
         c_star = waves.find_c_star(cfg.growth, profile).c_star
         wave = waves.shoot_profile(spec["speed_factor"] * c_star, cfg.growth, profile)

@@ -120,13 +120,17 @@ def stability_cap(model: str, growth: GrowthLaw, gamma: float | None = None) -> 
     return _CAP_FACTOR / max(L, rate)
 
 
+def _check_step_cap(params: ModelParams, growth: GrowthLaw) -> None:
+    cap = stability_cap(params.model, growth, params.gamma)
+    if params.dt > cap * (1 + 1e-12):
+        raise ValueError(f"dt = {params.dt} exceeds the stability cap {cap:.6g}")
+
+
 def _check_stepping(u: GridField, params: ModelParams, stencil: ConvolutionStencil,
                     growth: GrowthLaw) -> None:
     if stencil.grid_spacing != u.spacing:
         raise ValueError("stencil and field grid spacing differ")
-    cap = stability_cap(params.model, growth, params.gamma)
-    if params.dt > cap * (1 + 1e-12):
-        raise ValueError(f"dt={params.dt} exceeds the stability cap {cap:.6g}")
+    _check_step_cap(params, growth)
     # The stepping band leaves out cells with u = 0 and K * 1_S = 0, where the
     # rhs is g(0); a directly built GrowthLaw has not been verified.
     if growth.fn(0.0) != 0.0:

@@ -77,6 +77,17 @@ class TestTrackAndSpeed:
         est = ss.estimate_speed(ss.track_fronts(res), 0.5)
         assert est.degenerate and est.fitted_speed == 0.0
 
+    @pytest.mark.parametrize("finite", [0, 9, 10])
+    def test_window_without_10_saturated_radii_is_degenerate(self, finite):
+        """A window of 11 snapshot times with fewer than 10 finite saturated
+        radii (an empty set is -inf) gives the degenerate estimate."""
+        times = np.arange(0.0, 10.001, 0.5)
+        radii = np.where(np.arange(times.size) >= times.size - finite, times, -np.inf)
+        est = ss.estimate_speed(ss.FrontTrack(times, radii, radii), 0.5)
+        assert est.degenerate == (finite < 10)
+        assert est.fit_window == (5.0, 10.0)
+        assert est.fitted_speed == (0.0 if finite < 10 else pytest.approx(1.0))
+
     def test_window_needs_enough_snapshots(self, minimal_wave):
         times = np.arange(0.0, 2.001, 0.5)
         res = synthetic_translation(minimal_wave, 0.5, 6.0, 0.125, times, -2.0)

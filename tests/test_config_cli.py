@@ -197,6 +197,19 @@ class TestLoadConfig:
         with pytest.raises(ss.ConfigError, match="dt"):
             ss.load_config(write_config(tmp_path, bad))
 
+    def test_load_config_and_run_reject_dt_with_one_message(self, tmp_path):
+        """The step cap is one check: the loader puts its section before the
+        message ``run`` raises for the same step."""
+        bad = BASE.replace("kind = singular", "kind = gamma\ngamma = 64")
+        with pytest.raises(ss.ConfigError) as loaded:
+            ss.load_config(write_config(tmp_path, bad))
+        _, stencil = ss.build_kernel("indicator_ball", 1.0, 1, 0.05)
+        with pytest.raises(ValueError) as ran:
+            ss.run(ss.grid_field(4.0, 0.05, 1), ss.ModelParams("gamma", 0.05, 1.0, 64.0),
+                   stencil, ss.linear_growth(1.0))
+        assert str(ran.value) == "dt = 0.05 exceeds the stability cap 0.0015625"
+        assert str(loaded.value) == f"[model] {ran.value}"
+
     def test_truncation_warning_for_small_box(self, tmp_path):
         bad = BASE.replace("t_end = 1.0", "t_end = 10.0")
         cfg = ss.load_config(write_config(tmp_path, bad))
@@ -233,9 +246,9 @@ class TestLoadConfig:
         assert np.array_equal(u0.values, cols["u"])
         uncapped = text.replace("kind = linear\nrate = 1.0",
                                 "kind = logistic\nrate = 1.0\ncapacity = 1.2")
-        cfg = ss.load_config(write_config(tmp_path, uncapped, "uncapped.ini"))
-        with pytest.raises(ss.ConfigError, match="monotone_cap"):
-            ss.build_initial_field(cfg)
+        with pytest.raises(ss.ConfigError, match="initial = wave_envelope requires"
+                                                 " monotone_cap growth"):
+            ss.load_config(write_config(tmp_path, uncapped, "uncapped.ini"))
 
     @pytest.mark.parametrize("value", ["nan", "inf"])
     @pytest.mark.parametrize("section,key,line", [
@@ -375,7 +388,10 @@ GUARDS = {
                     "[kernel] unknown kernel kind 'square'"),
     "speed-uncapped": ({"kind = linear\nrate = 1.0":
                         "kind = logistic\nrate = 1.0\ncapacity = 1.2"}, "speed",
-                       "[growth] the speed study requires monotone_cap growth"),
+                       "[growth] speed requires monotone_cap growth, g(u) <= g(1)"),
+    "cutoff-negative": ({"initial = ball_plateau\nheight = 1.0\nradius = 1.0\nramp = 0.5":
+                         "initial = gaussian_bump\nheight = 1.0\nsigma = 0.5\ncutoff = -2"},
+                        "simulate", "[domain] cutoff must be positive"),
 }
 
 
@@ -718,13 +734,30 @@ class TestWaveCommand:
         err = capsys.readouterr().err
         assert "config error: [study]" in err and message in err
 
-    def test_uncapped_growth_exits_2(self, tmp_path, capsys):
-        bad = CORE.replace("kind = linear\nrate = 1.0",
-                           "kind = logistic\nrate = 1.0\ncapacity = 1.2")
-        cfg_path = write_config(tmp_path, bad)
-        assert main(["wave", "--config", str(cfg_path),
-                     "--out", str(tmp_path / "w")]) == 2
-        assert "requires monotone_cap growth" in capsys.readouterr().err
+    @pytest.mark.parametrize("command,reader", [
+        ("wave", "wave"), ("speed", "speed"), ("compare", "compare"),
+        ("simulate", "initial = wave_envelope")])
+    def test_uncapped_growth_exits_2(self, tmp_path, capsys, monkeypatch, command,
+                                     reader):
+        """The growth cap is checked when the config loads: no ``c*`` search
+        or run starts, and no output directory is made."""
+        def no_work(*args, **kwargs):
+            raise AssertionError(f"{command} ran before its growth cap was checked")
+
+        for module, name in ((cli, "find_c_star"), (cli, "run"), (ss.waves, "find_c_star"),
+                             (cli, "comparison_harness")):
+            monkeypatch.setattr(module, name, no_work)
+        text = {"wave": CORE, "speed": BASE, "compare": CORE + DOMAIN_HIGH,
+                "simulate": BASE.replace(
+                    "initial = ball_plateau\nheight = 1.0\nradius = 1.0\nramp = 0.5",
+                    "initial = wave_envelope\nspeed_factor = 1.5\noffset = -1.0")}[command]
+        cfg_path = write_config(tmp_path, text.replace(
+            "kind = linear\nrate = 1.0", "kind = logistic\nrate = 1.0\ncapacity = 1.2"))
+        out = tmp_path / "w"
+        assert main([command, "--config", str(cfg_path), "--out", str(out)]) == 2
+        assert (f"config error: [growth] {reader} requires monotone_cap growth, g(u) <= g(1)"
+                in capsys.readouterr().err)
+        assert not out.exists()
 
 
 class TestStudyCommands:
@@ -826,6 +859,24 @@ class TestStudyCommands:
         assert main(["speed", "--config", str(cfg_path),
                      "--out", str(tmp_path / "f")]) == 2
         assert "10 usable snapshots" in capsys.readouterr().err
+
+    def test_speed_without_a_saturated_front_is_degenerate(self, tmp_path, capsys):
+        """A slow front from a low plateau saturates no cell in the fit window,
+        which holds 13 snapshots: the estimate is degenerate, the artifacts
+        are written and the run exits 4."""
+        text = BASE.replace("rate = 1.0", "rate = 0.2").replace(
+            "height = 1.0", "height = 0.1").replace("t_end = 1.0", "t_end = 6.0").replace(
+            "snapshot_interval = 0.5", "snapshot_interval = 0.25")
+        out = tmp_path / "slow"
+        assert main(["speed", "--config", str(write_config(tmp_path, text)),
+                     "--out", str(out)]) == 4
+        assert "config error" not in capsys.readouterr().err
+        payload = read_report(out, "speed_report")
+        assert payload["degenerate"] is True and payload["passed"] is False
+        assert payload["fitted_speed"] == 0.0
+        cols = read_csv_columns(out / "front_track.csv")
+        assert len(cols["t"]) == 25 and payload["fit_window"][1] == cols["t"][-1]
+        assert np.all(cols["radius_saturated"][12:] == -np.inf)
 
     @pytest.mark.parametrize("t_end,interval,window,count", [
         (40.0, 1.0, 0.5, 21), (2.0, 0.1, 0.5, 11), (0.9, 0.1, 0.5, 5),
