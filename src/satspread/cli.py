@@ -68,6 +68,14 @@ def _study(cfg: RunConfig, **keys: str) -> dict:
     return {param: cfg.study[key] for param, key in keys.items() if key in cfg.study}
 
 
+def _verdict(*criteria: tuple[bool, str]) -> int:
+    """``EXIT_OK``, or ``ScientificError`` (exit 4) naming each failed criterion."""
+    failures = "; ".join(reason for failed, reason in criteria if failed)
+    if failures:
+        raise ScientificError(failures)
+    return EXIT_OK
+
+
 def _run_once(cfg: RunConfig, record_lipschitz: bool = False):
     u0 = build_initial_field(cfg)
     return run(u0, cfg.model, cfg.stencil, cfg.growth,
@@ -97,11 +105,8 @@ def _cmd_simulate(cfg: RunConfig, out_dir: Path) -> int:
                 "snapshot_times": list(result.times),
                 "warnings": cfg.warnings},
                config=cfg.raw)
-    if result.monitors["time_monotonicity_gap"] > 0.0:
-        print("scientific failure: monotonicity violated during the run",
-              file=sys.stderr)
-        return EXIT_SCIENCE
-    return EXIT_OK
+    return _verdict((result.monitors["time_monotonicity_gap"] > 0.0,
+                     "monotonicity violated during the run"))
 
 
 def _cmd_wave(cfg: RunConfig, out_dir: Path) -> int:
@@ -159,8 +164,11 @@ def _cmd_speed(cfg: RunConfig, out_dir: Path) -> int:
     estimate = estimate_speed(track, **window)
     confinement = support_confinement_check(result, cfg.stencil)
     ratio = estimate.fitted_speed / reference
-    passed = (not estimate.degenerate and abs(ratio - 1.0) <= tolerance
-              and confinement.total_violations == 0)
+    criteria = ((estimate.degenerate, "degenerate estimate"),
+                (not estimate.degenerate and not abs(ratio - 1.0) <= tolerance,
+                 f"speed ratio {ratio:.4g} outside 1 ± {tolerance:g}"),
+                (confinement.total_violations > 0,
+                 f"{confinement.total_violations} support confinement violations"))
     write_csv(out_dir / "front_track.csv",
               ["t", "radius_saturated", "radius_support"],
               [track.times, track.radius_saturated, track.radius_support],
@@ -172,9 +180,9 @@ def _cmd_speed(cfg: RunConfig, out_dir: Path) -> int:
                 "fit_window": list(estimate.fit_window),
                 "degenerate": estimate.degenerate,
                 "confinement_violations": confinement.total_violations,
-                "passed": passed},
+                "passed": not any(failed for failed, _ in criteria)},
                config=cfg.raw)
-    return EXIT_OK if passed else EXIT_SCIENCE
+    return _verdict(*criteria)
 
 
 def _cmd_converge(cfg: RunConfig, out_dir: Path) -> int:
@@ -192,7 +200,10 @@ def _cmd_converge(cfg: RunConfig, out_dir: Path) -> int:
     report = study._asdict()
     del report["dts"]  # written to gamma_distances.csv
     write_json(out_dir / "converge_report.json", report, config=cfg.raw)
-    return EXIT_OK if study.passed else EXIT_SCIENCE
+    return _verdict((not study.strictly_decreasing, "gamma distances not strictly decreasing"),
+                    (not study.distances[-1] < study.threshold,
+                     f"gamma distance {study.distances[-1]:.3g} at gamma"
+                     f" {study.gammas[-1]:g} not below {study.threshold:g}"))
 
 
 def _cmd_compare(cfg: RunConfig, out_dir: Path) -> int:
@@ -203,7 +214,8 @@ def _cmd_compare(cfg: RunConfig, out_dir: Path) -> int:
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     write_json(out_dir / "compare_report.json", report._asdict(), config=cfg.raw)
-    return EXIT_OK if report.passed else EXIT_SCIENCE
+    return _verdict((not report.passed, f"ordering violation"
+                     f" {report.max_violation:.3g} > {report.tolerance:g}"))
 
 
 if __name__ == "__main__":

@@ -175,52 +175,32 @@ class _Band(NamedTuple):
     ``S``; ``c`` is ``K * 1_S`` clipped to [0, 1]."""
 
     cells: np.ndarray  # flat indices
-    free: np.ndarray  # (1 - c)(1 - 1_S); generalized: 1 - 1_S
-    spill: np.ndarray  # g(1) c (1 - 1_S); generalized: gain * c (1 - 1_S)
+    free: np.ndarray | float  # 1 - c; generalized: 1.0
+    spill: np.ndarray  # g(1) c; generalized: gain * c
 
 
 def _band(sat: np.ndarray, mask_conv: np.ndarray, values: np.ndarray,
           grown: np.ndarray, box: tuple[slice, ...], growth: GrowthLaw,
           generalized: bool) -> _Band:
-    """The stepping band of the saturated models, given ``mask_conv = K * 1_S``.
+    """The stepping band of the saturated models, given ``mask_conv = K * 1_S``:
+    exactly the unsaturated cells with ``u > 0`` or ``K * 1_S > 0``, no halo.
 
-    It holds the unsaturated cells with ``u > 0`` or ``K * 1_S > 0``, dilated
-    by one cell along each axis, which adds the saturated cells that border
-    each front.  Elsewhere the rhs is exactly 0 (``g(0) = 0`` and
-    ``K * 1_S = 0`` off ``S``, and the factor ``1 - 1_S`` on ``S``), so
-    stepping the band keeps every bit of a full-grid step, and a density, so
-    a slope, changes only within the band's bounding box.  A cell with
-    ``u = 0`` and ``K * 1_S = 0`` keeps rhs 0, so the band changes only when
-    a cell joins ``S``, and then only within ``reach + 1`` cells of the new
-    cells (``reach`` for ``S`` and ``K * 1_S``, one for the halo).
-
-    ``grown`` is the band as a mask of the whole grid.  Only its cells in
-    ``box``, a tuple of slices, are recomputed in place, from the cells of
-    ``box`` and their neighbours; the rest are kept.  Called on the whole
-    grid with ``grown`` all False, this builds the band from scratch.
-    ``K * 1_S``, a sum of nonnegative terms started at +0.0, needs no clip
-    below.  ``free`` and ``spill`` carry ``1 - 1_S``: 1.0 off ``S``, where
-    ``g(u) * free + spill`` has every bit of the bracket ``g(u)(1 - c) + g(1) c``
-    (generalized: ``g(u) + gain * c``), and 0.0 on ``S``, where the step keeps
-    ``u``.
+    Off the band and off ``S`` the rhs is exactly 0 (``g(0) = 0``), and a step
+    keeps ``S`` at 1.0, so stepping the band keeps every bit of a full-grid
+    step.  The band changes only when a cell joins ``S``, and then only within
+    ``reach`` of the new cells, where ``S`` and ``K * 1_S`` changed: only the
+    cells of ``box``, a tuple of slices, are recomputed in ``grown``, the band
+    as a mask of the grid (all False and the whole grid: built from scratch).
+    ``K * 1_S`` is a sum of nonnegative terms started at +0.0, and off ``S``
+    ``g(u) * free + spill`` has every bit of ``g(u)(1 - c) + g(1) c``
+    (generalized: ``g(u) + gain * c``).
     """
-    # The cells of the box read their neighbours: one cell more per side.
-    near = tuple(slice(max(b.start - 1, 0), b.stop + 1) for b in box)
-    live = (values[near] > 0.0) | (mask_conv[near] > 0.0)
-    live &= ~sat[near]
-    dilated = live.copy()
-    for axis in range(live.ndim):
-        head = (slice(None),) * axis
-        dilated[head + (slice(1, None),)] |= live[head + (slice(None, -1),)]
-        dilated[head + (slice(None, -1),)] |= live[head + (slice(1, None),)]
-    grown[box] = dilated[tuple(slice(b.start - a.start, b.stop - a.start)
-                               for a, b in zip(near, box))]
+    grown[box] = ((values[box] > 0.0) | (mask_conv[box] > 0.0)) & ~sat[box]
     cells = grown.ravel().nonzero()[0]
     conv = np.minimum(mask_conv.ravel()[cells], 1.0)
-    unsaturated = 1.0 - sat.ravel()[cells]
     if generalized:
-        return _Band(cells, unsaturated, growth.gain * conv * unsaturated)
-    return _Band(cells, (1.0 - conv) * unsaturated, growth.g1 * conv * unsaturated)
+        return _Band(cells, 1.0, growth.gain * conv)
+    return _Band(cells, 1.0 - conv, growth.g1 * conv)
 
 
 def model_rhs(u: GridField, params: ModelParams, stencil: ConvolutionStencil,
@@ -231,7 +211,7 @@ def model_rhs(u: GridField, params: ModelParams, stencil: ConvolutionStencil,
     ``_Band`` of ``_euler_steps``, whose densities are ``values``."""
     if params.model == "gamma":
         return rhs_gamma(u, stencil, growth, params.gamma, band)
-    # the bracket of the saturated model, with 1 - 1_S folded into the band's terms
+    # the bracket of the saturated model, off S
     return growth.fn(values) * band.free + band.spill
 
 
@@ -259,29 +239,32 @@ def _euler_steps(u0: GridField, params: ModelParams, stencil: ConvolutionStencil
                  growth: GrowthLaw) -> Iterator[tuple]:
     """Clamped explicit Euler steps from ``u0`` to ``params.t_end``.
 
-    Yields ``(u, before, after, lo, rhs, proposed, newly, written)`` after
-    each step: the advanced field; on the band of cells the step wrote, their
-    densities before and after, the least of ``after`` (``+inf`` on an empty
-    band) as the invariant check computed it, their right-hand side and the
-    unclamped update ``before + dt * rhs``; the flat indices of the cells that
-    joined the saturated set ``S``; and the band, as flat indices.  Every
-    cell off the band kept its density and had rhs 0.0.  ``u`` is one copy
-    of ``u0``, advanced in place: every step writes its band into it, so a
-    caller that keeps a state across steps copies it, and ``u0`` is never
-    written.  While the band stands, a step's ``before`` is the last step's
-    ``after``, the same array, so neither is written after it is yielded.
-    The steps are those of ``_step_count``.
+    Yields ``(u, before, after, lo, hi, rhs, proposed, newly, written)``
+    after each step: the advanced field; on the band of cells the step wrote,
+    their densities before and after, the least of ``after`` if the rhs has
+    an entry below 0 (else None), the greatest (``-inf`` on an empty band),
+    their right-hand side and the unclamped update ``before + dt * rhs``; the
+    flat indices, ascending, of the cells that joined the saturated set
+    ``S``; and the band, as flat indices.  Every cell off the band kept its
+    density and had rhs 0.0.  ``u`` is one copy of ``u0``, advanced in place:
+    every step writes its band into it, so a caller that keeps a state across
+    steps copies it, and ``u0`` is never written.  While the band stands, a
+    step's ``before`` is the last step's ``after``, the same array, so neither
+    is written after it is yielded.  The steps are those of ``_step_count``.
 
     For the saturated models ``K * 1_S``, the only nonlocal term, is
     convolved once and then updated at the cells that join ``S``, the rhs
     terms that depend on it alone are kept with the band, and only the cells
-    of ``_band`` are stepped, with every bit of a full-grid step.  The copy
-    holds 0.0 where ``u0`` holds -0.0, as a step would write there, and no
-    step writes -0.0, so a vacuum is never live.  The gamma model steps its
-    live box (see ``rhs_gamma``), found again after a step that leaves more
-    cells with ``u > 0`` (none falls to 0: ``rhs >= -L u``, ``dt L <= 0.1``).
-    A cell leaving ``S`` raises ``InvariantViolation``, and so does a density
-    outside [0, 1] or NaN; both are checked on every cell the step wrote.
+    of ``_band`` are stepped, with every bit of a full-grid step; no step
+    writes ``S``.  The copy holds 0.0 where ``u0`` holds -0.0, as a step would
+    write there, and no step writes -0.0, so a vacuum is never live.  The
+    gamma model steps its live box (see ``rhs_gamma``), found again after a
+    step that leaves more cells with ``u > 0`` (none falls to 0:
+    ``rhs >= -L u``, ``dt L <= 0.1``).  A density outside [0, 1] or NaN raises
+    ``InvariantViolation``, and so does a cell leaving ``S``.  With
+    ``rhs >= 0`` and ``0 <= before <= 1``, ``after`` lies in ``[before, 1]``
+    exactly, so both are checked only when the least rhs is below 0 or NaN;
+    and a cell joins ``S`` only on a step whose ``hi`` reaches 1.
     """
     _check_stepping(u0, params, stencil, growth)
     u = u0.copy()
@@ -298,10 +281,8 @@ def _euler_steps(u0: GridField, params: ModelParams, stencil: ConvolutionStencil
         mask_conv = convolve_field(stencil, sat.astype(float))
         grown = np.zeros(sat.shape, dtype=bool)
         generalized = params.model == "generalized_singular"
-        band = _band(sat, mask_conv, u.values, grown,
-                     tuple(slice(0, n) for n in sat.shape), growth, generalized)
+        band = _band(sat, mask_conv, u.values, grown, (slice(None),) * u.dim, growth, generalized)
         cells = band.cells
-    sat_band = sat.ravel()[cells]
 
     n_steps, last_dt = _step_count(params)
     before = None
@@ -313,35 +294,36 @@ def _euler_steps(u0: GridField, params: ModelParams, stencil: ConvolutionStencil
         rhs = model_rhs(u, params, stencil, growth, band, before).ravel()
         proposed = before + dt_k * rhs
         after = np.minimum(proposed, 1.0)
-        # min propagates NaN, which fails the test; the clamp caps the max at 1.
-        lo = float(np.minimum.reduce(after, initial=np.inf))
-        if not lo >= 0.0:
-            raise InvariantViolation(
-                f"density left [0, 1] at t={u.time + dt_k:.6g}"
-                f" (min {lo}, max {float(after.max())})")
-        flat[cells] = after
-        u.time += dt_k
-        # Band cells whose membership of S changed: leaving S raises, and
-        # joining it is an event.
-        newly = flips = ((after >= 1.0) != sat_band).nonzero()[0]
-        if flips.size:
-            left = np.count_nonzero(sat_band[flips])
+        lo = None
+        # Only an rhs below 0 (or NaN, which fails the test) moves a cell down.
+        if not np.minimum.reduce(rhs, initial=0.0) >= 0.0:
+            lo = float(np.minimum.reduce(after, initial=np.inf))
+            if not lo >= 0.0:
+                raise InvariantViolation(
+                    f"density left [0, 1] at t={u.time + dt_k:.6g}"
+                    f" (min {lo}, max {float(after.max())})")
+            left = np.count_nonzero(sat.ravel()[cells][after < 1.0])
             if left:
                 raise InvariantViolation(
-                    f"{left} cells left the saturated set at t={u.time:.6g}")
-            newly = cells[flips]
+                    f"{left} cells left the saturated set at t={u.time + dt_k:.6g}")
+        hi = float(np.maximum.reduce(after, initial=-np.inf))
+        flat[cells] = after
+        u.time += dt_k
+        newly = cells[:0]
+        if hi >= 1.0:
+            newly = cells[(after >= 1.0).nonzero()[0]]
+            if mask_conv is None:  # the gamma model's box holds S too
+                newly = newly[~sat.ravel()[newly]]
+        if newly.size:
             sat.ravel()[newly] = True
             if mask_conv is not None:
                 add_to_mask_convolution(stencil, mask_conv, sat, newly)
                 band = _band(sat, mask_conv, u.values, grown,
-                             _around(newly, sat.shape, stencil.reach + 1), growth,
-                             generalized)
+                             _around(newly, sat.shape, stencil.reach), growth, generalized)
                 cells = band.cells
-            sat_band = sat.ravel()[cells]
         if mask_conv is None and np.count_nonzero(after) != support:
             band, cells, support = _live_box(u.values, by)  # a new cell with u > 0
-            sat_band = sat.ravel()[cells]
-        yield u, before, after, lo, rhs, proposed, newly, written
+        yield u, before, after, lo, hi, rhs, proposed, newly, written
         before = after if cells is written else None
 
 
@@ -378,14 +360,11 @@ def run(u0: GridField, params: ModelParams, stencil: ConvolutionStencil,
 
     The monitors read the band each step wrote: off it the density did not
     change and the rhs was 0.0, and every slope that changed lies in the
-    band's bounding box dilated by one cell.  They skip what the invariants
-    decide.  ``max_u`` is not reduced once it reads 1.0, the clamp's cap (a
-    NaN has raised).  With ``rhs >= 0`` and ``before <= 1``,
-    ``min(before + dt * rhs, 1) >= before``, so ``before - after`` is reduced
-    only on a step with an rhs below 0 or NaN.  A clamped cell ends in ``S``
-    and was off it (on ``S`` the rhs has an exact zero factor, ``1 - 1_S``, or
-    ``1 - p`` in the gamma model), so ``proposed > 1`` is counted only on
-    steps where a cell joins ``S``.
+    band's bounding box dilated by one cell.  They reuse the step's
+    reductions: ``max_u`` is its ``hi``, and ``min_u`` and ``before - after``
+    move only where it reduced ``lo``, since otherwise ``before <= after``.
+    A clamped cell joins ``S`` on its step (``S`` is not stepped, or has the
+    rhs factor ``1 - p = 0``), so clamps are counted only on event steps.
     """
     if snapshot_interval is not None and not snapshot_interval >= params.dt:
         raise ValueError(f"snapshot_interval={snapshot_interval} is below dt={params.dt}")
@@ -402,14 +381,13 @@ def run(u0: GridField, params: ModelParams, stencil: ConvolutionStencil,
     snapshots = [u.values.copy()]
     snapshot_steps = _snapshot_steps(params, snapshot_interval)
     clamped_total = 0
-    for k, (u, before, after, lo, rhs, proposed, newly, written) in enumerate(
+    for k, (u, before, after, lo, hi, rhs, proposed, newly, written) in enumerate(
             _euler_steps(u, params, stencil, growth), 1):
+        max_u = max(max_u, hi)
         # ufunc reductions: ndarray.min and .max add a Python-level wrapper
-        min_u = min(min_u, lo)
-        if max_u < 1.0:
-            max_u = max(max_u, float(np.maximum.reduce(after, initial=-np.inf)))
         max_rhs = max(max_rhs, float(np.maximum.reduce(rhs, initial=0.0)))
-        if not np.minimum.reduce(rhs, initial=0.0) >= 0.0:
+        if lo is not None:  # the rhs had an entry below 0
+            min_u = min(min_u, lo)
             gap = max(gap, float(np.maximum.reduce(before - after, initial=0.0)))
         if newly.size:
             clamped_total += int(np.count_nonzero(proposed > 1.0))

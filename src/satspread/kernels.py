@@ -379,7 +379,7 @@ def add_to_mask_convolution(stencil: ConvolutionStencil, conv: np.ndarray,
             j0, j1 = max(j - r, 0), min(j + r + 1, ny)
             conv[i0:i1, j0:j1] += dense[i0 - i + r:i1 - i + r, j0 - j + r:j1 - j + r]
         return
-    n = conv.shape[0]
+    n, dense, mask = conv.shape[0], stencil.dense.tobytes(), np.asarray(mask, dtype=bool)
     # Merge the reaches of nearby cells, so one step costs at most about one
     # full convolution.
     groups = []
@@ -391,10 +391,20 @@ def add_to_mask_convolution(stencil: ConvolutionStencil, conv: np.ndarray,
     for first, last in groups:
         lo, hi = max(first - r, 0), min(last + r + 1, n)
         w0, w1 = max(lo - r, 0), min(hi + r, n)
-        window = mask[w0:w1].astype(float)
-        conv[lo:hi] = (np.convolve(window, stencil.dense, mode="valid")
-                       if (w0, w1) == (lo - r, hi + r)
-                       else _convolve_1d(stencil, window)[lo - w0:hi - w0])
+        conv[lo:hi] = _window_convolution(dense, mask[w0:w1].tobytes(), lo - w0, hi - w0)
+
+
+@functools.lru_cache(maxsize=64)
+def _window_convolution(dense: bytes, window: bytes, start: int, stop: int) -> np.ndarray:
+    """Outputs ``start:stop`` of the boolean mask ``window`` convolved with the
+    1-d weights ``dense`` (both bytes) as the mask update computes them: cached
+    and read-only, as a front that moves on through the same pattern asks again."""
+    weights, values = np.frombuffer(dense), np.frombuffer(window, dtype=bool).astype(float)
+    r = len(weights) // 2
+    out = (np.convolve(values, weights, mode="valid") if (start, stop) == (r, len(values) - r)
+           else np.convolve(values, weights, mode="full")[r + start:r + stop])
+    out.flags.writeable = False
+    return out
 
 
 def front_profile(kernel: Kernel, sample_spacing: float | None = None,

@@ -776,6 +776,37 @@ class TestStudyCommands:
                      "--out", str(tmp_path / "c2")]) == 2
         assert "u_low <= u_high pointwise" in capsys.readouterr().err
 
+    def test_compare_of_the_finite_pressure_model_exits_4_naming_the_violation(
+            self, tmp_path, capsys):
+        """A block at 0.5 below the same block on a ramp: in the finite-pressure
+        model the ramp's lower cells hold the upper block back, so the pair
+        crosses (see ``test_finite_pressure_model_does_not_keep_the_order``)."""
+        text = CORE.replace("kind = singular", "kind = gamma\ngamma = 1.0").replace(
+            "t_end = 1.0", "t_end = 0.5").replace(
+            "height = 1.0\nradius = 1.0\nramp = 0.5", "height = 0.5\nradius = 0.5\nramp = 0.05")
+        text += "\n[domain_high]\ninitial = ball_plateau\nheight = 0.5\nradius = 0.5\nramp = 1.5\n"
+        out = tmp_path / "cmp"
+        assert main(["compare", "--config", str(write_config(tmp_path, text)),
+                     "--out", str(out)]) == 4
+        payload = read_report(out, "compare_report")
+        assert payload["passed"] is False and payload["max_violation"] > 1e-12
+        assert (f"scientific failure: ordering violation {payload['max_violation']:.3g}"
+                " > 1e-12\n") in capsys.readouterr().err
+
+    def test_converge_above_its_threshold_exits_4_naming_it(self, tmp_path, capsys):
+        text = CORE.replace("t_end = 1.0", "t_end = 2.0").replace(
+            "dx = 0.05", "dx = 0.125")
+        text += "\n[study]\ngamma_list = 4,16\nthreshold = 1e-9\n"
+        out = tmp_path / "conv"
+        assert main(["converge", "--config", str(write_config(tmp_path, text)),
+                     "--out", str(out)]) == 4
+        payload = read_report(out, "converge_report")
+        assert payload["strictly_decreasing"] is True and payload["passed"] is False
+        err = capsys.readouterr().err
+        assert (f"scientific failure: gamma distance {payload['distances'][-1]:.3g}"
+                " at gamma 16 not below 1e-09\n") in err
+        assert "strictly decreasing" not in err
+
     def test_converge_study_passes(self, tmp_path):
         text = CORE.replace("t_end = 1.0", "t_end = 2.0").replace(
             "dx = 0.05", "dx = 0.125")
@@ -870,7 +901,10 @@ class TestStudyCommands:
         out = tmp_path / "slow"
         assert main(["speed", "--config", str(write_config(tmp_path, text)),
                      "--out", str(out)]) == 4
-        assert "config error" not in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "config error" not in err
+        assert "scientific failure: degenerate estimate" in err
+        assert "speed ratio" not in err
         payload = read_report(out, "speed_report")
         assert payload["degenerate"] is True and payload["passed"] is False
         assert payload["fitted_speed"] == 0.0

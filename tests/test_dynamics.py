@@ -690,13 +690,85 @@ class TestRunningMaskConvolution:
     def test_shrinking_saturated_set_raises(self, small1d, linear_g, monkeypatch):
         _, st = small1d
         u0 = ss.grid_field(2.0, 0.125, 1, seed_plateau(0.5, 0.25))
-        params = ss.ModelParams(model="singular", dt=0.1, t_end=1.0)
-        # an rhs, on the band run steps, that pulls saturated cells down
+        # The saturated models never step S; the gamma model's live box holds
+        # it, and an rhs there that pulls the cells at 1.0 down must raise.
+        params = ss.ModelParams(model="gamma", dt=0.1, t_end=1.0, gamma=1.0)
+        assert np.count_nonzero(u0.values >= 1.0)
         monkeypatch.setattr(ss.dynamics, "model_rhs",
                             lambda u, params, stencil, growth, band, values:
                             -1.0 * (values >= 1.0))
         with pytest.raises(ss.InvariantViolation, match="left the saturated set"):
             ss.run(u0, params, st, linear_g)
+
+    @staticmethod
+    def patch_rhs(monkeypatch, rhs, on_step):
+        """``model_rhs`` with ``rhs(values)`` added on step ``on_step`` (from 1)."""
+        inner, calls = ss.dynamics.model_rhs, []
+
+        def patched(u, params, stencil, growth, band, values):
+            calls.append(u.time)
+            out = inner(u, params, stencil, growth, band, values)
+            return out + rhs(values) if len(calls) == on_step else out
+
+        monkeypatch.setattr(ss.dynamics, "model_rhs", patched)
+
+    @pytest.mark.parametrize("model", ["singular", "generalized_singular"])
+    def test_negative_rhs_below_zero_raises_at_its_step(self, small1d, model,
+                                                        monkeypatch):
+        _, st = small1d
+        growth = GAINED if model == "generalized_singular" else ss.linear_growth(1.0)
+        u0 = ss.grid_field(2.0, 0.125, 1, seed_plateau(0.5, 0.25))
+        params = ss.ModelParams(model=model, dt=0.05, t_end=0.5)
+        self.patch_rhs(monkeypatch, lambda v: -100.0 * v, on_step=3)
+        with pytest.raises(ss.InvariantViolation, match="left \\[0, 1\\] at t=0.15 "):
+            ss.run(u0, params, st, growth)
+
+    @pytest.mark.parametrize("model", ["singular", "generalized_singular"])
+    def test_negative_rhs_above_zero_reports_the_exact_minimum(self, small1d, model,
+                                                               monkeypatch):
+        """A step whose rhs has entries below 0 reduces ``after``: a constant
+        field at 0.6 (no cell saturated, so ``K * 1_S = 0`` and the rhs is
+        ``g(u)``) pulled down by ``2 u`` on step 2 reads its exact minimum
+        and gap."""
+        _, st = small1d
+        growth = GAINED if model == "generalized_singular" else ss.linear_growth(1.0)
+        u0 = ss.grid_field(1.0, 0.125, 1, lambda r: np.full_like(r, 0.6))
+        dt = 0.05
+        params = ss.ModelParams(model=model, dt=dt, t_end=4 * dt)
+        self.patch_rhs(monkeypatch, lambda v: -2.0 * v, on_step=2)
+        res = ss.run(u0, params, st, growth)
+        first = 0.6 + dt * 0.6
+        second = first + dt * (first - 2.0 * first)
+        assert second < first < 1.0
+        assert res.monitors["min_u"] == second
+        assert res.monitors["time_monotonicity_gap"] == first - second > 0.0
+        assert res.monitors["max_u"] == float(res.final.values.max())
+
+    @pytest.mark.parametrize("model", ss.dynamics.MODEL_KINDS)
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_run_calls_model_rhs_once_per_step_with_the_whole_grid(
+            self, small1d, small2d, model, dim, monkeypatch):
+        """perfbench's traced gate counts cell updates as the cells of the
+        field that ``model_rhs`` receives first, summed over its calls, and
+        its span list expects ``convolve_field`` on a saturated run: so
+        ``run`` calls ``model_rhs`` once per step with the whole grid, and the
+        saturated models convolve their first mask with ``convolve_field``."""
+        _, st = small1d if dim == 1 else small2d
+        growth = GAINED if model == "generalized_singular" else ss.linear_growth(1.0)
+        u0 = ss.grid_field(2.0, 0.125, dim, seed_plateau(0.5, 0.25))
+        params = ss.ModelParams(model=model, dt=0.05, t_end=0.52, gamma=2.0)
+        fields, masks = [], []
+        rhs, conv = ss.dynamics.model_rhs, ss.dynamics.convolve_field
+        monkeypatch.setattr(ss.dynamics, "model_rhs",
+                            lambda u, *args: fields.append(u) or rhs(u, *args))
+        monkeypatch.setattr(ss.dynamics, "convolve_field",
+                            lambda stencil, values: masks.append(values) or conv(
+                                stencil, values))
+        res = ss.run(u0, params, st, growth)
+        assert len(fields) == ss.dynamics._step_count(params)[0] == 11
+        assert all(u is res.final for u in fields)
+        assert res.final.values.shape == u0.shape
+        assert len(masks) == (model != "gamma")
 
     @pytest.mark.parametrize("model", ["singular", "gamma"])
     def test_nan_in_the_run_raises(self, small1d, linear_g, model):

@@ -336,6 +336,26 @@ class TestAddToMaskConvolution:
             ss.add_to_mask_convolution(stencil, conv, mask, np.flatnonzero(added))
         return conv, ss.convolve_field(stencil, mask.astype(float))
 
+    @pytest.mark.parametrize("dtype", [bool, float])
+    def test_a_front_moving_through_one_pattern_reuses_its_window(self, dtype):
+        """A saturated block that grows by one cell at each end per step asks
+        for the same two mask windows again: the reused outputs are read-only
+        and keep the bits of the direct path, for a 0/1 mask of either type."""
+        _, stencil = ss.build_kernel("indicator_ball", 1.0, 1, 0.1)
+        mask = np.zeros(301, dtype=dtype)
+        mask[100:200] = True
+        conv = ss.convolve_field(stencil, mask.astype(float))
+        hits = ss.kernels._window_convolution.cache_info().hits
+        for k in range(1, 20):
+            added = np.array([100 - k, 199 + k])
+            mask[added] = True
+            ss.add_to_mask_convolution(stencil, conv, mask, added)
+            assert np.array_equal(conv, ss.convolve_field(stencil, mask.astype(float)))
+        assert ss.kernels._window_convolution.cache_info().hits - hits >= 2 * 18
+        window = ss.kernels._window_convolution(stencil.dense.tobytes(),
+                                                mask[60:101].astype(bool).tobytes(), 10, 31)
+        assert not window.flags.writeable
+
     @pytest.mark.parametrize("dim,shape", [(1, (301,)), (2, (41, 37))])
     @pytest.mark.parametrize("seed", range(4))
     def test_indicator_bit_identical(self, dim, shape, seed):

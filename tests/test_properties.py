@@ -128,27 +128,38 @@ def bits(values):
 def test_euler_steps_yield_contract(case):
     """Each step writes ``min(proposed, 1)`` on the band it yields, where
     ``proposed`` is ``before + dt * rhs`` and ``before`` is the previous field
-    there, ``lo`` is the least of ``after``, the rest of the field keeps its
-    bits, and no entry point writes ``u0``."""
+    there, ``lo`` is the least of ``after`` exactly when the rhs has an entry
+    below 0, ``hi`` is the greatest of ``after``, the rest of the field keeps
+    its bits, the saturated models write no cell of ``S``, and no entry point
+    writes ``u0``."""
     u0, params, stencil, growth, n_steps = case
     kept = u0.values.copy()
     prev = u0.copy()
     n = 0
-    for u, before, after, lo, rhs, proposed, newly, written in ss.dynamics._euler_steps(
-            u0, params, stencil, growth):
+    for u, before, after, lo, hi, rhs, proposed, newly, written in (
+            ss.dynamics._euler_steps(u0, params, stencil, growth)):
         n += 1
         assert u.time == prev.time + params.dt
         assert np.array_equal(bits(before), bits(prev.values.ravel()[written]))
         assert np.array_equal(bits(proposed), bits(before + params.dt * rhs))
         assert np.array_equal(bits(after), bits(np.minimum(proposed, 1.0)))
-        assert np.array_equal(bits(lo), bits(np.minimum.reduce(after, initial=np.inf)))
+        if np.all(rhs >= 0.0):
+            assert lo is None
+            assert np.all((before <= after) & (after <= 1.0))
+        else:
+            assert np.array_equal(bits(lo), bits(np.minimum.reduce(after, initial=np.inf)))
+        assert np.array_equal(bits(hi), bits(np.maximum.reduce(after, initial=-np.inf)))
         assert np.array_equal(bits(u.values.ravel()[written]), bits(after))
         off = np.ones(u.values.size, dtype=bool)
         off[written] = False
         assert np.array_equal(bits(u.values.ravel()[off]),
                               bits(prev.values.ravel()[off]))
-        joined = ss.saturated_mask(u.values) & ~ss.saturated_mask(prev.values)
-        assert np.array_equal(np.sort(newly), joined.ravel().nonzero()[0])
+        sat = ss.saturated_mask(prev.values).ravel()
+        assert np.array_equal(bits(u.values.ravel()[sat]), bits(np.ones(sat.sum())))
+        if params.model != "gamma":
+            assert not sat[written].any()
+        joined = ss.saturated_mask(u.values).ravel() & ~sat
+        assert np.array_equal(newly, joined.nonzero()[0])
         # a clamped cell joins S on its step, in every model, so ``run``
         # counts clamps on event steps only
         assert np.isin(written[proposed > 1.0], newly).all()
@@ -229,15 +240,18 @@ def tabulated_cases(draw):
 @given(tabulated_cases())
 def test_exact_invariants_under_tabulated_laws(case):
     """On every step under a capped tabulated law: ``0 <= u <= 1``,
-    ``rhs >= 0`` and ``after >= before`` on the band, exactly; and a cell of
-    ``S`` stays at 1.0 and is never reported as joining it."""
+    ``rhs >= 0`` and ``after >= before`` on the band, exactly, so the step
+    skips reducing ``after``; a cell of ``S`` stays at 1.0, is never written
+    and is never reported as joining it."""
     u0, params, stencil, growth = case
     sat = ss.saturated_mask(u0.values).ravel()
-    for u, before, after, _, rhs, _, newly, _ in ss.dynamics._euler_steps(
+    for u, before, after, lo, _, rhs, _, newly, written in ss.dynamics._euler_steps(
             u0, params, stencil, growth):
         assert np.all(after >= 0.0) and np.all(after <= 1.0)
         assert np.all(rhs >= 0.0)
         assert np.all(after >= before)
+        assert lo is None
+        assert not sat[written].any()
         assert not sat[newly].any()
         assert np.all(u.values.ravel()[sat] == 1.0)
         assert np.all((u.values >= 0.0) & (u.values <= 1.0))
@@ -249,19 +263,19 @@ def test_exact_invariants_under_tabulated_laws(case):
 @given(cases(), st.booleans())
 def test_band_after_each_event_equals_full_rebuild(case, negative_zeros):
     """The band that ``_euler_steps`` keeps, recomputed after an event only
-    around the new cells, is the band rebuilt from scratch on the whole grid,
-    apart from cells at +0.0 with ``K * 1_S = 0``, where the rhs is exactly 0:
-    cells that started at -0.0 (so were live) and have stepped to 0.0 far
-    from every event, and their neighbours."""
+    within ``reach`` of the new cells, is the band rebuilt from scratch on the
+    whole grid, apart from cells at +0.0 with ``K * 1_S = 0``, where the rhs
+    is exactly 0.  Neither holds a cell of ``S``."""
     u0, params, stencil, growth, n_steps = case
     if negative_zeros:
         u0 = ss.GridField(np.where(u0.values == 0.0, -0.0, u0.values), u0.spacing,
                           u0.origin)
     rebuilt = None
-    for u, before, after, lo, rhs, proposed, newly, written in ss.dynamics._euler_steps(
-            u0, params, stencil, growth):
+    for u, before, after, lo, hi, rhs, proposed, newly, written in (
+            ss.dynamics._euler_steps(u0, params, stencil, growth)):
         if rebuilt is not None:
-            cells, values, conv = rebuilt
+            cells, values, conv, sat = rebuilt
+            assert not sat[written].any() and not sat[cells].any()
             assert np.isin(cells, written).all()
             kept = np.setdiff1d(written, cells)
             assert np.array_equal(bits(values[kept]), bits(np.zeros(kept.size)))
@@ -273,7 +287,7 @@ def test_band_after_each_event_equals_full_rebuild(case, negative_zeros):
             band = ss.dynamics._band(sat, conv, u.values, np.zeros(sat.shape, dtype=bool),
                                      tuple(slice(0, n) for n in sat.shape), growth,
                                      params.model == "generalized_singular")
-            rebuilt = band.cells, u.values.ravel().copy(), conv.ravel()
+            rebuilt = band.cells, u.values.ravel().copy(), conv.ravel(), sat.ravel()
 
 
 @settings(derandomize=True, database=None, deadline=None, max_examples=40)
