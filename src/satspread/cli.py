@@ -11,7 +11,7 @@ from .analysis import (_check_fit_window, comparison_harness, estimate_speed,
 from .config import ConfigError, RunConfig, build_initial_field, load_config
 from .dynamics import GridField, run
 from .errors import ScientificError
-from .kernels import front_profile
+from .kernels import FrontKernelProfile, front_profile
 from .output import write_csv, write_field_csv, write_json
 # Only wave and speed shoot, but perfbench's tracer looks up every layer
 # module in sys.modules right after this module is imported.
@@ -76,8 +76,15 @@ def _verdict(*criteria: tuple[bool, str]) -> int:
     return EXIT_OK
 
 
-def _run_once(cfg: RunConfig, record_lipschitz: bool = False):
-    u0 = build_initial_field(cfg)
+def _minimal_front(cfg: RunConfig) -> tuple[FrontKernelProfile, float]:
+    """The kernel's front profile and the minimal speed c* on it."""
+    profile = front_profile(cfg.kernel)
+    return profile, find_c_star(cfg.growth, profile).c_star
+
+
+def _run_once(cfg: RunConfig, record_lipschitz: bool = False,
+              front: tuple[FrontKernelProfile, float] | None = None):
+    u0 = build_initial_field(cfg, front=front)
     return run(u0, cfg.model, cfg.stencil, cfg.growth,
                snapshot_interval=cfg.snapshot_interval,
                record_lipschitz=record_lipschitz)
@@ -157,9 +164,9 @@ def _cmd_speed(cfg: RunConfig, out_dir: Path) -> int:
         _check_fit_window(cfg.model, cfg.snapshot_interval, **window)
     except ValueError as exc:
         raise ConfigError(f"[study] {exc}") from exc
-    profile = front_profile(cfg.kernel)
-    reference = find_c_star(cfg.growth, profile).c_star
-    result = _run_once(cfg)
+    front = _minimal_front(cfg)
+    _, reference = front
+    result = _run_once(cfg, front=front)
     track = track_fronts(result)
     estimate = estimate_speed(track, **window)
     confinement = support_confinement_check(result, cfg.stencil)
@@ -207,8 +214,10 @@ def _cmd_converge(cfg: RunConfig, out_dir: Path) -> int:
 
 
 def _cmd_compare(cfg: RunConfig, out_dir: Path) -> int:
-    low = build_initial_field(cfg)
-    high = build_initial_field(cfg, spec=cfg.initial_high_spec)
+    kinds = (cfg.initial_spec["kind"], cfg.initial_high_spec["kind"])
+    front = _minimal_front(cfg) if "wave_envelope" in kinds else None
+    low = build_initial_field(cfg, front=front)
+    high = build_initial_field(cfg, spec=cfg.initial_high_spec, front=front)
     try:
         report = comparison_harness(low, high, cfg.model, cfg.stencil, cfg.growth)
     except ValueError as exc:

@@ -8,7 +8,7 @@ import numpy as np
 from . import dynamics, growth as growth_mod, kernels, waves
 from .dynamics import GridField, ModelParams, grid_field
 from .growth import GrowthLaw
-from .kernels import ConvolutionStencil, Kernel
+from .kernels import ConvolutionStencil, FrontKernelProfile, Kernel
 
 
 class ConfigError(ValueError):
@@ -247,18 +247,23 @@ def _support_radius(spec: dict, ell: float) -> float:
     return math.inf  # wave envelope is semi-infinite
 
 
-def build_initial_field(cfg: RunConfig, spec: dict | None = None) -> GridField:
+def build_initial_field(cfg: RunConfig, spec: dict | None = None,
+                        front: tuple[FrontKernelProfile, float] | None = None,
+                        ) -> GridField:
     """Realize an initial-data preset on the configured grid.
 
     ``wave_envelope`` places the wave of speed ``speed_factor * c*`` along the
-    first axis, saturated behind ``offset``; it finds ``c*`` first, under the
-    growth cap that ``load_config`` checks.
+    first axis, saturated behind ``offset``.  It shoots on ``front``, the
+    kernel's ``front_profile`` and ``c*`` on it, or finds them first, under
+    the growth cap that ``load_config`` checks.
     """
     spec = cfg.initial_spec if spec is None else spec
     kind = spec["kind"]
     if kind == "wave_envelope":
-        profile = kernels.front_profile(cfg.kernel)
-        c_star = waves.find_c_star(cfg.growth, profile).c_star
+        if front is None:
+            profile = kernels.front_profile(cfg.kernel)
+            front = profile, waves.find_c_star(cfg.growth, profile).c_star
+        profile, c_star = front
         wave = waves.shoot_profile(spec["speed_factor"] * c_star, cfg.growth, profile)
         direction = np.zeros(cfg.kernel.dim)
         direction[0] = 1.0

@@ -243,7 +243,8 @@ def _euler_steps(u0: GridField, params: ModelParams, stencil: ConvolutionStencil
     after each step: the advanced field; on the band of cells the step wrote,
     their densities before and after, the least of ``after`` if the rhs has
     an entry below 0 (else None), the greatest (``-inf`` on an empty band),
-    their right-hand side and the unclamped update ``before + dt * rhs``; the
+    their right-hand side and the unclamped update ``before + dt * rhs``
+    (the array ``after`` itself on a step where no cell reaches 1); the
     flat indices, ascending, of the cells that joined the saturated set
     ``S``; and the band, as flat indices.  Every cell off the band kept its
     density and had rhs 0.0.  ``u`` is one copy of ``u0``, advanced in place:
@@ -278,7 +279,7 @@ def _euler_steps(u0: GridField, params: ModelParams, stencil: ConvolutionStencil
         band, cells, support = _live_box(u.values, by)
     else:
         # K * 1_S and the band, brought up to date as cells join S.
-        mask_conv = convolve_field(stencil, sat.astype(float))
+        mask_conv, key = convolve_field(stencil, sat.astype(float)), stencil.dense.tobytes()
         grown = np.zeros(sat.shape, dtype=bool)
         generalized = params.model == "generalized_singular"
         band = _band(sat, mask_conv, u.values, grown, (slice(None),) * u.dim, growth, generalized)
@@ -293,7 +294,10 @@ def _euler_steps(u0: GridField, params: ModelParams, stencil: ConvolutionStencil
             before = flat[cells]
         rhs = model_rhs(u, params, stencil, growth, band, before).ravel()
         proposed = before + dt_k * rhs
-        after = np.minimum(proposed, 1.0)
+        hi = float(np.maximum.reduce(proposed, initial=-np.inf))
+        after = proposed
+        if hi >= 1.0:
+            after, hi = np.minimum(proposed, 1.0), 1.0
         lo = None
         # Only an rhs below 0 (or NaN, which fails the test) moves a cell down.
         if not np.minimum.reduce(rhs, initial=0.0) >= 0.0:
@@ -306,7 +310,6 @@ def _euler_steps(u0: GridField, params: ModelParams, stencil: ConvolutionStencil
             if left:
                 raise InvariantViolation(
                     f"{left} cells left the saturated set at t={u.time + dt_k:.6g}")
-        hi = float(np.maximum.reduce(after, initial=-np.inf))
         flat[cells] = after
         u.time += dt_k
         newly = cells[:0]
@@ -317,7 +320,7 @@ def _euler_steps(u0: GridField, params: ModelParams, stencil: ConvolutionStencil
         if newly.size:
             sat.ravel()[newly] = True
             if mask_conv is not None:
-                add_to_mask_convolution(stencil, mask_conv, sat, newly)
+                add_to_mask_convolution(stencil, mask_conv, sat, newly, key)
                 band = _band(sat, mask_conv, u.values, grown,
                              _around(newly, sat.shape, stencil.reach), growth, generalized)
                 cells = band.cells

@@ -345,7 +345,8 @@ def _stencil_spectrum(dense: bytes, taps: tuple[int, int],
 
 
 def add_to_mask_convolution(stencil: ConvolutionStencil, conv: np.ndarray,
-                            mask: np.ndarray, cells: np.ndarray) -> None:
+                            mask: np.ndarray, cells: np.ndarray,
+                            key: bytes | None = None) -> None:
     """Update ``conv`` in place after the cells ``cells`` joined ``mask``.
 
     ``cells`` holds their flat indices in ascending order.  On entry ``conv``
@@ -366,7 +367,10 @@ def add_to_mask_convolution(stencil: ConvolutionStencil, conv: np.ndarray,
       bit-identical for every kernel.  A group clear of the box edges takes
       ``mode="valid"``: only its own outputs, each the same all-taps dot
       product as in ``mode="full"``.  A window clipped at both box edges is
-      the whole box, which covers a box shorter than the stencil.
+      the whole box, which covers a box shorter than the stencil.  The
+      window's outputs are cached under ``key``, the stencil's
+      ``dense.tobytes()``: a caller that updates once per step passes one
+      ``bytes`` object, whose hash Python computes once.
     """
     r = stencil.reach
     cells = cells.tolist()
@@ -379,7 +383,9 @@ def add_to_mask_convolution(stencil: ConvolutionStencil, conv: np.ndarray,
             j0, j1 = max(j - r, 0), min(j + r + 1, ny)
             conv[i0:i1, j0:j1] += dense[i0 - i + r:i1 - i + r, j0 - j + r:j1 - j + r]
         return
-    n, dense, mask = conv.shape[0], stencil.dense.tobytes(), np.asarray(mask, dtype=bool)
+    if key is None:
+        key = stencil.dense.tobytes()
+    n, mask = conv.shape[0], np.asarray(mask, dtype=bool)
     # Merge the reaches of nearby cells, so one step costs at most about one
     # full convolution.
     groups = []
@@ -391,7 +397,7 @@ def add_to_mask_convolution(stencil: ConvolutionStencil, conv: np.ndarray,
     for first, last in groups:
         lo, hi = max(first - r, 0), min(last + r + 1, n)
         w0, w1 = max(lo - r, 0), min(hi + r, n)
-        conv[lo:hi] = _window_convolution(dense, mask[w0:w1].tobytes(), lo - w0, hi - w0)
+        conv[lo:hi] = _window_convolution(key, mask[w0:w1].tobytes(), lo - w0, hi - w0)
 
 
 @functools.lru_cache(maxsize=64)

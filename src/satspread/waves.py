@@ -1,7 +1,7 @@
 """Traveling-wave profiles via shooting and the minimal speed via sign bisection."""
 import functools
 import math
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -15,6 +15,9 @@ DEFAULT_STEP_FRACTION = 1.0 / 2000
 DEFAULT_SPEED_TOL = 1e-8
 #: Most regula falsi shots that ``find_c_star`` spends before its replay.
 _LOCATE_SHOTS = 16
+#: Most final cells whose ends ``find_c_star`` shoots for the coarse root and
+#: its secant re-estimates before it locates on the fine shots.
+_CELL_TRIES = 3
 #: |phi(ell)| below this marks a profile as the minimal (semi-compact) wave.
 _MINIMAL_TOL = 1e-6
 
@@ -99,6 +102,19 @@ def shoot_profile(c: float, growth: GrowthLaw, profile: FrontKernelProfile,
                        phi_at_ell=float(phi[per_ell]))
 
 
+def _coarse_step(profile: FrontKernelProfile, ode_step: float | None) -> float | None:
+    """Step of the shots that locate c*, or None if it is not coarser than
+    ``ode_step``: the front profile's sample spacing over 2k, for the least k
+    that makes it ell/200 or less (k = 1 from a spacing of ell/100 down).
+    Every step then lies between two samples, where the interpolated h is
+    linear, as RK4's order needs."""
+    n_half = max((len(profile.s) - 1) // 2, 1)
+    step = profile.ell / (2 * n_half * math.ceil(100 / n_half))
+    if ode_step is None:
+        ode_step = profile.ell * DEFAULT_STEP_FRACTION
+    return step if step > ode_step else None
+
+
 def find_c_star(growth: GrowthLaw, profile: FrontKernelProfile,
                 tol: float = DEFAULT_SPEED_TOL,
                 ode_step: float | None = None) -> MinimalSpeedResult:
@@ -109,11 +125,17 @@ def find_c_star(growth: GrowthLaw, profile: FrontKernelProfile,
     stay positive at the upper end; anything else indicates a growth law
     outside the assumptions or an under-resolved front profile.
 
-    The bisection is replayed: Anderson-Bjorck regula falsi narrows the root to
-    ``[a, b]``, ``phi(a) <= 0 < phi(b)``, and as phi_c(ell) grows with c (the
-    ordering of the waves in c) only midpoints inside ``(a, b)`` are shot.  The
-    final ends are shot too; unless they straddle the root, plain bisection
-    runs from the analytic bounds.  The result is that of plain bisection.
+    The bisection is replayed.  Anderson-Bjorck regula falsi locates the root
+    on the coarse shots of ``_coarse_step``, and the bisection's midpoints are
+    walked down, unshot, to the final cell that holds it.  Its two ends are
+    shot at ``ode_step``: if ``phi(a) <= 0 < phi(b)``, that cell is ``[a, b]``;
+    if not, the secant through the two shots estimates the root again, for
+    ``_CELL_TRIES`` cells at most.  Failing that (or without a coarse step),
+    regula falsi narrows ``[a, b]`` on the fine shots.  As phi_c(ell) grows
+    with c (the ordering of the waves in c), only midpoints inside ``(a, b)``
+    are then shot.  The final ends are shot too; unless they straddle the
+    root, plain bisection runs from the analytic bounds.  The result is that
+    of plain bisection.
     """
     if not tol > 0:
         raise ValueError("tolerance must be positive")
@@ -124,40 +146,44 @@ def find_c_star(growth: GrowthLaw, profile: FrontKernelProfile,
     c_hi = ell * growth.sup
     if not 0 < c_lo < c_hi:
         raise BracketError(f"degenerate analytic bounds ({c_lo}, {c_hi})")
+    bounds = (c_lo, c_hi)
 
-    @functools.cache
-    def phi_ell(c: float) -> float:
-        return shoot_profile(c, growth, profile, s_max=ell,
-                             ode_step=ode_step).phi_at_ell
+    def shooter(step: float | None) -> Callable[[float], float]:
+        return functools.cache(lambda c: shoot_profile(
+            c, growth, profile, s_max=ell, ode_step=step).phi_at_ell)
 
+    phi_ell = shooter(ode_step)
     phi_lo = phi_ell(c_lo)
     phi_hi = phi_ell(c_hi)
     if not (phi_lo < 0.0 < phi_hi):
         raise BracketError(
             "bracket failure: phi(ell) = "
             f"{phi_lo:.6g} at c={c_lo:.6g} and {phi_hi:.6g} at c={c_hi:.6g}")
-    bounds = (c_lo, c_hi)
 
-    # Anderson-Bjorck: the secant through (a, fa) and (b, fb).  An end kept
-    # twice in a row has its f scaled by m = 1 - fc / f_old, f_old that of the
-    # end c replaces (of fc's sign), or halved if m <= 0.
-    a, b, fa, fb, side = c_lo, c_hi, phi_lo, phi_hi, 0
-    for _ in range(_LOCATE_SHOTS):
-        if b - a <= tol:
-            break
-        c = b - fb * (b - a) / (fb - fa)
-        if not a < c < b:
-            c = 0.5 * (a + b)
-        fc = phi_ell(c)
-        if fc > 0.0:
-            m = 1.0 - fc / fb
-            b, fb, fa, side = c, fc, fa * (m if m > 0.0 else 0.5) if side > 0 else fa, 1
-        else:
-            m = 1.0 - fc / fa if fa else 0.0
-            a, fa, fb, side = c, fc, fb * (m if m > 0.0 else 0.5) if side < 0 else fb, -1
+    def locate(phi: Callable[[float], float], fa: float,
+               fb: float) -> tuple[float, float, float]:
+        # Anderson-Bjorck from the bounds: the secant through (a, fa) and
+        # (b, fb).  An end kept twice in a row has its f scaled by
+        # m = 1 - fc / f_old, f_old that of the end c replaces (of fc's sign),
+        # or halved if m <= 0.  Returns [a, b] and the next secant point.
+        (a, b), side = bounds, 0
+        for shot in range(_LOCATE_SHOTS + 1):
+            c = b - fb * (b - a) / (fb - fa)
+            if not a < c < b:
+                c = 0.5 * (a + b)
+            if b - a <= tol or shot == _LOCATE_SHOTS:
+                return a, b, c
+            fc = phi(c)
+            if fc > 0.0:
+                m = 1.0 - fc / fb
+                b, fb, fa, side = c, fc, fa * (m if m > 0.0 else 0.5) if side > 0 else fa, 1
+            else:
+                m = 1.0 - fc / fa if fa else 0.0
+                a, fa, fb, side = c, fc, fb * (m if m > 0.0 else 0.5) if side < 0 else fb, -1
 
     def bisect(a: float, b: float) -> tuple[float, float]:
-        # shoots the midpoints in (a, b) only: all of them from the bounds
+        # shoots the midpoints in (a, b) only: all of them from the bounds,
+        # none if a == b, a walk to the final cell that holds a
         lo, hi = bounds
         while hi - lo > tol:
             mid = 0.5 * (lo + hi)
@@ -165,6 +191,26 @@ def find_c_star(growth: GrowthLaw, profile: FrontKernelProfile,
                 a, b = (a, mid) if phi_ell(mid) > 0.0 else (mid, b)
             lo, hi = (lo, mid) if mid >= b else (mid, hi)
         return lo, hi
+
+    a = None
+    coarse = _coarse_step(profile, ode_step)
+    if coarse is not None:
+        phi_coarse = shooter(coarse)
+        fa, fb = phi_coarse(c_lo), phi_coarse(c_hi)
+        if fa < 0.0 < fb:
+            root = locate(phi_coarse, fa, fb)[2]
+            for _ in range(_CELL_TRIES):
+                lo, hi = bisect(root, root)
+                f_lo, f_hi = phi_ell(lo), phi_ell(hi)
+                if f_lo <= 0.0 < f_hi:
+                    a, b = lo, hi
+                    break
+                if f_hi == f_lo:
+                    break
+                # a miss: the secant through the cell's two fine shots
+                root = hi - f_hi * (hi - lo) / (f_hi - f_lo)
+    if a is None:
+        a, b, _ = locate(phi_ell, phi_lo, phi_hi)
 
     c_lo, c_hi = bisect(a, b)
     if not phi_ell(c_lo) <= 0.0 < phi_ell(c_hi):

@@ -219,9 +219,15 @@ def test_minimal_speed_at_default_step_equals_oracle_bisection(
     assert ss.find_c_star(linear_g, front_profile_1d) == c_star_result
 
 
-#: Indicator front profiles and a coarse shooting step, for the replay oracle.
+#: Indicator front profiles and a shooting step for the replay oracle.  The
+#: step is finer than the coarse locate step of the profiles sampled at ell/60
+#: (ell/240), which the search takes on them, and coarser than that of the
+#: default profiles (ell/400), whose search locates on the fine shots.
 PROFILES = {dim: ss.front_profile(ss.build_kernel("indicator_ball", 1.0, dim, 0.125)[0])
             for dim in (1, 2)}
+COARSE_PROFILES = {dim: ss.front_profile(
+    ss.build_kernel("indicator_ball", 1.0, dim, 0.125)[0], sample_spacing=1.0 / 60)
+    for dim in (1, 2)}
 REPLAY_STEP = 1.0 / 250
 
 
@@ -235,13 +241,16 @@ def search_outcome(search, *args, **kwargs):
                  for f in result)
 
 
-def counting_shots(monkeypatch):
-    """Patch ``waves.shoot_profile`` to record each speed shot; returns the list."""
+def counting_shots(monkeypatch, steps=None):
+    """Patch ``waves.shoot_profile`` to record each speed shot; returns the
+    list.  A ``steps`` list also records each shot's ``ode_step``."""
     speeds = []
     shoot = waves.shoot_profile
 
     def counted(c, *args, **kwargs):
         speeds.append(c)
+        if steps is not None:
+            steps.append(kwargs.get("ode_step"))
         return shoot(c, *args, **kwargs)
 
     monkeypatch.setattr(waves, "shoot_profile", counted)
@@ -259,6 +268,16 @@ class TestBisectionReplay:
                 == search_outcome(find_c_star_bisection, law, profile, tol=tol,
                                   ode_step=REPLAY_STEP))
 
+    @settings(derandomize=True, database=None, deadline=None, max_examples=20)
+    @given(growth_laws(), st.sampled_from([1, 2]), st.sampled_from([1e-6, 1e-8, 1e-10]))
+    def test_coarse_locate_equals_plain_bisection(self, law, dim, tol):
+        profile = COARSE_PROFILES[dim]
+        assert waves._coarse_step(profile, REPLAY_STEP) == 1.0 / 240
+        assert waves._coarse_step(PROFILES[dim], REPLAY_STEP) is None
+        assert (search_outcome(ss.find_c_star, law, profile, tol=tol, ode_step=REPLAY_STEP)
+                == search_outcome(find_c_star_bisection, law, profile, tol=tol,
+                                  ode_step=REPLAY_STEP))
+
     def test_fewer_shots_than_plain_bisection(self, linear_g, monkeypatch):
         speeds = counting_shots(monkeypatch)
         ss.find_c_star(linear_g, PROFILES[1], ode_step=REPLAY_STEP)
@@ -267,21 +286,55 @@ class TestBisectionReplay:
         find_c_star_bisection(linear_g, PROFILES[1], ode_step=REPLAY_STEP)
         assert replayed <= 20 < len(speeds)
 
-    def test_speed1d_search_takes_13_shots(self, linear_g, monkeypatch):
+    def test_speed1d_search_takes_5_fine_and_10_coarse_shots(self, linear_g, monkeypatch):
         """The ``speed1d`` benchmark's profile (1-d indicator, dx = ell/80) at
-        the default step and tolerance: 13 shots in all, counting the two
-        bounds and the wave at c* (Illinois' halving took 16)."""
+        the default step and tolerance: 5 shots at the default step (the two
+        bounds, the final cell's ends and the wave at c*) and 10 at the
+        coarse step ell/400 (the bounds and 8 regula falsi shots).  A locate
+        on the fine shots took 13, and Illinois' halving 16."""
         profile = ss.front_profile(ss.build_kernel("indicator_ball", 1.0, 1, 1.0 / 80)[0])
-        speeds = counting_shots(monkeypatch)
+        steps = []
+        counting_shots(monkeypatch, steps)
         ss.find_c_star(linear_g, profile)
-        assert len(speeds) == 13
+        assert (steps.count(None), steps.count(1.0 / 400), len(steps)) == (5, 10, 15)
 
-    def test_non_monotone_phi_falls_back_to_plain_bisection(self, linear_g, monkeypatch):
+    @pytest.mark.parametrize("shift,fine_shots", [(5 * waves.DEFAULT_SPEED_TOL, 7), (0.05, 19)],
+                             ids=["near-miss", "far-miss"])
+    def test_coarse_miss_takes_plain_bisections_result(self, linear_g, monkeypatch, shift,
+                                                       fine_shots):
+        """Coarse shots moved ``shift`` right of the root: the walked cell
+        fails its certificate.  Five cells off, the secant through its two
+        fine shots finds the root's cell (two more shots); 0.05 off, three
+        cells miss and regula falsi runs on the fine shots.  Either way the
+        result is plain bisection's."""
+        profile = COARSE_PROFILES[1]
+        coarse = waves._coarse_step(profile, REPLAY_STEP)
+        shoot = waves.shoot_profile
+
+        def shifted(c, *args, ode_step=None, **kwargs):
+            if ode_step == coarse:
+                c -= shift
+            return shoot(c, *args, ode_step=ode_step, **kwargs)
+
+        monkeypatch.setattr(waves, "shoot_profile", shifted)
+        plain = search_outcome(find_c_star_bisection, linear_g, profile,
+                               ode_step=REPLAY_STEP)
+        steps = []
+        counting_shots(monkeypatch, steps)
+        assert search_outcome(ss.find_c_star, linear_g, profile,
+                              ode_step=REPLAY_STEP) == plain
+        assert (steps.count(REPLAY_STEP), steps.count(coarse)) == (fine_shots, 10)
+
+    @pytest.mark.parametrize("profiles", [PROFILES, COARSE_PROFILES],
+                             ids=["fine-locate", "coarse-locate"])
+    def test_non_monotone_phi_falls_back_to_plain_bisection(self, linear_g, monkeypatch,
+                                                            profiles):
         """phi(ell) forced negative at the midpoints right of the root, which
         plain bisection shoots and regula falsi does not: the replay's final
-        bracket fails its certificate, and the fallback returns what plain
-        bisection returns under the same phi, not the monotone result."""
-        profile = PROFILES[1]
+        bracket (or the coarse locate's cell) fails its certificate, and the
+        fallback returns what plain bisection returns under the same phi, not
+        the monotone result."""
+        profile = profiles[1]
         monotone = ss.find_c_star(linear_g, profile, ode_step=REPLAY_STEP)
         c_lo, c_hi = monotone.analytic_bounds
         assert (c_lo, c_hi) == (0.25, 1.0)  # so every midpoint is a multiple of 2**-40
