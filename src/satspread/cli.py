@@ -82,9 +82,8 @@ def _minimal_front(cfg: RunConfig) -> tuple[FrontKernelProfile, float]:
     return profile, find_c_star(cfg.growth, profile).c_star
 
 
-def _run_once(cfg: RunConfig, record_lipschitz: bool = False,
-              front: tuple[FrontKernelProfile, float] | None = None):
-    u0 = build_initial_field(cfg, front=front)
+def _run_once(cfg: RunConfig, record_lipschitz: bool = False):
+    u0 = build_initial_field(cfg)
     return run(u0, cfg.model, cfg.stencil, cfg.growth,
                snapshot_interval=cfg.snapshot_interval,
                record_lipschitz=record_lipschitz)
@@ -164,9 +163,8 @@ def _cmd_speed(cfg: RunConfig, out_dir: Path) -> int:
         _check_fit_window(cfg.model, cfg.snapshot_interval, **window)
     except ValueError as exc:
         raise ConfigError(f"[study] {exc}") from exc
-    front = _minimal_front(cfg)
-    _, reference = front
-    result = _run_once(cfg, front=front)
+    _, reference = _minimal_front(cfg)
+    result = _run_once(cfg)
     track = track_fronts(result)
     estimate = estimate_speed(track, **window)
     confinement = support_confinement_check(result, cfg.stencil)

@@ -210,6 +210,9 @@ def load_config(path: str | Path, command: str = "simulate") -> RunConfig:
     initial_spec = _initial_spec("domain", domain)
     high_spec = (_initial_spec("domain_high", sections["domain_high"])
                  if command == "compare" else None)
+    if command == "speed" and initial_spec["kind"] == "wave_envelope":
+        raise ConfigError("[domain] speed cannot fit initial = wave_envelope: its saturated"
+                          " half-line reaches the box edge, so the fitted radius never moves")
     # Shooting for c* needs g(u) <= g(1), and so does the ordering compare tests.
     reader = (command if command in ("wave", "speed", "compare")
               else "initial = wave_envelope" if initial_spec["kind"] == "wave_envelope"

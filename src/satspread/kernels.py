@@ -364,9 +364,7 @@ def add_to_mask_convolution(stencil: ConvolutionStencil, conv: np.ndarray,
       within reach of each group are recomputed by the direct path on the
       window of the mask they read.  Each output then sums the same inputs
       with the same dot product as in ``convolve_field``, so the result is
-      bit-identical for every kernel.  A group clear of the box edges takes
-      ``mode="valid"``: only its own outputs, each the same all-taps dot
-      product as in ``mode="full"``.  A window clipped at both box edges is
+      bit-identical for every kernel.  A window clipped at both box edges is
       the whole box, which covers a box shorter than the stencil.  The
       window's outputs are cached under ``key``, the stencil's
       ``dense.tobytes()``: a caller that updates once per step passes one
@@ -407,8 +405,7 @@ def _window_convolution(dense: bytes, window: bytes, start: int, stop: int) -> n
     and read-only, as a front that moves on through the same pattern asks again."""
     weights, values = np.frombuffer(dense), np.frombuffer(window, dtype=bool).astype(float)
     r = len(weights) // 2
-    out = (np.convolve(values, weights, mode="valid") if (start, stop) == (r, len(values) - r)
-           else np.convolve(values, weights, mode="full")[r + start:r + stop])
+    out = np.convolve(values, weights, mode="full")[r + start:r + stop]
     out.flags.writeable = False
     return out
 

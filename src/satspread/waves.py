@@ -13,10 +13,10 @@ from .kernels import FrontKernelProfile
 DEFAULT_STEP_FRACTION = 1.0 / 2000
 #: Default bracket-width tolerance of the speed bisection.
 DEFAULT_SPEED_TOL = 1e-8
-#: Most regula falsi shots that ``find_c_star`` spends before its replay.
+#: Most regula falsi shots that ``find_c_star`` spends to locate the root.
 _LOCATE_SHOTS = 16
-#: Most final cells whose ends ``find_c_star`` shoots for the coarse root and
-#: its secant re-estimates before it locates on the fine shots.
+#: Most final cells whose ends ``find_c_star`` shoots per shooter: the located
+#: root's, then those of its secant re-estimates.
 _CELL_TRIES = 3
 #: |phi(ell)| below this marks a profile as the minimal (semi-compact) wave.
 _MINIMAL_TOL = 1e-6
@@ -102,7 +102,7 @@ def shoot_profile(c: float, growth: GrowthLaw, profile: FrontKernelProfile,
                        phi_at_ell=float(phi[per_ell]))
 
 
-def _coarse_step(profile: FrontKernelProfile, ode_step: float | None) -> float | None:
+def _coarse_step(profile: FrontKernelProfile, ode_step: float) -> float | None:
     """Step of the shots that locate c*, or None if it is not coarser than
     ``ode_step``: the front profile's sample spacing over 2k, for the least k
     that makes it ell/200 or less (k = 1 from a spacing of ell/100 down).
@@ -110,8 +110,6 @@ def _coarse_step(profile: FrontKernelProfile, ode_step: float | None) -> float |
     linear, as RK4's order needs."""
     n_half = max((len(profile.s) - 1) // 2, 1)
     step = profile.ell / (2 * n_half * math.ceil(100 / n_half))
-    if ode_step is None:
-        ode_step = profile.ell * DEFAULT_STEP_FRACTION
     return step if step > ode_step else None
 
 
@@ -125,30 +123,31 @@ def find_c_star(growth: GrowthLaw, profile: FrontKernelProfile,
     stay positive at the upper end; anything else indicates a growth law
     outside the assumptions or an under-resolved front profile.
 
-    The bisection is replayed.  Anderson-Bjorck regula falsi locates the root
-    on the coarse shots of ``_coarse_step``, and the bisection's midpoints are
-    walked down, unshot, to the final cell that holds it.  Its two ends are
-    shot at ``ode_step``: if ``phi(a) <= 0 < phi(b)``, that cell is ``[a, b]``;
-    if not, the secant through the two shots estimates the root again, for
-    ``_CELL_TRIES`` cells at most.  Failing that (or without a coarse step),
-    regula falsi narrows ``[a, b]`` on the fine shots.  As phi_c(ell) grows
-    with c (the ordering of the waves in c), only midpoints inside ``(a, b)``
-    are then shot.  The final ends are shot too; unless they straddle the
-    root, plain bisection runs from the analytic bounds.  The result is that
-    of plain bisection.
+    The bisection is replayed: only its final cell is shot.  Each shooter in
+    turn, the coarse one of ``_coarse_step`` (if any), then the one at
+    ``ode_step``, locates the root by Anderson-Bjorck regula falsi, if its
+    bounds bracket it.  The bisection's midpoints are walked down, unshot, to
+    the final cell that holds the located root, and the cell's two ends are
+    shot at ``ode_step``.  If ``phi(a) <= 0 < phi(b)``, that cell is the
+    result: as phi_c(ell) grows with c (the ordering of the waves in c),
+    plain bisection ends in it too.  If not, the secant through the two shots
+    estimates the root again, for ``_CELL_TRIES`` cells per shooter.  If no
+    cell holds the root, plain bisection runs from the analytic bounds.
     """
     if not tol > 0:
         raise ValueError("tolerance must be positive")
     if not growth.monotone_cap:
         raise ValueError("minimal-speed search requires the growth cap g(u) <= g(1)")
     ell = profile.ell
+    if ode_step is None:
+        ode_step = ell * DEFAULT_STEP_FRACTION
     c_lo = growth.g1 * profile.integral_zero_to_ell()
     c_hi = ell * growth.sup
     if not 0 < c_lo < c_hi:
         raise BracketError(f"degenerate analytic bounds ({c_lo}, {c_hi})")
     bounds = (c_lo, c_hi)
 
-    def shooter(step: float | None) -> Callable[[float], float]:
+    def shooter(step: float) -> Callable[[float], float]:
         return functools.cache(lambda c: shoot_profile(
             c, growth, profile, s_max=ell, ode_step=step).phi_at_ell)
 
@@ -160,19 +159,18 @@ def find_c_star(growth: GrowthLaw, profile: FrontKernelProfile,
             "bracket failure: phi(ell) = "
             f"{phi_lo:.6g} at c={c_lo:.6g} and {phi_hi:.6g} at c={c_hi:.6g}")
 
-    def locate(phi: Callable[[float], float], fa: float,
-               fb: float) -> tuple[float, float, float]:
+    def locate(phi: Callable[[float], float], fa: float, fb: float) -> float:
         # Anderson-Bjorck from the bounds: the secant through (a, fa) and
         # (b, fb).  An end kept twice in a row has its f scaled by
         # m = 1 - fc / f_old, f_old that of the end c replaces (of fc's sign),
-        # or halved if m <= 0.  Returns [a, b] and the next secant point.
+        # or halved if m <= 0.  Returns the next secant point.
         (a, b), side = bounds, 0
         for shot in range(_LOCATE_SHOTS + 1):
             c = b - fb * (b - a) / (fb - fa)
             if not a < c < b:
                 c = 0.5 * (a + b)
             if b - a <= tol or shot == _LOCATE_SHOTS:
-                return a, b, c
+                return c
             fc = phi(c)
             if fc > 0.0:
                 m = 1.0 - fc / fb
@@ -192,29 +190,31 @@ def find_c_star(growth: GrowthLaw, profile: FrontKernelProfile,
             lo, hi = (lo, mid) if mid >= b else (mid, hi)
         return lo, hi
 
-    a = None
-    coarse = _coarse_step(profile, ode_step)
-    if coarse is not None:
-        phi_coarse = shooter(coarse)
-        fa, fb = phi_coarse(c_lo), phi_coarse(c_hi)
-        if fa < 0.0 < fb:
-            root = locate(phi_coarse, fa, fb)[2]
-            for _ in range(_CELL_TRIES):
-                lo, hi = bisect(root, root)
-                f_lo, f_hi = phi_ell(lo), phi_ell(hi)
-                if f_lo <= 0.0 < f_hi:
-                    a, b = lo, hi
-                    break
-                if f_hi == f_lo:
-                    break
-                # a miss: the secant through the cell's two fine shots
-                root = hi - f_hi * (hi - lo) / (f_hi - f_lo)
-    if a is None:
-        a, b, _ = locate(phi_ell, phi_lo, phi_hi)
+    def certify(phi: Callable[[float], float]) -> tuple[float, float] | None:
+        # the final cell of phi's located root, if its fine ends straddle
+        fa, fb = phi(c_lo), phi(c_hi)
+        if not fa < 0.0 < fb:
+            return None
+        root = locate(phi, fa, fb)
+        for _ in range(_CELL_TRIES):
+            lo, hi = bisect(root, root)
+            f_lo, f_hi = phi_ell(lo), phi_ell(hi)
+            if f_lo <= 0.0 < f_hi:
+                return lo, hi
+            if f_hi == f_lo:
+                return None
+            # a miss: the secant through the cell's two fine shots
+            root = hi - f_hi * (hi - lo) / (f_hi - f_lo)
+        return None
 
-    c_lo, c_hi = bisect(a, b)
-    if not phi_ell(c_lo) <= 0.0 < phi_ell(c_hi):
-        c_lo, c_hi = bisect(*bounds)
+    coarse = _coarse_step(profile, ode_step)
+    for phi in (phi_ell,) if coarse is None else (shooter(coarse), phi_ell):
+        cell = certify(phi)
+        if cell is not None:
+            break
+    else:
+        cell = bisect(*bounds)
+    c_lo, c_hi = cell
     phi_lo, phi_hi = phi_ell(c_lo), phi_ell(c_hi)
     c_star = 0.5 * (c_lo + c_hi)
 
@@ -227,8 +227,7 @@ def find_c_star(growth: GrowthLaw, profile: FrontKernelProfile,
     return MinimalSpeedResult(c_star=c_star, bracket=(c_lo, c_hi), tol=tol,
                               analytic_bounds=bounds, phi_ell_lo=phi_lo,
                               phi_ell_hi=phi_hi, interior_min=interior_min,
-                              ode_step=ode_step if ode_step is not None
-                              else ell * DEFAULT_STEP_FRACTION)
+                              ode_step=ode_step)
 
 
 def sample_wave(profile: WaveProfile, signed_distance, minimal: bool | None = None):

@@ -766,8 +766,7 @@ ENVELOPES = tuple(f"initial = wave_envelope\nspeed_factor = 1.0\noffset = {offse
 #: ``speed`` from the low envelope and ``compare`` of the two.
 ENVELOPE_RUNS = {
     "speed": BASE.replace("initial = ball_plateau\nheight = 1.0\nradius = 1.0\nramp = 0.5",
-                          ENVELOPES[0]).replace("t_end = 1.0", "t_end = 6.0").replace(
-        "snapshot_interval = 0.5", "snapshot_interval = 0.25"),
+                          ENVELOPES[0]),
     "compare": CORE.replace("initial = ball_plateau\nheight = 1.0\nradius = 1.0\nramp = 0.5",
                             ENVELOPES[0]) + f"\n[domain_high]\n{ENVELOPES[1]}\n",
 }
@@ -775,12 +774,13 @@ ENVELOPE_RUNS = {
 
 class TestStudyCommands:
     @pytest.mark.parametrize("command", sorted(ENVELOPE_RUNS))
-    def test_wave_envelope_run_searches_c_star_once(self, tmp_path, monkeypatch, command):
-        """``speed`` and ``compare`` hand their one front profile and c* to
-        each ``wave_envelope`` datum: one ``front_profile`` and one
-        ``find_c_star`` call in the run, through any binding.  (``speed``
-        exits 4: the saturated half-line reaches the box edge, so the radius
-        it fits does not move and the estimate is degenerate.)"""
+    def test_wave_envelope_run_searches_c_star_once(self, tmp_path, monkeypatch, capsys,
+                                                    command):
+        """``compare`` hands its one front profile and c* to each
+        ``wave_envelope`` datum: one ``front_profile`` and one ``find_c_star``
+        call in the run, through any binding.  ``speed`` rejects the datum
+        when the config loads (exit 2, no search): its saturated half-line
+        reaches the box edge, so the radius it fits would never move."""
         calls = []
         for module, name in ((cli, "front_profile"), (cli, "find_c_star"),
                              (ss.kernels, "front_profile"), (ss.waves, "find_c_star")):
@@ -791,8 +791,11 @@ class TestStudyCommands:
             monkeypatch.setattr(module, name, counted)
         cfg_path = write_config(tmp_path, ENVELOPE_RUNS[command])
         code = main([command, "--config", str(cfg_path), "--out", str(tmp_path / "e")])
-        assert code == {"speed": 4, "compare": 0}[command]
-        assert sorted(calls) == ["find_c_star", "front_profile"]
+        assert code == {"speed": 2, "compare": 0}[command]
+        assert sorted(calls) == {"speed": [],
+                                 "compare": ["find_c_star", "front_profile"]}[command]
+        assert ("speed cannot fit initial = wave_envelope" in capsys.readouterr().err) == (
+            command == "speed")
 
     def test_compare_equal_data_passes(self, tmp_path):
         text = CORE + "\n[domain_high]\ninitial = ball_plateau\nheight = 1.0\nradius = 1.0\nramp = 0.5\n"

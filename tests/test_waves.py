@@ -288,15 +288,41 @@ class TestBisectionReplay:
 
     def test_speed1d_search_takes_5_fine_and_10_coarse_shots(self, linear_g, monkeypatch):
         """The ``speed1d`` benchmark's profile (1-d indicator, dx = ell/80) at
-        the default step and tolerance: 5 shots at the default step (the two
-        bounds, the final cell's ends and the wave at c*) and 10 at the
-        coarse step ell/400 (the bounds and 8 regula falsi shots).  A locate
-        on the fine shots took 13, and Illinois' halving 16."""
+        the default step and tolerance: 5 shots at the default step ell/2000
+        (the two bounds, the final cell's ends and the wave at c*) and 10 at
+        the coarse step ell/400 (the bounds and 8 regula falsi shots).  A
+        locate on the fine shots took 13, and Illinois' halving 16."""
         profile = ss.front_profile(ss.build_kernel("indicator_ball", 1.0, 1, 1.0 / 80)[0])
         steps = []
         counting_shots(monkeypatch, steps)
         ss.find_c_star(linear_g, profile)
-        assert (steps.count(None), steps.count(1.0 / 400), len(steps)) == (5, 10, 15)
+        assert (steps.count(1.0 / 2000), steps.count(1.0 / 400), len(steps)) == (5, 10, 15)
+
+    def test_unbracketing_coarse_shots_fall_through_to_the_fine_locate(self, linear_g,
+                                                                      monkeypatch):
+        """Coarse shots moved up by 0.5 stay positive at the lower bound: the
+        coarse shooter does not bracket the root and locates nothing.  The
+        fine shooter then locates it (8 shots) and certifies its cell: 13
+        fine shots with the bounds, the cell's ends and the wave, and 2
+        coarse ones.  The result is plain bisection's."""
+        profile = COARSE_PROFILES[1]
+        coarse = waves._coarse_step(profile, REPLAY_STEP)
+        shoot = waves.shoot_profile
+
+        def raised(c, *args, ode_step=None, **kwargs):
+            wave = shoot(c, *args, ode_step=ode_step, **kwargs)
+            if ode_step == coarse:
+                return wave._replace(phi_at_ell=wave.phi_at_ell + 0.5)
+            return wave
+
+        monkeypatch.setattr(waves, "shoot_profile", raised)
+        plain = search_outcome(find_c_star_bisection, linear_g, profile,
+                               ode_step=REPLAY_STEP)
+        steps = []
+        counting_shots(monkeypatch, steps)
+        assert search_outcome(ss.find_c_star, linear_g, profile,
+                              ode_step=REPLAY_STEP) == plain
+        assert (steps.count(REPLAY_STEP), steps.count(coarse)) == (13, 2)
 
     @pytest.mark.parametrize("shift,fine_shots", [(5 * waves.DEFAULT_SPEED_TOL, 7), (0.05, 19)],
                              ids=["near-miss", "far-miss"])
@@ -330,10 +356,10 @@ class TestBisectionReplay:
     def test_non_monotone_phi_falls_back_to_plain_bisection(self, linear_g, monkeypatch,
                                                             profiles):
         """phi(ell) forced negative at the midpoints right of the root, which
-        plain bisection shoots and regula falsi does not: the replay's final
-        bracket (or the coarse locate's cell) fails its certificate, and the
-        fallback returns what plain bisection returns under the same phi, not
-        the monotone result."""
+        plain bisection shoots and regula falsi does not: the located cell
+        fails its certificate on either shooter, and the fallback returns
+        what plain bisection returns under the same phi, not the monotone
+        result."""
         profile = profiles[1]
         monotone = ss.find_c_star(linear_g, profile, ode_step=REPLAY_STEP)
         c_lo, c_hi = monotone.analytic_bounds
