@@ -163,6 +163,9 @@ def _initial_spec(section: str, items: dict) -> dict:
     for key in ("sigma", "cutoff", "speed_factor", "ramp"):  # each where its kind reads it
         if spec.get(key, 1.0) <= 0:
             raise ConfigError(f"[{section}] {key} must be positive")
+    for key in ("height", "value"):  # a density; NaN fails the test
+        if not 0.0 <= spec.get(key, 0.0) <= 1.0:
+            raise ConfigError(f"[{section}] {key} must lie in [0, 1]")
     return spec
 
 

@@ -279,7 +279,7 @@ def _euler_steps(u0: GridField, params: ModelParams, stencil: ConvolutionStencil
         band, cells, support = _live_box(u.values, by)
     else:
         # K * 1_S and the band, brought up to date as cells join S.
-        mask_conv, key = convolve_field(stencil, sat.astype(float)), stencil.dense.tobytes()
+        mask_conv = convolve_field(stencil, sat.astype(float))
         grown = np.zeros(sat.shape, dtype=bool)
         generalized = params.model == "generalized_singular"
         band = _band(sat, mask_conv, u.values, grown, (slice(None),) * u.dim, growth, generalized)
@@ -320,7 +320,7 @@ def _euler_steps(u0: GridField, params: ModelParams, stencil: ConvolutionStencil
         if newly.size:
             sat.ravel()[newly] = True
             if mask_conv is not None:
-                add_to_mask_convolution(stencil, mask_conv, sat, newly, key)
+                add_to_mask_convolution(stencil, mask_conv, newly)
                 band = _band(sat, mask_conv, u.values, grown,
                              _around(newly, sat.shape, stencil.reach), growth, generalized)
                 cells = band.cells

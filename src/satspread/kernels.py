@@ -230,42 +230,35 @@ def _as_field(stencil: ConvolutionStencil, values) -> np.ndarray:
     return values
 
 
-def _convolve_1d(stencil: ConvolutionStencil, values: np.ndarray) -> np.ndarray:
-    # mode="same" returns max(cells, taps) values; this slice is the same on
-    # boxes at least as long as the stencil.  np.convolve rejects an empty box.
-    r, n = stencil.reach, values.shape[0]
-    return np.convolve(values, stencil.dense, mode="full")[r:r + n] if n else values
-
-
 def convolve_field(stencil: ConvolutionStencil, values: np.ndarray) -> np.ndarray:
     """Direct stencil convolution with zero extension outside the box.
 
-    In 2-d, one shifted slice of the field, zero-padded by ``reach``, is
-    scaled and added per nonzero tap, in reversed row-major tap order: the
-    order of ``scipy.ndimage.convolve``, which the tests hold it to bit for
-    bit.  Each output is thus a left-to-right sum of ``weight * value`` terms.
-    The sum runs only on the bounding box of the field's nonzero cells,
-    dilated by ``reach`` and clipped to the box: every term of an output
-    outside it is a signed zero, and a sum of signed zeros started at +0.0
-    is +0.0, which is what that output is left at.  A field without nonzero
-    cells thus costs no tap at all.
+    One shifted slice of the field, zero-padded by ``reach``, is scaled and
+    added per nonzero tap, in reversed row-major tap order: the order of
+    ``scipy.ndimage.convolve``, which the tests hold it to bit for bit.  A
+    1-d field is summed as the one row of a 2-d field, with reach 0 across
+    rows.  Each output is thus a left-to-right sum of ``weight * value``
+    terms.  The sum runs only on the bounding box of the field's nonzero
+    cells, dilated by ``reach`` and clipped to the box: every term of an
+    output outside it is a signed zero, and a sum of signed zeros started at
+    +0.0 is +0.0, which is what that output is left at.  A field without
+    nonzero cells thus costs no tap at all.
     """
     values = _as_field(stencil, values)
-    if stencil.dim == 1:
-        return _convolve_1d(stencil, values)
     out = np.zeros_like(values)
-    rows = np.flatnonzero(values.any(axis=1))
+    field, dense, out2d = np.atleast_2d(values, stencil.dense, out)
+    rows = np.flatnonzero(field.any(axis=1))
     if rows.size == 0:
         return out
-    cols = np.flatnonzero(values.any(axis=0))
-    r, dense = stencil.reach, stencil.dense
-    nx, ny = values.shape
-    i0, i1 = max(rows[0] - r, 0), min(rows[-1] + r + 1, nx)
+    cols = np.flatnonzero(field.any(axis=0))
+    row_reach, r = (dense.shape[0] - 1) // 2, stencil.reach
+    nx, ny = field.shape
+    i0, i1 = max(rows[0] - row_reach, 0), min(rows[-1] + row_reach + 1, nx)
     j0, j1 = max(cols[0] - r, 0), min(cols[-1] + r + 1, ny)
-    padded = np.pad(values, r)
-    box = out[i0:i1, j0:j1]
+    padded = np.pad(field, ((row_reach, row_reach), (r, r)))
+    box = out2d[i0:i1, j0:j1]
     for p, q in reversed(np.argwhere(dense).tolist()):
-        box += dense[p, q] * padded[i0 + 2 * r - p:i1 + 2 * r - p,
+        box += dense[p, q] * padded[i0 + 2 * row_reach - p:i1 + 2 * row_reach - p,
                                     j0 + 2 * r - q:j1 + 2 * r - q]
     return out
 
@@ -287,15 +280,21 @@ def convolve_dense(stencil: ConvolutionStencil, *fields: np.ndarray) -> np.ndarr
     lies on the dilated support), are set to exactly 0: there the direct sum
     is 0 or below rounding, and the transform's noise of either sign would
     otherwise seed mass at every cell within reach of the support.  Callers
-    that need a sign still clip.  In 1-d each field takes ``convolve_field``'s
-    own path, so the result is bit-identical.
+    that need a sign still clip.  In 1-d each field goes through
+    ``np.convolve``, whose dot products group their terms otherwise than
+    ``convolve_field`` does and agree with it to rounding: a live box needs a
+    margin of ``2 * reach`` cells for them (see ``dynamics.rhs_gamma``).
 
-    Masks are convolved with ``convolve_field``: ``add_to_mask_convolution``
-    updates that result in place and has to match it bit for bit.
+    Masks are convolved with ``convolve_field``, which
+    ``add_to_mask_convolution`` updates in place.
     """
     values = [_as_field(stencil, f) for f in fields]
     if stencil.dim == 1:
-        return np.stack([_convolve_1d(stencil, v) for v in values])
+        # The centered part of the full convolution; np.convolve rejects an
+        # empty box.
+        r = stencil.reach
+        return np.stack([np.convolve(v, stencil.dense, mode="full")[r:r + v.shape[0]]
+                         if v.size else v for v in values])
     stack = np.array(values)
     out = np.zeros_like(stack)
     support = stack.any(axis=0)
@@ -345,69 +344,33 @@ def _stencil_spectrum(dense: bytes, taps: tuple[int, int],
 
 
 def add_to_mask_convolution(stencil: ConvolutionStencil, conv: np.ndarray,
-                            mask: np.ndarray, cells: np.ndarray,
-                            key: bytes | None = None) -> None:
-    """Update ``conv`` in place after the cells ``cells`` joined ``mask``.
+                            cells: np.ndarray) -> None:
+    """Update ``conv`` in place after the cells ``cells`` joined a mask.
 
-    ``cells`` holds their flat indices in ascending order.  On entry ``conv``
-    holds ``convolve_field`` of ``mask`` without them; on exit it holds
-    ``convolve_field(stencil, mask)``.  The work grows with the new cells
-    and their reach; no step scans the box for them.
-
-    - 2-d: ``convolve_field`` adds one term per tap, left to right, so the
-      stencil, clipped at the box edge (the zero extension), is added at each
-      new cell, in O(new cells x taps).  A mask cell under an indicator
-      kernel adds the one weight ``w`` exactly, so every output is ``w`` added
-      ``k`` times in either path: bit-identical.  Other kernels add their
-      weights in joining order, not tap order, and agree to within rounding.
-    - 1-d: the new cells are grouped where their reaches meet, and the outputs
-      within reach of each group are recomputed by the direct path on the
-      window of the mask they read.  Each output then sums the same inputs
-      with the same dot product as in ``convolve_field``, so the result is
-      bit-identical for every kernel.  A window clipped at both box edges is
-      the whole box, which covers a box shorter than the stencil.  The
-      window's outputs are cached under ``key``, the stencil's
-      ``dense.tobytes()``: a caller that updates once per step passes one
-      ``bytes`` object, whose hash Python computes once.
+    ``cells`` holds their flat indices, in any order.  On entry ``conv``
+    holds ``convolve_field`` of the mask without them; on exit it holds
+    ``convolve_field`` of the mask with them.  ``convolve_field`` adds one
+    term per tap, left to right, so the stencil, clipped at the box edge (the
+    zero extension), is added at each new cell: k new cells cost k x taps
+    multiply-adds, never more than one full convolution, and no step scans
+    the box for them.  A mask cell under an indicator kernel adds the one
+    weight ``w`` exactly, so every output is ``w`` added ``k`` times in
+    either path: bit-identical.  Other kernels add their weights in joining
+    order, not tap order, and agree to within rounding.
     """
-    r = stencil.reach
-    cells = cells.tolist()
-    if stencil.dim == 2:
-        dense = stencil.dense
-        nx, ny = conv.shape
-        for cell in cells:
-            i, j = divmod(cell, ny)
-            i0, i1 = max(i - r, 0), min(i + r + 1, nx)
-            j0, j1 = max(j - r, 0), min(j + r + 1, ny)
-            conv[i0:i1, j0:j1] += dense[i0 - i + r:i1 - i + r, j0 - j + r:j1 - j + r]
+    r, dense = stencil.reach, stencil.dense
+    if stencil.dim == 1:
+        n = conv.shape[0]
+        for i in cells.tolist():
+            i0, i1 = max(i - r, 0), min(i + r + 1, n)
+            conv[i0:i1] += dense[i0 - i + r:i1 - i + r]
         return
-    if key is None:
-        key = stencil.dense.tobytes()
-    n, mask = conv.shape[0], np.asarray(mask, dtype=bool)
-    # Merge the reaches of nearby cells, so one step costs at most about one
-    # full convolution.
-    groups = []
-    for cell in cells:
-        if groups and cell - groups[-1][1] <= 2 * r + 1:
-            groups[-1][1] = cell
-        else:
-            groups.append([cell, cell])
-    for first, last in groups:
-        lo, hi = max(first - r, 0), min(last + r + 1, n)
-        w0, w1 = max(lo - r, 0), min(hi + r, n)
-        conv[lo:hi] = _window_convolution(key, mask[w0:w1].tobytes(), lo - w0, hi - w0)
-
-
-@functools.lru_cache(maxsize=64)
-def _window_convolution(dense: bytes, window: bytes, start: int, stop: int) -> np.ndarray:
-    """Outputs ``start:stop`` of the boolean mask ``window`` convolved with the
-    1-d weights ``dense`` (both bytes) as the mask update computes them: cached
-    and read-only, as a front that moves on through the same pattern asks again."""
-    weights, values = np.frombuffer(dense), np.frombuffer(window, dtype=bool).astype(float)
-    r = len(weights) // 2
-    out = np.convolve(values, weights, mode="full")[r + start:r + stop]
-    out.flags.writeable = False
-    return out
+    nx, ny = conv.shape
+    for cell in cells.tolist():
+        i, j = divmod(cell, ny)
+        i0, i1 = max(i - r, 0), min(i + r + 1, nx)
+        j0, j1 = max(j - r, 0), min(j + r + 1, ny)
+        conv[i0:i1, j0:j1] += dense[i0 - i + r:i1 - i + r, j0 - j + r:j1 - j + r]
 
 
 def front_profile(kernel: Kernel, sample_spacing: float | None = None,

@@ -144,19 +144,26 @@ def brute_convolve(stencil, values: np.ndarray) -> np.ndarray:
 
 
 def convolve_field_direct(stencil, values: np.ndarray) -> np.ndarray:
-    """The 2-d shifted-slice sum over the whole box, as a bit-for-bit oracle.
+    """The shifted-slice sum over the whole box, as a bit-for-bit oracle.
 
     One zero-padded slice per nonzero tap, in reversed row-major tap order,
-    is added to every output of the box.
+    is added to every output of the box, in 1-d and 2-d alike.
     """
     values = np.asarray(values, dtype=float)
     r, dense = stencil.reach, stencil.dense
-    nx, ny = values.shape
     padded = np.pad(values, r)
     out = np.zeros_like(values)
-    for p, q in reversed(np.argwhere(dense).tolist()):
-        out += dense[p, q] * padded[2 * r - p:2 * r - p + nx, 2 * r - q:2 * r - q + ny]
+    for tap in reversed(np.argwhere(dense).tolist()):
+        out += dense[tuple(tap)] * padded[tuple(
+            slice(2 * r - t, 2 * r - t + n) for t, n in zip(tap, values.shape))]
     return out
+
+
+def convolve_1d_plain(stencil, values: np.ndarray) -> np.ndarray:
+    """The centered part of ``np.convolve``'s full convolution of a 1-d
+    field, as a bit-for-bit oracle of the 1-d ``kernels.convolve_dense``."""
+    r = stencil.reach
+    return np.convolve(values, stencil.dense, "full")[r:r + values.shape[0]]
 
 
 def convolve_dense_plain(stencil, *fields: np.ndarray) -> np.ndarray:

@@ -392,6 +392,11 @@ GUARDS = {
     "cutoff-negative": ({"initial = ball_plateau\nheight = 1.0\nradius = 1.0\nramp = 0.5":
                          "initial = gaussian_bump\nheight = 1.0\nsigma = 0.5\ncutoff = -2"},
                         "simulate", "[domain] cutoff must be positive"),
+    "height-above-one": ({"height = 1.0": "height = 7.5"}, "simulate",
+                         "[domain] height must lie in [0, 1]"),
+    "value-negative": ({"initial = ball_plateau\nheight = 1.0\nradius = 1.0\nramp = 0.5":
+                        "initial = constant\nvalue = -0.25"},
+                       "simulate", "[domain] value must lie in [0, 1]"),
 }
 
 

@@ -13,8 +13,8 @@ from satspread.kernels import _fast_length, _stencil_spectrum
 
 from harnesses import ball_convolution_on_ray, check_cap_inequality, convolve_mask
 from oracles import (CONE_1D_H_HALF, CONE_2D_H_HALF, H2D_INDICATOR_HALF,
-                     brute_convolve, convolve_dense_plain, convolve_field_direct,
-                     h1d_indicator, h2d_indicator, quad_ball_on_ray,
+                     brute_convolve, convolve_1d_plain, convolve_dense_plain,
+                     convolve_field_direct, h1d_indicator, h2d_indicator, quad_ball_on_ray,
                      quad_front_profile, quad_kernel_mass, riemann_h2d)
 
 
@@ -143,8 +143,6 @@ class TestConvolve:
         out = ss.convolve_field(stencil, field)
         assert out.shape == (cells,)
         assert np.max(np.abs(out - brute_convolve(stencil, field))) <= 1e-15
-        if cells >= taps:  # the centered part of the full convolution
-            assert np.array_equal(out, np.convolve(field, stencil.dense, mode="same"))
 
 
 def sparse_field(rng, shape, zero_frac=0.5):
@@ -262,7 +260,7 @@ class TestConvolveDense:
         fields = [rng.uniform(size=cells), sparse_field(rng, cells)]
         out = ss.convolve_dense(stencil, *fields)
         for got, field in zip(out, fields):
-            assert np.array_equal(got, ss.convolve_field(stencil, field))
+            assert np.array_equal(got, convolve_1d_plain(stencil, field))
 
     def test_axes_must_match_the_stencil(self):
         _, stencil = ss.build_kernel("indicator_ball", 1.0, 2, 0.125)
@@ -325,43 +323,27 @@ class TestAddToMaskConvolution:
     """The running K * 1_S update against a fresh direct convolution."""
 
     @staticmethod
-    def grow(stencil, shape, seed, batches=6):
-        """Grow a random mask in batches; return the running and direct fields."""
+    def grow(stencil, shape, seed, batches=6, shuffle=False):
+        """Grow a random mask in batches, its new cells in ascending or
+        shuffled order; return the running and direct fields."""
         rng = np.random.default_rng(seed)
         mask = np.zeros(shape, dtype=bool)
         conv = ss.convolve_field(stencil, mask.astype(float))
         for _ in range(batches):
             added = (rng.uniform(size=shape) < rng.uniform(0.0, 0.2)) & ~mask
             mask |= added
-            ss.add_to_mask_convolution(stencil, conv, mask, np.flatnonzero(added))
+            cells = np.flatnonzero(added)
+            ss.add_to_mask_convolution(stencil, conv,
+                                       rng.permutation(cells) if shuffle else cells)
         return conv, ss.convolve_field(stencil, mask.astype(float))
-
-    @pytest.mark.parametrize("dtype", [bool, float])
-    def test_a_front_moving_through_one_pattern_reuses_its_window(self, dtype):
-        """A saturated block that grows by one cell at each end per step asks
-        for the same two mask windows again: the reused outputs are read-only
-        and keep the bits of the direct path, for a 0/1 mask of either type."""
-        _, stencil = ss.build_kernel("indicator_ball", 1.0, 1, 0.1)
-        mask = np.zeros(301, dtype=dtype)
-        mask[100:200] = True
-        conv = ss.convolve_field(stencil, mask.astype(float))
-        hits = ss.kernels._window_convolution.cache_info().hits
-        for k in range(1, 20):
-            added = np.array([100 - k, 199 + k])
-            mask[added] = True
-            ss.add_to_mask_convolution(stencil, conv, mask, added)
-            assert np.array_equal(conv, ss.convolve_field(stencil, mask.astype(float)))
-        assert ss.kernels._window_convolution.cache_info().hits - hits >= 2 * 18
-        window = ss.kernels._window_convolution(stencil.dense.tobytes(),
-                                                mask[60:101].astype(bool).tobytes(), 10, 31)
-        assert not window.flags.writeable
 
     @pytest.mark.parametrize("dim,shape", [(1, (301,)), (2, (41, 37))])
     @pytest.mark.parametrize("seed", range(4))
     def test_indicator_bit_identical(self, dim, shape, seed):
         _, stencil = ss.build_kernel("indicator_ball", 1.0, dim, 0.1)
-        running, direct = self.grow(stencil, shape, seed)
-        assert np.array_equal(running, direct)
+        for shuffle in (False, True):
+            running, direct = self.grow(stencil, shape, seed, shuffle=shuffle)
+            assert np.array_equal(running, direct)
 
     @pytest.mark.parametrize("seed", range(4))
     def test_box_shorter_than_the_stencil(self, seed):
@@ -375,8 +357,6 @@ class TestAddToMaskConvolution:
         _, stencil = ss.build_kernel("custom_radial", 1.0, dim, 0.1,
                                      profile=cone_profile)
         running, direct = self.grow(stencil, shape, seed=5)
-        if dim == 1:  # recomputed with the dot products of np.convolve
-            assert np.array_equal(running, direct)
         assert np.max(np.abs(running - direct)) <= 1e-14
 
     @pytest.mark.parametrize("dim", [1, 2])
@@ -389,7 +369,7 @@ class TestAddToMaskConvolution:
             added = np.zeros(shape, dtype=bool)
             added[cell] = True
             mask |= added
-            ss.add_to_mask_convolution(stencil, conv, mask, np.flatnonzero(added))
+            ss.add_to_mask_convolution(stencil, conv, np.flatnonzero(added))
             assert np.array_equal(conv, ss.convolve_field(stencil, mask.astype(float)))
 
 
@@ -428,8 +408,8 @@ def growing_masks(draw, dim):
 def sparse_growth_1d(draw):
     """A 1-d stencil, a box of 4*reach + 1 to 12*reach cells, sparse batches.
 
-    Up to four cells join per batch, so most bands of new cells lie clear of
-    the box edges, where the update computes only the band's own outputs.
+    Up to four cells join per batch, so most new cells lie clear of the box
+    edges, where the update adds the whole stencil.
     """
     kind = draw(st.sampled_from(["indicator_ball", "custom_radial"]))
     dx = draw(st.sampled_from([0.25, 0.1, 0.05]))
@@ -445,17 +425,23 @@ def sparse_growth_1d(draw):
 
 
 class TestAddToMaskConvolutionProperty:
-    """Random growth batches against a fresh direct convolution, bit for bit."""
+    """Random growth batches against a fresh direct convolution: bit for bit
+    under a kernel of equal weights, within rounding otherwise."""
 
     @staticmethod
     def check(stencil, batches):
         mask = np.zeros(batches[0].shape, dtype=bool)
         conv = ss.convolve_field(stencil, mask.astype(float))
+        equal = np.all(stencil.weights == stencil.weights[0])
         for added in batches:
             added = added & ~mask
             mask |= added
-            ss.add_to_mask_convolution(stencil, conv, mask, np.flatnonzero(added))
-            assert np.array_equal(conv, ss.convolve_field(stencil, mask.astype(float)))
+            ss.add_to_mask_convolution(stencil, conv, np.flatnonzero(added))
+            direct = ss.convolve_field(stencil, mask.astype(float))
+            if equal:
+                assert np.array_equal(conv, direct)
+            else:
+                assert np.max(np.abs(conv - direct), initial=0.0) <= 1e-14
 
     @settings(derandomize=True, database=None, deadline=None, max_examples=60)
     @given(growing_masks(dim=1))
@@ -498,23 +484,22 @@ def stencil_fields(draw, dim):
 
 
 @st.composite
-def confined_fields(draw):
-    """A 2-d field of ``stencil_fields`` confined to a drawn support: a
-    sub-block (flush with an edge or a corner of the box as often as not),
-    one cell, or no cell; -0.0 is written at some zero cells in and out of
-    the support."""
-    stencil, field = draw(stencil_fields(dim=2))
-    nx, ny = field.shape
+def confined_fields(draw, dim):
+    """A field of ``stencil_fields`` confined to a drawn support: a sub-block
+    (flush with an edge or a corner of the box as often as not), one cell,
+    or no cell; -0.0 is written at some zero cells in and out of the
+    support."""
+    stencil, field = draw(stencil_fields(dim=dim))
     keep = np.zeros(field.shape, dtype=bool)
     support = draw(st.sampled_from(["block", "cell", "none"]))
     if support == "block":
-        i0 = draw(st.one_of(st.just(0), st.integers(0, nx - 1)))
-        i1 = draw(st.one_of(st.just(nx), st.integers(i0 + 1, nx)))
-        j0 = draw(st.one_of(st.just(0), st.integers(0, ny - 1)))
-        j1 = draw(st.one_of(st.just(ny), st.integers(j0 + 1, ny)))
-        keep[i0:i1, j0:j1] = True
+        block = []
+        for n in field.shape:
+            start = draw(st.one_of(st.just(0), st.integers(0, n - 1)))
+            block.append(slice(start, draw(st.one_of(st.just(n), st.integers(start + 1, n)))))
+        keep[tuple(block)] = True
     elif support == "cell":
-        keep[draw(st.integers(0, nx - 1)), draw(st.integers(0, ny - 1))] = True
+        keep[tuple(draw(st.integers(0, n - 1)) for n in field.shape)] = True
     field = np.where(keep, field, 0.0)
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
     field[(field == 0.0) & (rng.uniform(size=field.shape) < 0.3)] = -0.0
@@ -522,11 +507,11 @@ def confined_fields(draw):
 
 
 class TestSupportBox:
-    """The 2-d convolution, summed on its support's box only, against the
-    whole-box sum: same bits, the sign of zero included."""
+    """The 1-d and 2-d convolution, summed on its support's box only, against
+    the whole-box sum: same bits, the sign of zero included."""
 
-    @settings(derandomize=True, database=None, deadline=None, max_examples=80)
-    @given(confined_fields())
+    @settings(derandomize=True, database=None, deadline=None, max_examples=120)
+    @given(st.sampled_from([1, 2]).flatmap(confined_fields))
     def test_bit_identical_to_the_whole_box_sum(self, case):
         stencil, field = case
         assert np.array_equal(
@@ -598,11 +583,11 @@ class TestConvolveDenseProperty:
 
 
 class TestScipyOracle:
-    """The numpy-only 2-d convolution and the support dilations against
-    ``scipy.ndimage``, bit for bit."""
+    """The numpy-only convolution, in 1-d and 2-d, and the support dilations
+    against ``scipy.ndimage``, bit for bit."""
 
-    @settings(derandomize=True, database=None, deadline=None, max_examples=80)
-    @given(stencil_fields(dim=2))
+    @settings(derandomize=True, database=None, deadline=None, max_examples=120)
+    @given(st.sampled_from([1, 2]).flatmap(stencil_fields))
     def test_two_dimensional_convolution(self, case):
         from scipy import ndimage
         stencil, field = case
