@@ -25,7 +25,7 @@ from .growth import (GrowthError, GrowthLaw, linear_growth, logistic_growth,
 from .kernels import (ConvolutionStencil, FrontKernelProfile, Kernel, KernelError,
                       QuadratureError, add_to_mask_convolution, build_kernel,
                       convolve_dense, convolve_field, front_profile)
-from .waves import (MinimalSpeedResult, WaveProfile, export_wave, find_c_star,
-                    sample_wave, shoot_profile)
+from .waves import (MinimalSpeedResult, WaveProfile, find_c_star, sample_wave,
+                    shoot_profile)
 
 __version__ = "0.1.0"

@@ -35,18 +35,10 @@ class SpeedEstimate(NamedTuple):
     degenerate: bool = False
 
 
-def track_fronts(result: RunResult, direction=None) -> FrontTrack:
-    """Measure saturated and support radii across the recorded snapshots.
-
-    Radially symmetric runs use the distance from the origin; passing a unit
-    ``direction`` switches to the signed front position along that axis for
-    planar runs.
-    """
-    if direction is None:
-        measure = result.final.radii()
-    else:
-        e = np.atleast_1d(np.asarray(direction, dtype=float))
-        measure = np.tensordot(result.final.coords(), e, axes=([-1], [0]))
+def track_fronts(result: RunResult) -> FrontTrack:
+    """The largest distance from the origin of a saturated cell and of a cell
+    in the support, at each recorded snapshot (-inf where there is none)."""
+    measure = result.final.radii()
     r_sat, r_sup = [], []
     for snap, mask in zip(result.snapshots, result.masks):
         r_sat.append(float(measure[mask].max()) if mask.any() else -math.inf)

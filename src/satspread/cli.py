@@ -13,8 +13,9 @@ from .dynamics import GridField, run
 from .errors import ScientificError
 from .kernels import FrontKernelProfile, front_profile
 from .output import write_csv, write_field_csv, write_json
-# Only wave and speed shoot, but perfbench's tracer looks up every layer
-# module in sys.modules right after this module is imported.
+# wave, speed and every run from a wave_envelope datum shoot through these
+# bindings; perfbench's tracer also looks up every layer module in
+# sys.modules right after this module is imported.
 from .waves import find_c_star, sample_wave, shoot_profile
 
 EXIT_OK = 0
@@ -82,8 +83,16 @@ def _minimal_front(cfg: RunConfig) -> tuple[FrontKernelProfile, float]:
     return profile, find_c_star(cfg.growth, profile).c_star
 
 
+def _initial_fields(cfg: RunConfig, *specs: dict) -> list[GridField]:
+    """The initial data of ``specs`` (the config's own datum if none): one c*
+    search, by ``_minimal_front``, serves the ``wave_envelope`` data among them."""
+    specs = specs or (cfg.initial_spec,)
+    front = _minimal_front(cfg) if any(s["kind"] == "wave_envelope" for s in specs) else None
+    return [build_initial_field(cfg, spec, front) for spec in specs]
+
+
 def _run_once(cfg: RunConfig, record_lipschitz: bool = False):
-    u0 = build_initial_field(cfg)
+    u0, = _initial_fields(cfg)
     return run(u0, cfg.model, cfg.stencil, cfg.growth,
                snapshot_interval=cfg.snapshot_interval,
                record_lipschitz=record_lipschitz)
@@ -191,7 +200,7 @@ def _cmd_speed(cfg: RunConfig, out_dir: Path) -> int:
 
 
 def _cmd_converge(cfg: RunConfig, out_dir: Path) -> int:
-    u0 = build_initial_field(cfg)
+    u0, = _initial_fields(cfg)
     gammas = cfg.study.get("gamma_list", [8.0, 32.0, 128.0, 512.0])
     try:
         study = gamma_convergence_study(u0, gammas, cfg.stencil, cfg.growth,
@@ -212,10 +221,7 @@ def _cmd_converge(cfg: RunConfig, out_dir: Path) -> int:
 
 
 def _cmd_compare(cfg: RunConfig, out_dir: Path) -> int:
-    kinds = (cfg.initial_spec["kind"], cfg.initial_high_spec["kind"])
-    front = _minimal_front(cfg) if "wave_envelope" in kinds else None
-    low = build_initial_field(cfg, front=front)
-    high = build_initial_field(cfg, spec=cfg.initial_high_spec, front=front)
+    low, high = _initial_fields(cfg, cfg.initial_spec, cfg.initial_high_spec)
     try:
         report = comparison_harness(low, high, cfg.model, cfg.stencil, cfg.growth)
     except ValueError as exc:

@@ -259,24 +259,22 @@ def build_initial_field(cfg: RunConfig, spec: dict | None = None,
     """Realize an initial-data preset on the configured grid.
 
     ``wave_envelope`` places the wave of speed ``speed_factor * c*`` along the
-    first axis, saturated behind ``offset``.  It shoots on ``front``, the
-    kernel's ``front_profile`` and ``c*`` on it, or finds them first, under
-    the growth cap that ``load_config`` checks.
+    first axis, saturated behind ``offset`` and constant along the others.  It
+    shoots on ``front``, the kernel's ``front_profile`` and ``c*`` on it, which
+    the caller finds (``ValueError`` if it is missing), under the growth cap
+    that ``load_config`` checks.
     """
     spec = cfg.initial_spec if spec is None else spec
     kind = spec["kind"]
     if kind == "wave_envelope":
         if front is None:
-            profile = kernels.front_profile(cfg.kernel)
-            front = profile, waves.find_c_star(cfg.growth, profile).c_star
+            raise ValueError("initial = wave_envelope needs front, the front profile and c*")
         profile, c_star = front
         wave = waves.shoot_profile(spec["speed_factor"] * c_star, cfg.growth, profile)
-        direction = np.zeros(cfg.kernel.dim)
-        direction[0] = 1.0
-        sampler = waves.export_wave(wave, direction, spec["offset"],
-                                    minimal=spec["speed_factor"] <= 1.0)
         grid = grid_field(cfg.box_radius, cfg.stencil.grid_spacing, cfg.kernel.dim)
-        return GridField(sampler(grid.coords()), grid.spacing, grid.origin)
+        return GridField(waves.sample_wave(wave, grid.coords()[..., 0] - spec["offset"],
+                                           minimal=spec["speed_factor"] <= 1.0),
+                         grid.spacing, grid.origin)
     if kind == "ball_plateau":
         height, radius, ramp = spec["height"], spec["radius"], spec["ramp"]
         fn = lambda r: height * np.clip((radius + ramp - r) / ramp, 0.0, 1.0)

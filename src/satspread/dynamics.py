@@ -122,7 +122,8 @@ def stability_cap(model: str, growth: GrowthLaw, gamma: float | None = None) -> 
 
 def _check_step_cap(params: ModelParams, growth: GrowthLaw) -> None:
     cap = stability_cap(params.model, growth, params.gamma)
-    if params.dt > cap * (1 + 1e-12):
+    # Written so that a NaN cap fails the test: every comparison with NaN is False.
+    if not params.dt <= cap * (1 + 1e-12):
         raise ValueError(f"dt = {params.dt} exceeds the stability cap {cap:.6g}")
 
 

@@ -48,8 +48,8 @@ class GrowthLaw(NamedTuple):
 
     def scaled(self, factor: float) -> "GrowthLaw":
         """Multiply the rate by a positive factor (rescales time)."""
-        if factor <= 0:
-            raise GrowthError("scale factor must be positive")
+        if not 0.0 < factor < np.inf:
+            raise GrowthError("scale factor must be positive and finite")
         return self._replace(params=self.params + (factor,), r=self.r * factor,
                              lipschitz=self.lipschitz * factor, sup=self.sup * factor,
                              g1=self.g1 * factor,

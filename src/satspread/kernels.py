@@ -137,12 +137,13 @@ def build_kernel(kind: str, ell: float, dim: int, grid_spacing: float,
     """
     if kind not in KERNEL_KINDS:
         raise KernelError(f"unknown kernel kind {kind!r}")
-    if ell <= 0:
-        raise KernelError("kernel radius must be positive")
+    # Written so that NaN fails each test: every comparison with NaN is False.
+    if not 0 < ell < math.inf:
+        raise KernelError("kernel radius must be positive and finite")
     if dim not in (1, 2):
         raise KernelError("dimension must be 1 or 2")
-    if grid_spacing <= 0:
-        raise KernelError("grid_spacing must be positive")
+    if not 0 < grid_spacing < math.inf:
+        raise KernelError("grid_spacing must be positive and finite")
     if grid_spacing > ell / 4:
         raise KernelError(
             f"grid_spacing {grid_spacing} too coarse for support radius {ell}"

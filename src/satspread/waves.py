@@ -18,8 +18,6 @@ _LOCATE_SHOTS = 16
 #: Most final cells whose ends ``find_c_star`` shoots per shooter: the located
 #: root's, then those of its secant re-estimates.
 _CELL_TRIES = 3
-#: |phi(ell)| below this marks a profile as the minimal (semi-compact) wave.
-_MINIMAL_TOL = 1e-6
 
 
 class WaveProfile(NamedTuple):
@@ -230,38 +228,12 @@ def find_c_star(growth: GrowthLaw, profile: FrontKernelProfile,
                               ode_step=ode_step)
 
 
-def sample_wave(profile: WaveProfile, signed_distance, minimal: bool | None = None):
-    """Evaluate the profile as a density: clamped to [0, 1], semi-compact if minimal."""
-    if minimal is None:
-        minimal = abs(profile.phi_at_ell) <= _MINIMAL_TOL
+def sample_wave(profile: WaveProfile, signed_distance, minimal: bool):
+    """The profile as a density at each signed distance ``s`` from the wave's
+    start: 1 behind it (s <= 0), clamped to [0, 1], and 0 from ``ell`` on if
+    ``minimal`` (the semi-compact wave of speed c*)."""
     s = np.asarray(signed_distance, dtype=float)
     vals = np.interp(s, profile.s, profile.phi, left=1.0, right=0.0)
     if minimal:
         vals = np.where(s >= profile.ell, 0.0, vals)
     return np.clip(vals, 0.0, 1.0)
-
-
-def export_wave(profile: WaveProfile, direction, offset: float,
-                minimal: bool | None = None):
-    """Planar sampler x -> phi(x . e - offset), usable as initial or comparison data.
-
-    ``direction`` must be a unit vector; pass a scalar +-1 in one dimension.
-    For the minimal-speed profile the sampler vanishes at signed distance ell
-    and beyond.
-    """
-    e = np.atleast_1d(np.asarray(direction, dtype=float))
-    norm = float(np.linalg.norm(e))
-    if abs(norm - 1.0) > 1e-9:
-        raise ValueError("direction must be a unit vector")
-
-    def sampler(points):
-        pts = np.asarray(points, dtype=float)
-        if e.size == 1 and pts.ndim <= 1:
-            s = pts * e[0] - offset
-        elif pts.ndim >= 1 and pts.shape[-1] == e.size:
-            s = np.tensordot(pts, e, axes=([-1], [0])) - offset
-        else:
-            raise ValueError("points must carry one coordinate per direction axis")
-        return sample_wave(profile, s, minimal=minimal)
-
-    return sampler

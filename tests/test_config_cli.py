@@ -239,7 +239,10 @@ class TestLoadConfig:
             "initial = wave_envelope\nspeed_factor = 1.5\noffset = -1.0").replace(
             "t_end = 1.0", "t_end = 0.1")
         cfg_path = write_config(tmp_path, text)
-        u0 = ss.build_initial_field(ss.load_config(cfg_path))
+        cfg = ss.load_config(cfg_path)
+        profile = ss.front_profile(cfg.kernel)
+        u0 = ss.build_initial_field(
+            cfg, front=(profile, ss.find_c_star(cfg.growth, profile).c_star))
         out = tmp_path / "env"
         assert main(["simulate", "--config", str(cfg_path), "--out", str(out)]) == 0
         cols = read_csv_columns(out / "snapshot_0000.csv")
@@ -249,6 +252,27 @@ class TestLoadConfig:
         with pytest.raises(ss.ConfigError, match="initial = wave_envelope requires"
                                                  " monotone_cap growth"):
             ss.load_config(write_config(tmp_path, uncapped, "uncapped.ini"))
+
+    def test_wave_envelope_datum_in_two_dimensions(self, tmp_path):
+        """The 2-d datum lies along the first axis: constant along axis 1,
+        each column the wave sampled at ``x - offset``, bit for bit.  The
+        caller finds c*: without ``front`` the datum is refused."""
+        offset = -0.5
+        text = CORE.replace("dim = 1", "dim = 2").replace("dx = 0.05", "dx = 0.125").replace(
+            "box_radius = 4.0", "box_radius = 2.0").replace(
+            "initial = ball_plateau\nheight = 1.0\nradius = 1.0\nramp = 0.5",
+            f"initial = wave_envelope\nspeed_factor = 1.0\noffset = {offset}")
+        cfg = ss.load_config(write_config(tmp_path, text))
+        profile = ss.front_profile(cfg.kernel)
+        c_star = ss.find_c_star(cfg.growth, profile).c_star
+        u0 = ss.build_initial_field(cfg, front=(profile, c_star))
+        wave = ss.shoot_profile(c_star, cfg.growth, profile)
+        column = ss.sample_wave(wave, u0.axis_coords(0) - offset, minimal=True)
+        assert np.any((column > 0.0) & (column < 1.0))
+        assert np.all(u0.values == u0.values[:, :1])
+        assert u0.values[:, 0].tobytes() == column.tobytes()
+        with pytest.raises(ValueError, match="front"):
+            ss.build_initial_field(cfg)
 
     @pytest.mark.parametrize("value", ["nan", "inf"])
     @pytest.mark.parametrize("section,key,line", [

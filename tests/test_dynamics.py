@@ -405,11 +405,18 @@ class TestStep:
         assert np.all(u1.values[near] > 0.0)
         assert np.all(u1.values[~near & (np.abs(x - x[center]) > 1.0)] == 0.0)
 
-    def test_step_above_cap_rejected(self, small1d, linear_g):
+    @pytest.mark.parametrize("params,lipschitz", [
+        (ss.ModelParams(model="gamma", gamma=10.0, dt=0.05, t_end=1.0), 1.0),
+        # a NaN Lipschitz bound makes the cap NaN, which no step may pass
+        (ss.ModelParams(model="singular", dt=5.0, t_end=10.0), math.nan)],
+        ids=["gamma", "nan-lipschitz"])
+    def test_step_above_cap_rejected(self, small1d, linear_g, params, lipschitz):
         _, st = small1d
-        params = ss.ModelParams(model="gamma", gamma=10.0, dt=0.05, t_end=1.0)
+        growth = linear_g._replace(lipschitz=lipschitz)
         with pytest.raises(ValueError, match="stability cap"):
-            step(field1d(np.zeros(33)), params, st, linear_g)
+            step(field1d(np.zeros(33)), params, st, growth)
+        with pytest.raises(ValueError, match="stability cap"):
+            ss.run(field1d(np.zeros(33)), params, st, growth)
 
     @pytest.mark.parametrize("model", ["singular", "gamma"])
     def test_growth_not_vanishing_at_zero_rejected(self, small1d, model):

@@ -92,6 +92,13 @@ class TestGain:
                 law.with_gain(bad)
         assert law.with_gain(1e300).gain == 1e300
 
+    def test_scale_factor_must_be_positive_and_finite(self):
+        law = ss.linear_growth(1.0)
+        for bad in (np.nan, np.inf, -np.inf, 0.0, -0.5):
+            with pytest.raises(ss.GrowthError, match="scale factor must be positive"):
+                law.scaled(bad)
+        assert law.scaled(1e300).r == 1e300
+
     def test_with_gain_keeps_growth_constants(self):
         g = ss.linear_growth(1.0).with_gain(0.3)
         assert type(g.gain) is float and g.gain == 0.3

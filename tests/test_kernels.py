@@ -50,6 +50,11 @@ class TestBuildKernel:
     def test_bad_arguments_rejected(self):
         with pytest.raises(ss.KernelError):
             ss.build_kernel("indicator_ball", -1.0, 1, 0.05)
+        for bad in (np.nan, np.inf):
+            with pytest.raises(ss.KernelError, match="kernel radius must be positive"):
+                ss.build_kernel("indicator_ball", bad, 1, 0.05)
+            with pytest.raises(ss.KernelError, match="grid_spacing must be positive"):
+                ss.build_kernel("indicator_ball", 1.0, 1, bad)
         with pytest.raises(ss.KernelError):
             ss.build_kernel("indicator_ball", 1.0, 3, 0.05)
         with pytest.raises(ss.KernelError):

@@ -135,39 +135,22 @@ class TestMonotoneInC:
         assert ordered and gap > 0.0
 
 
-class TestExportWave:
-    def test_sampler_values_at_landmarks(self, minimal_wave):
-        sampler = ss.export_wave(minimal_wave, [1.0], 3.0)
+class TestSampleWave:
+    def test_values_at_landmarks(self, minimal_wave):
         x = np.array([3.0, 2.0, 4.0, 10.0])
-        vals = sampler(x)
+        vals = ss.sample_wave(minimal_wave, x - 3.0, minimal=True)
         assert vals[0] == 1.0          # at the offset the profile starts at 1
         assert vals[1] == 1.0          # behind the front
         assert vals[3] == 0.0          # far ahead
-        assert vals[2] == pytest.approx(float(ss.sample_wave(minimal_wave, 1.0)),
-                                        abs=1e-12)
+        assert vals[2] == 0.0          # at ell, the minimal wave's support edge
 
     def test_minimal_profile_vanishes_at_support_edge(self, minimal_wave):
-        sampler = ss.export_wave(minimal_wave, [1.0], 0.0)
-        assert sampler(np.array([1.0]))[0] == 0.0
+        assert ss.sample_wave(minimal_wave, np.array([1.0]), minimal=True)[0] == 0.0
 
     def test_large_negative_offset_dominates_compact_data(self, minimal_wave):
-        sampler = ss.export_wave(minimal_wave, [1.0], 5.0)
         x = np.linspace(-4.0, 4.0, 101)
         u0 = np.clip(1.0 - np.abs(x), 0.0, 1.0)
-        assert np.all(sampler(x) >= u0)
-
-    def test_direction_must_be_unit(self, minimal_wave):
-        with pytest.raises(ValueError):
-            ss.export_wave(minimal_wave, [2.0], 0.0)
-
-    def test_planar_sampler_in_two_dimensions(self, minimal_wave):
-        e = np.array([1.0, 0.0])
-        sampler = ss.export_wave(minimal_wave, e, 0.0)
-        pts = np.array([[-1.0, 3.0], [0.5, -2.0], [2.0, 0.0]])
-        vals = sampler(pts)
-        assert vals[0] == 1.0
-        assert 0.0 < vals[1] < 1.0
-        assert vals[2] == 0.0
+        assert np.all(ss.sample_wave(minimal_wave, x - 5.0, minimal=True) >= u0)
 
 
 @pytest.fixture(scope="module", params=[1, 2], ids=["1d", "2d"])
