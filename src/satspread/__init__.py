@@ -16,15 +16,14 @@ from .analysis import (ComparisonReport, ConfinementReport, FrontTrack,
                        estimate_speed, gamma_convergence_study,
                        support_confinement_check, track_fronts)
 from .config import ConfigError, RunConfig, build_initial_field, load_config
-from .dynamics import (GridField, ModelParams, RunResult, discrete_lipschitz,
-                       grid_field, model_rhs, rhs_gamma, run, saturated_mask,
-                       stability_cap)
+from .dynamics import (GridField, ModelParams, RunResult, grid_field, run,
+                       saturated_mask, stability_cap)
 from .errors import BracketError, InvariantViolation, ScientificError
 from .growth import (GrowthError, GrowthLaw, linear_growth, logistic_growth,
                      tabulated_growth)
 from .kernels import (ConvolutionStencil, FrontKernelProfile, Kernel, KernelError,
                       QuadratureError, add_to_mask_convolution, build_kernel,
-                      convolve_dense, convolve_field, front_profile)
+                      convolve_field, front_profile)
 from .waves import (MinimalSpeedResult, WaveProfile, find_c_star, sample_wave,
                     shoot_profile)
 

@@ -91,16 +91,17 @@ def _initial_fields(cfg: RunConfig, *specs: dict) -> list[GridField]:
     return [build_initial_field(cfg, spec, front) for spec in specs]
 
 
-def _run_once(cfg: RunConfig, record_lipschitz: bool = False):
+def _run_once(cfg: RunConfig, monitors: bool = False):
+    """``run`` from the config's own datum; ``monitors`` as in ``run``, asked
+    for only by ``simulate``, the one subcommand that writes them."""
     u0, = _initial_fields(cfg)
     return run(u0, cfg.model, cfg.stencil, cfg.growth,
-               snapshot_interval=cfg.snapshot_interval,
-               record_lipschitz=record_lipschitz)
+               snapshot_interval=cfg.snapshot_interval, monitors=monitors)
 
 
 def _cmd_simulate(cfg: RunConfig, out_dir: Path) -> int:
     # summary.json is the only artifact with monitors.
-    result = _run_once(cfg, record_lipschitz=True)
+    result = _run_once(cfg, monitors=True)
     grid = result.final
     for idx, (t, snap) in enumerate(zip(result.times, result.snapshots)):
         field = GridField(snap, grid.spacing, grid.origin, t)

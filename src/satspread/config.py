@@ -229,9 +229,11 @@ def load_config(path: str | Path, command: str = "simulate") -> RunConfig:
         raise ConfigError(f"[output] snapshot_interval = {snap} is below"
                           f" dt = {params.dt}")
 
+    # Data that fill the box (support radius inf) have no reach for a box to hold.
     support_radius = _support_radius(initial_spec, ell)
     needed = support_radius + ell + ell * growth.sup * (t_end or 0.0)
-    warnings = [] if t_end is None or box_radius >= needed else [
+    warnings = [] if (t_end is None or math.isinf(support_radius)
+                      or box_radius >= needed) else [
         f"box_radius {box_radius} may truncate the run: support can reach "
         f"{needed:.6g} by t_end (initial {support_radius:.6g} + ell + "
         "upper speed bound * t_end)"]

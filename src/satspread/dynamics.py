@@ -332,11 +332,12 @@ def _euler_steps(u0: GridField, params: ModelParams, stencil: ConvolutionStencil
 
 
 class RunResult:
-    """Trajectory summary with snapshots, saturation times and invariant monitors."""
+    """Trajectory summary with snapshots, saturation times and, from a run
+    that records them, the invariant monitors and the clamp count (else None)."""
 
     def __init__(self, final: GridField, saturation_time: np.ndarray,
                  times: list[float], snapshots: list[np.ndarray],
-                 clamped_total: int, monitors: dict[str, float]):
+                 clamped_total: int | None, monitors: dict[str, float] | None):
         self.final = final
         self.saturation_time = saturation_time
         self.times = times
@@ -352,17 +353,21 @@ class RunResult:
 
 def run(u0: GridField, params: ModelParams, stencil: ConvolutionStencil,
         growth: GrowthLaw, snapshot_interval: float | None = None,
-        record_lipschitz: bool = False) -> RunResult:
-    """Advance the model to t_end, recording snapshots and invariant monitors.
+        monitors: bool = False) -> RunResult:
+    """Advance the model to t_end, recording snapshots and saturation times,
+    and with ``monitors`` the invariant monitors and the clamp count.
 
     Snapshots are taken at t = 0 and after the steps of ``_snapshot_steps``,
     with the time the steps accumulated.  Saturation times use the
     first-crossing convention: the recorded time is the end of the step on
     which a cell first reaches 1.  The steps and their invariant checks are
-    those of ``_euler_steps``.  A snapshot interval below ``dt`` (or NaN) is
-    rejected.
+    those of ``_euler_steps``, which raises at the step where a density
+    leaves [0, 1] or is NaN or a cell leaves ``S``, with or without
+    ``monitors``.  A snapshot interval below ``dt`` (or NaN) is rejected.
 
-    The monitors read the band each step wrote: off it the density did not
+    The monitors are reports, not checks: without ``monitors`` the result's
+    ``monitors`` and ``clamped_total`` are None, and no step reduces for
+    them.  They read the band each step wrote: off it the density did not
     change and the rhs was 0.0, and every slope that changed lies in the
     band's bounding box dilated by one cell.  They reuse the step's
     reductions: ``max_u`` is its ``hi``, and ``min_u`` and ``before - after``
@@ -374,19 +379,27 @@ def run(u0: GridField, params: ModelParams, stencil: ConvolutionStencil,
         raise ValueError(f"snapshot_interval={snapshot_interval} is below dt={params.dt}")
     u = u0.copy()  # the final field if there is no step
     sat_time = np.where(saturated_mask(u.values), 0.0, np.inf)
-
-    # "mask_monotonicity_violations" stays 0: a shrinking S raises instead.
-    min_u, max_u = float(u.values.min()), float(u.values.max())
-    max_rhs = gap = 0.0
-    lipschitz = discrete_lipschitz(u) if record_lipschitz else 0.0
-    band = window = None
-
     times = [u.time]
     snapshots = [u.values.copy()]
     snapshot_steps = _snapshot_steps(params, snapshot_interval)
-    clamped_total = 0
+
+    report = clamped_total = None
+    if monitors:
+        # "mask_monotonicity_violations" stays 0: a shrinking S raises instead.
+        min_u, max_u = float(u.values.min()), float(u.values.max())
+        max_rhs = gap = 0.0
+        lipschitz = discrete_lipschitz(u)
+        band = window = None
+        clamped_total = 0
     for k, (u, before, after, lo, hi, rhs, proposed, newly, written) in enumerate(
             _euler_steps(u, params, stencil, growth), 1):
+        if newly.size:
+            sat_time.ravel()[newly] = u.time
+        if k in snapshot_steps:
+            times.append(u.time)
+            snapshots.append(u.values.copy())
+        if not monitors:
+            continue
         max_u = max(max_u, hi)
         # ufunc reductions: ndarray.min and .max add a Python-level wrapper
         max_rhs = max(max_rhs, float(np.maximum.reduce(rhs, initial=0.0)))
@@ -395,21 +408,17 @@ def run(u0: GridField, params: ModelParams, stencil: ConvolutionStencil,
             gap = max(gap, float(np.maximum.reduce(before - after, initial=0.0)))
         if newly.size:
             clamped_total += int(np.count_nonzero(proposed > 1.0))
-            sat_time.ravel()[newly] = u.time
-        if record_lipschitz:
-            if written is not band:  # a new band, after an event
-                band, window = written, _around(written, u.shape, 1)
-            lipschitz = max(lipschitz, _max_slope(u.values[window]) / u.spacing)
-        if k in snapshot_steps:
-            times.append(u.time)
-            snapshots.append(u.values.copy())
+        if written is not band:  # a new band, after an event
+            band, window = written, _around(written, u.shape, 1)
+        lipschitz = max(lipschitz, _max_slope(u.values[window]) / u.spacing)
 
-    monitors = {"min_u": min_u, "max_u": max_u, "max_rhs": max_rhs,
-                "time_monotonicity_gap": gap, "mask_monotonicity_violations": 0.0,
-                "max_lipschitz": lipschitz}
+    if monitors:
+        report = {"min_u": min_u, "max_u": max_u, "max_rhs": max_rhs,
+                  "time_monotonicity_gap": gap, "mask_monotonicity_violations": 0.0,
+                  "max_lipschitz": lipschitz}
     return RunResult(final=u, saturation_time=sat_time, times=times,
                      snapshots=snapshots, clamped_total=clamped_total,
-                     monitors=monitors)
+                     monitors=report)
 
 
 def _around(cells: np.ndarray, shape: tuple[int, ...], by: int) -> tuple[slice, ...]:

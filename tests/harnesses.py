@@ -89,15 +89,14 @@ def step(u: GridField, params: ModelParams, stencil: ConvolutionStencil,
     return GridField(new_values, u.spacing, u.origin, u.time + params.dt), clamped
 
 
-def direct_loop(u0, params, stencil, growth, n_steps, record_lipschitz=False):
-    """``step`` n times with full-grid monitors and first-crossing times; with
-    ``record_lipschitz``, also the running max of ``discrete_lipschitz``."""
+def direct_loop(u0, params, stencil, growth, n_steps):
+    """``step`` n times with full-grid monitors, the running max of
+    ``discrete_lipschitz`` among them, and first-crossing times."""
     u = u0
     sat_time = np.where(saturated_mask(u.values), 0.0, np.inf)
     monitors = {"min_u": float(u.values.min()), "max_u": float(u.values.max()),
-                "max_rhs": 0.0, "time_monotonicity_gap": 0.0}
-    if record_lipschitz:
-        monitors["max_lipschitz"] = discrete_lipschitz(u)
+                "max_rhs": 0.0, "time_monotonicity_gap": 0.0,
+                "max_lipschitz": discrete_lipschitz(u)}
     clamped_total = 0
     for _ in range(n_steps):
         rhs = full_grid_rhs(u, params, stencil, growth)
@@ -110,9 +109,7 @@ def direct_loop(u0, params, stencil, growth, n_steps, record_lipschitz=False):
             monitors["time_monotonicity_gap"], float((u.values - new.values).max()))
         u = new
         sat_time[saturated_mask(u.values) & np.isinf(sat_time)] = u.time
-        if record_lipschitz:
-            monitors["max_lipschitz"] = max(monitors["max_lipschitz"],
-                                            discrete_lipschitz(u))
+        monitors["max_lipschitz"] = max(monitors["max_lipschitz"], discrete_lipschitz(u))
     return u, sat_time, monitors, clamped_total
 
 

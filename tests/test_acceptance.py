@@ -126,7 +126,7 @@ def test_criterion_04_invariant_suite():
                                     t_end=25 * 0.0125)
         else:
             params = ss.ModelParams(model="singular", dt=0.1, t_end=2.5)
-        res = ss.run(u0, params, stencil, growth)
+        res = ss.run(u0, params, stencil, growth, monitors=True)
         if not (res.monitors["min_u"] >= 0.0 and res.monitors["max_u"] <= 1.0):
             failures.append((trial, "bounds"))
         if res.monitors["time_monotonicity_gap"] != 0.0:
@@ -134,7 +134,7 @@ def test_criterion_04_invariant_suite():
         if res.monitors["mask_monotonicity_violations"] != 0.0:
             failures.append((trial, "mask monotonicity"))
         if model == "gamma":
-            rhs = ss.rhs_gamma(u0, stencil, growth, 8.0)
+            rhs = ss.dynamics.rhs_gamma(u0, stencil, growth, 8.0)
             if rhs.min() < 0.0 or res.monitors["max_rhs"] > growth.lipschitz + 1e-12:
                 failures.append((trial, "rhs bounds"))
     elapsed = time.perf_counter() - tic

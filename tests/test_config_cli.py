@@ -210,10 +210,20 @@ class TestLoadConfig:
         assert str(ran.value) == "dt = 0.05 exceeds the stability cap 0.0015625"
         assert str(loaded.value) == f"[model] {ran.value}"
 
-    def test_truncation_warning_for_small_box(self, tmp_path):
-        bad = BASE.replace("t_end = 1.0", "t_end = 10.0")
-        cfg = ss.load_config(write_config(tmp_path, bad))
-        assert any("truncate" in w for w in cfg.warnings)
+    @pytest.mark.parametrize("datum, warned", [
+        ("initial = ball_plateau\nheight = 1.0\nradius = 1.0\nramp = 0.5", True),
+        ("initial = wave_envelope\nspeed_factor = 1.0\noffset = -1.0", False),
+        ("initial = constant\nvalue = 0.5", False)],
+        ids=["ball_plateau", "wave_envelope", "constant"])
+    def test_truncation_warning_for_small_box(self, tmp_path, datum, warned):
+        """A compact datum whose reach by t_end passes the box is warned
+        about; data that fill the box already (support radius inf) are not,
+        since no box could hold their reach."""
+        text = BASE.replace("t_end = 1.0", "t_end = 10.0").replace(
+            "initial = ball_plateau\nheight = 1.0\nradius = 1.0\nramp = 0.5", datum)
+        cfg = ss.load_config(write_config(tmp_path, text))
+        assert any("truncate" in w for w in cfg.warnings) == warned
+        assert len(cfg.warnings) == warned
 
     def test_domain_high_only_for_compare(self, tmp_path):
         extra = CORE + "\n[domain_high]\ninitial = constant\nvalue = 0.8\n"
@@ -884,6 +894,32 @@ class TestStudyCommands:
         assert payload["strictly_decreasing"] is True
         cols = read_csv_columns(out / "gamma_distances.csv")
         assert list(cols["gamma"]) == [4.0, 16.0]
+
+    def test_only_simulate_asks_run_for_monitors(self, tmp_path, monkeypatch):
+        """``simulate`` writes the monitors and asks ``run`` for them;
+        ``speed`` and ``converge`` write none, so their runs, through either
+        binding that perfbench's tracer hooks, record none."""
+        calls = []
+        for module in (cli, ss.analysis):
+            def recorded(*args, _fn=module.run, **kwargs):
+                result = _fn(*args, **kwargs)
+                calls.append((kwargs.get("monitors"), result.monitors, result.clamped_total))
+                return result
+
+            monkeypatch.setattr(module, "run", recorded)
+        converge = CORE.replace("dx = 0.05", "dx = 0.125") + "\n[study]\ngamma_list = 4,16\n"
+        speed = BASE.replace("box_radius = 4.0", "box_radius = 8.0").replace(
+            "t_end = 1.0", "t_end = 5.0").replace("interval = 0.5", "interval = 0.25")
+        for command, text in (("simulate", BASE), ("speed", speed), ("converge", converge)):
+            calls.clear()
+            assert main([command, "--config", str(write_config(tmp_path, text)),
+                         "--out", str(tmp_path / command)]) in (0, 4), command
+            if command == "simulate":
+                (asked, monitors, clamped), = calls
+                assert asked is True and monitors["max_u"] == 1.0 and clamped >= 0
+            else:
+                assert calls and all(monitors is None and clamped is None
+                                     for _, monitors, clamped in calls), command
 
     def test_speed_study_smoke(self, tmp_path):
         text = BASE.replace("box_radius = 4.0", "box_radius = 14.0").replace(

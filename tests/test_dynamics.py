@@ -120,18 +120,18 @@ class TestRhsGamma:
     def test_saturated_state_is_stationary(self, small1d, linear_g):
         _, st = small1d
         u = field1d(np.ones(33))
-        assert np.all(ss.rhs_gamma(u, st, linear_g, 8.0) == 0.0)
+        assert np.all(ss.dynamics.rhs_gamma(u, st, linear_g, 8.0) == 0.0)
 
     def test_vacuum_is_stationary(self, small1d, linear_g):
         _, st = small1d
         u = field1d(np.zeros(33))
-        assert np.all(ss.rhs_gamma(u, st, linear_g, 8.0) == 0.0)
+        assert np.all(ss.dynamics.rhs_gamma(u, st, linear_g, 8.0) == 0.0)
 
     def test_constant_state_closed_form_on_interior(self, small1d, linear_g):
         _, st = small1d
         a, gamma = 0.6, 4.0
         u = field1d(np.full(65, a))
-        rhs = ss.rhs_gamma(u, st, linear_g, gamma)
+        rhs = ss.dynamics.rhs_gamma(u, st, linear_g, gamma)
         reach = st.reach
         # interior cells see the full stencil, so K*a^gamma = a^gamma and the
         # bracket collapses to g(a), leaving g(a) (1 - a^gamma)
@@ -144,7 +144,7 @@ class TestRhsGamma:
         rng = np.random.default_rng(5)
         for _ in range(5):
             u = field1d(np.clip(rng.uniform(-0.2, 1.2, 65), 0, 1))
-            rhs = ss.rhs_gamma(u, st, g, 16.0)
+            rhs = ss.dynamics.rhs_gamma(u, st, g, 16.0)
             assert rhs.min() >= 0.0
             assert rhs.max() <= g.lipschitz + 1e-12
 
@@ -155,7 +155,7 @@ class TestRhsGamma:
         for cells in (9, 65):
             vals = rng.uniform(size=cells) * (rng.uniform(size=cells) < 0.5)
             u = field1d(vals)
-            assert np.array_equal(ss.rhs_gamma(u, st, g, 16.0),
+            assert np.array_equal(ss.dynamics.rhs_gamma(u, st, g, 16.0),
                                   rhs_gamma_direct(u, st, g, 16.0, convolve_1d_plain))
 
     @pytest.mark.parametrize("value", [0.0, 1.0])
@@ -163,7 +163,7 @@ class TestRhsGamma:
                                                              value):
         _, st = small2d
         u = field2d(np.full((33, 33), value))
-        assert np.all(ss.rhs_gamma(u, st, linear_g, 8.0) == 0.0)
+        assert np.all(ss.dynamics.rhs_gamma(u, st, linear_g, 8.0) == 0.0)
 
     @pytest.mark.parametrize("gamma", [1.0, 16.0])
     def test_two_dimensional_bounds_exact(self, small2d, gamma):
@@ -172,7 +172,7 @@ class TestRhsGamma:
         rng = np.random.default_rng(int(gamma))
         for _ in range(5):
             u = field2d(patch_with_holes(rng, 49, 15))
-            rhs = ss.rhs_gamma(u, st, g, gamma)
+            rhs = ss.dynamics.rhs_gamma(u, st, g, gamma)
             assert rhs.min() >= 0.0
             assert rhs.max() <= g.lipschitz + 1e-12
             assert np.max(np.abs(rhs - rhs_gamma_direct(u, st, g, gamma))) <= 1e-14
@@ -183,7 +183,7 @@ class TestRhsGamma:
         # 1 at hundreds of cells; the upper clip keeps 1 - K * p at 0 there.
         _, st = small2d
         u = field2d(np.ones((41, 41)))
-        assert np.count_nonzero(ss.convolve_dense(st, u.values)[0] > 1.0)
+        assert np.count_nonzero(ss.kernels.convolve_dense(st, u.values)[0] > 1.0)
         assert local_production(u, st, linear_g, 1.0).min() >= 0.0
 
     def test_birth_term_vanishes_where_pressure_mass_rounds_above_one(
@@ -198,8 +198,8 @@ class TestRhsGamma:
             for j in range(0, 41, 4):
                 vals = np.ones((41, 41))
                 vals[i, j] = np.nextafter(1.0, 0.0)
-                rhs = ss.rhs_gamma(field2d(vals), st, linear_g, 1.0)
-                conv_p, conv_gp = ss.convolve_dense(st, vals, linear_g(vals) * vals)
+                rhs = ss.dynamics.rhs_gamma(field2d(vals), st, linear_g, 1.0)
+                conv_p, conv_gp = ss.kernels.convolve_dense(st, vals, linear_g(vals) * vals)
                 over = (conv_p > 1.0) & (vals < 1.0)
                 probed += np.count_nonzero(over)
                 assert np.array_equal(rhs[over], conv_gp[over] * (1.0 - vals[over]))
@@ -228,9 +228,9 @@ class TestGammaLiveBox:
         growth = ss.logistic_growth(1.0, 3.0)
         dt = ss.stability_cap("gamma", growth, gamma)
         params = ss.ModelParams(model="gamma", gamma=gamma, dt=dt, t_end=n_steps * dt)
-        res = ss.run(u0, params, stencil, growth, record_lipschitz=True)
+        res = ss.run(u0, params, stencil, growth, monitors=True)
         final, sat_time, monitors, clamped = direct_loop(u0, params, stencil, growth,
-                                                         n_steps, record_lipschitz=True)
+                                                         n_steps)
         assert np.array_equal(bits(res.final.values), bits(final.values))
         assert np.array_equal(res.saturation_time, sat_time)
         assert res.clamped_total == clamped
@@ -461,7 +461,7 @@ class TestRun:
         _, st = small1d
         u0 = ss.grid_field(2.0, 0.125, 1)
         params = ss.ModelParams(model="singular", dt=0.1, t_end=2.0)
-        res = ss.run(u0, params, st, linear_g, snapshot_interval=0.5)
+        res = ss.run(u0, params, st, linear_g, snapshot_interval=0.5, monitors=True)
         assert all(np.all(s == 0.0) for s in res.snapshots)
         assert np.all(np.isinf(res.saturation_time))
         assert res.clamped_total == 0
@@ -534,7 +534,7 @@ class TestRun:
         _, st = small1d
         u0 = ss.grid_field(4.0, 0.125, 1, seed_plateau(1.0, 0.5))
         params = ss.ModelParams(model="singular", dt=0.1, t_end=3.0)
-        res = ss.run(u0, params, st, linear_g, snapshot_interval=1.0)
+        res = ss.run(u0, params, st, linear_g, snapshot_interval=1.0, monitors=True)
         assert res.monitors["time_monotonicity_gap"] == 0.0
         assert res.monitors["mask_monotonicity_violations"] == 0.0
         assert res.monitors["min_u"] >= 0.0
@@ -553,7 +553,7 @@ class TestRun:
         _, st = small2d
         u0 = ss.grid_field(2.0, 0.125, 2, seed_plateau(0.5, 0.25))
         params = ss.ModelParams(model="gamma", gamma=8.0, dt=0.0125, t_end=0.5)
-        res = ss.run(u0, params, st, linear_g, snapshot_interval=0.25)
+        res = ss.run(u0, params, st, linear_g, snapshot_interval=0.25, monitors=True)
         assert res.monitors["max_u"] <= 1.0
         assert res.monitors["max_rhs"] <= linear_g.lipschitz + 1e-12
 
@@ -596,7 +596,7 @@ class TestRun:
         g = ss.linear_growth(1.0).with_gain(0.5)
         u0 = ss.grid_field(3.0, 0.125, 1, seed_plateau(0.5, 0.25))
         params = ss.ModelParams(model="generalized_singular", dt=0.05, t_end=4.0)
-        res = ss.run(u0, params, st, g, snapshot_interval=1.0)
+        res = ss.run(u0, params, st, g, snapshot_interval=1.0, monitors=True)
         assert res.monitors["time_monotonicity_gap"] == 0.0
         assert res.monitors["max_u"] <= 1.0
         support0 = np.count_nonzero(u0.values > 0)
@@ -637,6 +637,25 @@ class TestRun:
         final = direct_loop(u0, params, st, linear_g, 2)[0].values
         assert not np.signbit(final[0])
         assert np.array_equal(np.signbit(res.final.values), np.signbit(final))
+
+    def test_speed_workload_density_field_equals_direct_loop(self):
+        """The ``speed1d`` benchmark's seed-0 plateau at its resolution (dx =
+        ell/80, dt 0.00625, box 22), run to t = 2: 320 steps, through the
+        burst of the first event.  The workload writes only what the
+        saturated set gives, so this pins its 1-d densities: ``run`` has the
+        direct loop's final field and saturation times, bit for bit."""
+        dx, dt, t_end = 0.0125, 0.00625, 2.0
+        _, st = ss.build_kernel("indicator_ball", 1.0, 1, dx)
+        growth = ss.linear_growth(1.0)
+        plateau = seed_plateau(1.4474, 0.572)
+        u0 = ss.grid_field(22.0, dx, 1, lambda r: 0.9689 * plateau(r))
+        params = ss.ModelParams(model="singular", dt=dt, t_end=t_end)
+        res = ss.run(u0, params, st, growth)
+        final, sat_time, _, _ = direct_loop(u0, params, st, growth, 320)
+        assert res.final.time == final.time
+        assert np.array_equal(bits(res.final.values), bits(final.values))
+        assert np.array_equal(bits(res.saturation_time), bits(sat_time))
+        assert np.count_nonzero(np.isfinite(sat_time)) == 363
 
 
 GAINED = ss.linear_growth(1.0).with_gain(0.5)
@@ -744,7 +763,7 @@ class TestRunningMaskConvolution:
         dt = 0.05
         params = ss.ModelParams(model=model, dt=dt, t_end=4 * dt)
         self.patch_rhs(monkeypatch, lambda v: -2.0 * v, on_step=2)
-        res = ss.run(u0, params, st, growth)
+        res = ss.run(u0, params, st, growth, monitors=True)
         first = 0.6 + dt * 0.6
         second = first + dt * (first - 2.0 * first)
         assert second < first < 1.0
@@ -841,10 +860,10 @@ class TestLipschitzPropagation:
     def test_discrete_lipschitz_stays_under_proven_bound(self, small1d, linear_g):
         _, st = small1d
         u0 = ss.grid_field(4.0, 0.125, 1, seed_plateau(1.0, 0.5))
-        lip0 = ss.discrete_lipschitz(u0)
+        lip0 = ss.dynamics.discrete_lipschitz(u0)
         tv = gradient_tv_surrogate(st)
         params = ss.ModelParams(model="singular", dt=0.05, t_end=2.0)
-        res = ss.run(u0, params, st, linear_g, record_lipschitz=True)
+        res = ss.run(u0, params, st, linear_g, monitors=True)
         bound = (lip0 + 2.0 * tv) * np.exp(linear_g.lipschitz * 2.0)
         assert res.monitors["max_lipschitz"] <= bound + st.grid_spacing
 

@@ -162,7 +162,7 @@ class TestConvolveDense:
     def against_direct(stencil, *fields):
         """``convolve_dense`` of ``fields``, within 1e-14 of ``convolve_field``
         and exactly 0 wherever the direct sum is 0."""
-        out = ss.convolve_dense(stencil, *fields)
+        out = ss.kernels.convolve_dense(stencil, *fields)
         assert out.shape == (len(fields),) + fields[0].shape
         for got, field in zip(out, fields):
             direct = ss.convolve_field(stencil, field)
@@ -254,8 +254,8 @@ class TestConvolveDense:
         _, stencil = ss.build_kernel("indicator_ball", 1.0, 2, 0.125)
         zero = np.zeros((33, 33))
         other = np.random.default_rng(2).uniform(size=zero.shape)
-        assert np.all(ss.convolve_dense(stencil, zero) == 0.0)
-        assert np.all(ss.convolve_dense(stencil, other, zero)[1] == 0.0)
+        assert np.all(ss.kernels.convolve_dense(stencil, zero) == 0.0)
+        assert np.all(ss.kernels.convolve_dense(stencil, other, zero)[1] == 0.0)
 
     @pytest.mark.parametrize("kind", ["indicator_ball", "custom_radial"])
     @pytest.mark.parametrize("cells", [9, 129])
@@ -263,14 +263,14 @@ class TestConvolveDense:
         _, stencil = ss.build_kernel(kind, 1.0, 1, 0.125, profile=cone_profile)
         rng = np.random.default_rng(cells)
         fields = [rng.uniform(size=cells), sparse_field(rng, cells)]
-        out = ss.convolve_dense(stencil, *fields)
+        out = ss.kernels.convolve_dense(stencil, *fields)
         for got, field in zip(out, fields):
             assert np.array_equal(got, convolve_1d_plain(stencil, field))
 
     def test_axes_must_match_the_stencil(self):
         _, stencil = ss.build_kernel("indicator_ball", 1.0, 2, 0.125)
         with pytest.raises(ValueError, match="axes"):
-            ss.convolve_dense(stencil, np.zeros(33))
+            ss.kernels.convolve_dense(stencil, np.zeros(33))
 
     def test_fast_lengths(self):
         smooth = sorted(2 ** i * 3 ** j * 5 ** k for i in range(9) for j in range(6)
@@ -299,8 +299,8 @@ class TestStencilSpectrum:
         _, stencil = ss.build_kernel("custom_radial", 1.0, 2, 0.125, profile=cone_profile)
         field = np.random.default_rng(5).uniform(size=(33, 21))
         _stencil_spectrum.cache_clear()
-        cold = ss.convolve_dense(stencil, field)
-        warm = ss.convolve_dense(stencil, field)
+        cold = ss.kernels.convolve_dense(stencil, field)
+        warm = ss.kernels.convolve_dense(stencil, field)
         assert _stencil_spectrum.cache_info().hits == 1
         assert np.array_equal(cold.view(np.int64), warm.view(np.int64))
 
@@ -311,10 +311,10 @@ class TestStencilSpectrum:
         field = np.random.default_rng(6).uniform(size=(33, 33))
         for first, second in (stencils, stencils[::-1]):
             _stencil_spectrum.cache_clear()
-            ss.convolve_dense(first, field)
-            warm = ss.convolve_dense(second, field)
+            ss.kernels.convolve_dense(first, field)
+            warm = ss.kernels.convolve_dense(second, field)
             _stencil_spectrum.cache_clear()
-            cold = ss.convolve_dense(second, field)
+            cold = ss.kernels.convolve_dense(second, field)
             assert np.array_equal(warm.view(np.int64), cold.view(np.int64))
         spectra = [_stencil_spectrum(s.dense.tobytes(), s.dense.shape, (50, 50))
                    for s in stencils]
@@ -582,7 +582,7 @@ class TestConvolveDenseProperty:
         if odd is not None:
             fields[-1][0, 0] = odd
         with np.errstate(invalid="ignore"):
-            got = ss.convolve_dense(stencil, *fields)
+            got = ss.kernels.convolve_dense(stencil, *fields)
             expected = convolve_dense_plain(stencil, *fields)
         assert np.array_equal(got.view(np.uint64), expected.view(np.uint64))
 

@@ -67,9 +67,9 @@ def test_run_equals_direct_step_loop_where_density_falls(model):
     params = ss.ModelParams(model=model, dt=dt, t_end=n_steps * dt)
     plateau = seed_plateau(1.0, 0.5)
     u0 = ss.grid_field(2.5, DX, 1, lambda r: 0.8 * plateau(r))
-    res = ss.run(u0, params, STENCILS[1], growth, record_lipschitz=True)
+    res = ss.run(u0, params, STENCILS[1], growth, monitors=True)
     final, sat_time, monitors, clamped_total = direct_loop(
-        u0, params, STENCILS[1], growth, n_steps, record_lipschitz=True)
+        u0, params, STENCILS[1], growth, n_steps)
     assert np.array_equal(bits(res.final.values), bits(final.values))
     assert np.array_equal(res.saturation_time, sat_time)
     assert res.clamped_total == clamped_total
@@ -82,16 +82,29 @@ def test_run_equals_direct_step_loop_where_density_falls(model):
 @settings(derandomize=True, database=None, deadline=None, max_examples=80)
 @given(cases())
 def test_run_equals_direct_step_loop(case):
+    """With monitors, ``run`` has the direct loop's final field, saturation
+    times, clamp count and monitors; without them it keeps every bit of the
+    field, the times and the snapshots, taken after every step, and reports
+    no monitor."""
     u0, params, stencil, growth, n_steps = case
-    res = ss.run(u0, params, stencil, growth)
+    res = ss.run(u0, params, stencil, growth, snapshot_interval=params.dt, monitors=True)
     final, sat_time, monitors, clamped_total = direct_loop(u0, params, stencil,
                                                            growth, n_steps)
     assert res.final.time == final.time
     assert np.array_equal(res.final.values, final.values)
     assert np.array_equal(res.saturation_time, sat_time)
     assert res.clamped_total == clamped_total
+    assert res.monitors.keys() == monitors.keys() | {"mask_monotonicity_violations"}
     for key, value in monitors.items():
         assert res.monitors[key] == value, key
+    bare = ss.run(u0, params, stencil, growth, snapshot_interval=params.dt)
+    assert bare.monitors is None and bare.clamped_total is None
+    assert bare.final.time == res.final.time and bare.times == res.times
+    assert np.array_equal(bits(bare.final.values), bits(res.final.values))
+    assert np.array_equal(bits(bare.saturation_time), bits(res.saturation_time))
+    assert len(bare.snapshots) == len(res.snapshots) == n_steps + 1
+    for a, b in zip(bare.snapshots, res.snapshots):
+        assert np.array_equal(bits(a), bits(b))
 
 
 def shifted(u, cells):
@@ -111,9 +124,8 @@ def shifted(u, cells):
 def test_lipschitz_monitor_equals_direct_running_max(case, shift):
     u0, params, stencil, growth, n_steps = case
     u0 = shifted(u0, shift)
-    res = ss.run(u0, params, stencil, growth, record_lipschitz=True)
-    final, _, monitors, _ = direct_loop(u0, params, stencil, growth, n_steps,
-                                        record_lipschitz=True)
+    res = ss.run(u0, params, stencil, growth, monitors=True)
+    final, _, monitors, _ = direct_loop(u0, params, stencil, growth, n_steps)
     assert np.array_equal(res.final.values, final.values)
     assert res.monitors["max_lipschitz"] == monitors["max_lipschitz"]
 
@@ -167,7 +179,7 @@ def test_euler_steps_yield_contract(case):
     assert n == n_steps
 
     lower = ss.GridField(0.5 * u0.values, u0.spacing, u0.origin)
-    ss.run(u0, params, stencil, growth, record_lipschitz=True)
+    ss.run(u0, params, stencil, growth, monitors=True)
     ss.comparison_harness(lower, u0, params, stencil, growth)
     ss.gamma_convergence_study(u0, [1.0, 2.0], stencil, growth, horizon=params.dt)
     assert np.array_equal(bits(u0.values), bits(kept)) and u0.time == 0.0
