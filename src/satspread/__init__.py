@@ -19,8 +19,7 @@ from .config import ConfigError, RunConfig, build_initial_field, load_config
 from .dynamics import (GridField, ModelParams, RunResult, grid_field, run,
                        saturated_mask, stability_cap)
 from .errors import BracketError, InvariantViolation, ScientificError
-from .growth import (GrowthError, GrowthLaw, linear_growth, logistic_growth,
-                     tabulated_growth)
+from .growth import GrowthError, GrowthLaw, linear_growth, logistic_growth
 from .kernels import (ConvolutionStencil, FrontKernelProfile, Kernel, KernelError,
                       QuadratureError, add_to_mask_convolution, build_kernel,
                       convolve_field, front_profile)

@@ -57,15 +57,6 @@ class GrowthLaw(NamedTuple):
                              fn=lambda u, _f=self.fn, _a=factor: _a * _f(u))
 
 
-def _check_table(u_nodes: np.ndarray, values: np.ndarray) -> None:
-    if u_nodes.ndim != 1 or u_nodes.shape != values.shape or len(u_nodes) < 2:
-        raise GrowthError("table needs matching 1-d node and value arrays")
-    if u_nodes[0] != 0.0 or u_nodes[-1] != 1.0 or np.any(np.diff(u_nodes) <= 0):
-        raise GrowthError("table nodes must increase from 0 to 1")
-    if not np.all(np.isfinite(values)) or np.any(values < 0):
-        raise GrowthError("table values must be finite and nonnegative")
-
-
 def _verify(law: GrowthLaw) -> GrowthLaw:
     u = np.linspace(0.0, 1.0, _VERIFY_SAMPLES)
     g = np.asarray(law(u), dtype=float)
@@ -114,21 +105,3 @@ def logistic_growth(rate: float, capacity: float) -> GrowthLaw:
                              r=rate * (1.0 - 1.0 / capacity), lipschitz=lip,
                              sup=sup, g1=g1, monotone_cap=capacity >= 2, fn=fn))
 
-
-def tabulated_growth(u_nodes, values) -> GrowthLaw:
-    """Piecewise-linear growth law; certified constants are exact for the interpolant."""
-    u_nodes = np.asarray(u_nodes, dtype=float)
-    values = np.asarray(values, dtype=float)
-    _check_table(u_nodes, values)
-    if values[0] != 0.0:
-        raise GrowthError("growth must vanish at zero density")
-    # On each linear segment g(u)/u is monotone, so node ratios certify r.
-    ratios = values[1:] / u_nodes[1:]
-    r = float(ratios.min())
-    lip = float(np.max(np.abs(np.diff(values)) / np.diff(u_nodes)))
-    sup = float(values.max())
-    g1 = float(values[-1])
-    fn = lambda u, _x=u_nodes, _y=values: np.interp(u, _x, _y)
-    return _verify(GrowthLaw(kind="tabulated", params=(len(u_nodes),), r=r,
-                             lipschitz=lip, sup=sup, g1=g1,
-                             monotone_cap=sup <= g1 + _CAP_TOL, fn=fn))

@@ -5,8 +5,6 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-KERNEL_KINDS = ("indicator_ball", "custom_radial")
-
 #: Discrete stencil mass must match 1 to this after renormalization.
 STENCIL_MASS_TOL = 1e-12
 #: Largest gap allowed between the coarse and fine rules of ``_quad``.
@@ -32,11 +30,11 @@ class QuadratureError(RuntimeError):
 class Kernel(NamedTuple):
     """Radially symmetric dispersal weight supported in a ball of radius ``radius``.
 
-    ``profile`` maps radial distance to the continuum density, normalized so
-    its integral over space is one (exactly for the indicator ball, by
-    quadrature for custom profiles).  The stencil's weights are normalized
-    apart, to discrete mass one; the two normalizations differ by the
-    midpoint quadrature error.
+    ``profile`` maps radial distance to the continuum density, whose integral
+    over space is one.  ``build_kernel`` makes the indicator ball, of height
+    one over the ball's volume; ``front_profile`` integrates the profile of
+    any other kind.  The stencil's weights are normalized apart, to discrete
+    mass one; the two normalizations differ by the midpoint quadrature error.
     """
 
     kind: str
@@ -113,29 +111,20 @@ def _quad(f, a, b, what: str):
     return fine
 
 
-def _profile_values(profile, rho: np.ndarray) -> np.ndarray:
-    vals = np.asarray(profile(rho), dtype=float)
-    if vals.shape != np.shape(rho):
-        raise KernelError("custom profile must be vectorized over radii")
-    return vals
-
-
 def build_kernel(kind: str, ell: float, dim: int, grid_spacing: float,
-                 profile: Callable[[np.ndarray], np.ndarray] | None = None,
                  ) -> tuple[Kernel, ConvolutionStencil]:
-    """Build a normalized kernel and its midpoint convolution stencil.
+    """Build the normalized indicator kernel and its midpoint convolution stencil.
 
     Args:
-        kind: "indicator_ball" or "custom_radial".
+        kind: "indicator_ball", the one kind.
         ell: support radius (> 0).
         dim: ambient dimension, 1 or 2.
         grid_spacing: grid step; must resolve the support (<= ell/4).
-        profile: radial density for "custom_radial", vectorized over radii.
 
     Returns:
         (Kernel, ConvolutionStencil) satisfying the unit-mass invariants.
     """
-    if kind not in KERNEL_KINDS:
+    if kind != "indicator_ball":
         raise KernelError(f"unknown kernel kind {kind!r}")
     # Written so that NaN fails each test: every comparison with NaN is False.
     if not 0 < ell < math.inf:
@@ -149,38 +138,13 @@ def build_kernel(kind: str, ell: float, dim: int, grid_spacing: float,
             f"grid_spacing {grid_spacing} too coarse for support radius {ell}"
             " (need grid_spacing <= ell/4)")
 
-    if kind == "indicator_ball":
-        height = 1.0 / ball_volume(ell, dim)
+    height = 1.0 / ball_volume(ell, dim)
 
-        def raw(rho, _h=height, _ell=ell):
-            return np.where(np.asarray(rho) <= _ell, _h, 0.0)
+    def profile(rho, _h=height, _ell=ell):
+        return np.where(np.asarray(rho) <= _ell, _h, 0.0)
 
-        continuum_mass = 1.0
-    else:
-        if profile is None:
-            raise KernelError("custom_radial requires a profile")
-        rho_check = np.linspace(0.0, ell, 2049)
-        vals = _profile_values(profile, rho_check)
-        if not np.all(np.isfinite(vals)):
-            raise KernelError("custom profile produced non-finite values")
-        if np.any(vals < 0):
-            raise KernelError("custom profile takes negative values")
-
-        def raw(rho, _p=profile, _ell=ell):
-            rho = np.asarray(rho, dtype=float)
-            vals = _profile_values(_p, rho.ravel()).reshape(rho.shape)
-            return np.where(rho <= _ell, vals, 0.0)
-
-        continuum_mass = float(_quad(
-            lambda rho: raw(rho) * (2.0 if dim == 1 else 2.0 * math.pi * rho),
-            0.0, ell, "kernel mass"))
-        if continuum_mass <= 0:
-            raise KernelError("custom profile has zero mass")
-
-    def normalized(rho, _raw=raw, _m=continuum_mass):
-        return _raw(rho) / _m
-
-    # Midpoint stencil on offsets with |offset|*dx <= ell (tolerant at the rim).
+    # Midpoint stencil on offsets with |offset|*dx <= ell (tolerant at the rim,
+    # where a radius just past ell keeps a zero weight).
     m = int(math.floor(ell / grid_spacing * (1 + 1e-12)))
     axis = np.arange(-m, m + 1)
     if dim == 1:
@@ -193,35 +157,18 @@ def build_kernel(kind: str, ell: float, dim: int, grid_spacing: float,
     inside = radii <= ell * (1 + 1e-12)
     offsets, radii = offsets[inside], radii[inside]
 
-    raw_weights = _profile_values(normalized, radii) * grid_spacing ** dim
-    if np.any(raw_weights < 0):
-        raise KernelError("kernel takes negative values on the stencil")
-    discrete_mass = float(raw_weights.sum())
-    if discrete_mass <= 0:
-        raise KernelError("kernel vanishes on the whole stencil")
-    weights = raw_weights / discrete_mass
-
-    _check_radial_symmetry(offsets, weights)
+    raw_weights = profile(radii) * grid_spacing ** dim
+    weights = raw_weights / raw_weights.sum()
 
     dense = np.zeros((2 * m + 1,) * dim)
     dense[tuple((offsets + m).T)] = weights
 
-    kernel = Kernel(kind=kind, radius=ell, dim=dim, profile=normalized)
+    kernel = Kernel(kind=kind, radius=ell, dim=dim, profile=profile)
     stencil = ConvolutionStencil(offsets=offsets, weights=weights,
                                  grid_spacing=grid_spacing, dim=dim,
                                  radius=ell, dense=dense)
     assert abs(float(stencil.weights.sum()) - 1.0) <= STENCIL_MASS_TOL
     return kernel, stencil
-
-
-def _check_radial_symmetry(offsets: np.ndarray, weights: np.ndarray) -> None:
-    """Weights at symmetric grid points must agree exactly."""
-    groups: dict[tuple, float] = {}
-    for off, w in zip(offsets, weights):
-        key = tuple(sorted(abs(int(o)) for o in off))
-        ref = groups.setdefault(key, w)
-        if w != ref:
-            raise KernelError(f"kernel is not radially symmetric at offset {tuple(off)}")
 
 
 def _as_field(stencil: ConvolutionStencil, values) -> np.ndarray:

@@ -15,9 +15,6 @@ DEFAULT_STEP_FRACTION = 1.0 / 2000
 DEFAULT_SPEED_TOL = 1e-8
 #: Most regula falsi shots that ``find_c_star`` spends to locate the root.
 _LOCATE_SHOTS = 16
-#: Most final cells whose ends ``find_c_star`` shoots per shooter: the located
-#: root's, then those of its secant re-estimates.
-_CELL_TRIES = 3
 
 
 class WaveProfile(NamedTuple):
@@ -128,9 +125,8 @@ def find_c_star(growth: GrowthLaw, profile: FrontKernelProfile,
     the final cell that holds the located root, and the cell's two ends are
     shot at ``ode_step``.  If ``phi(a) <= 0 < phi(b)``, that cell is the
     result: as phi_c(ell) grows with c (the ordering of the waves in c),
-    plain bisection ends in it too.  If not, the secant through the two shots
-    estimates the root again, for ``_CELL_TRIES`` cells per shooter.  If no
-    cell holds the root, plain bisection runs from the analytic bounds.
+    plain bisection ends in it too.  If neither shooter's cell holds the
+    root, plain bisection runs from the analytic bounds.
     """
     if not tol > 0:
         raise ValueError("tolerance must be positive")
@@ -194,16 +190,8 @@ def find_c_star(growth: GrowthLaw, profile: FrontKernelProfile,
         if not fa < 0.0 < fb:
             return None
         root = locate(phi, fa, fb)
-        for _ in range(_CELL_TRIES):
-            lo, hi = bisect(root, root)
-            f_lo, f_hi = phi_ell(lo), phi_ell(hi)
-            if f_lo <= 0.0 < f_hi:
-                return lo, hi
-            if f_hi == f_lo:
-                return None
-            # a miss: the secant through the cell's two fine shots
-            root = hi - f_hi * (hi - lo) / (f_hi - f_lo)
-        return None
+        lo, hi = bisect(root, root)
+        return (lo, hi) if phi_ell(lo) <= 0.0 < phi_ell(hi) else None
 
     coarse = _coarse_step(profile, ode_step)
     for phi in (phi_ell,) if coarse is None else (shooter(coarse), phi_ell):

@@ -11,6 +11,7 @@ import satspread as ss
 # here gives every run, of one file or of the suite, the same draws.
 import satspread.cli  # noqa: F401
 
+from harnesses import table_law
 from oracles import C_STAR_LINEAR_1D
 
 
@@ -41,7 +42,7 @@ def growth_laws(draw):
     values = draw(st.lists(st.floats(0.1, 2.0), min_size=len(nodes) - 1,
                            max_size=len(nodes) - 1))
     values[-1] = max(values)
-    law = ss.tabulated_growth(nodes, [0.0, *values])
+    law = table_law(nodes, [0.0, *values])
     assert law.monotone_cap
     return law
 

@@ -1,6 +1,8 @@
 """Harnesses of the paper's claims and the direct stepping oracle, which no
 subcommand runs: the full-grid Euler step that ``run`` is held to, and the
-checks of order, the wave envelopes, the cap inequality and the obstacle form.
+checks of order, the wave envelopes, the cap inequality and the obstacle form;
+plus the cone kernel, the unequal-weight stencil and the table growth law that
+the tests run beside the indicator kernel and the configurable laws.
 They need numpy and the package only, never scipy.
 """
 import math
@@ -10,15 +12,47 @@ import numpy as np
 
 from satspread.dynamics import (GridField, ModelParams, RunResult, _check_stepping,
                                 _euler_steps, discrete_lipschitz, saturated_mask)
-from satspread.growth import GrowthLaw
+from satspread.growth import GrowthLaw, _verify
 from satspread.kernels import (ConvolutionStencil, FrontKernelProfile, Kernel,
-                               KernelError, _quad, convolve_dense, convolve_field,
-                               front_profile)
+                               KernelError, _quad, build_kernel, convolve_dense,
+                               convolve_field, front_profile)
 from satspread.waves import WaveProfile, sample_wave, shoot_profile
 
 #: Positive-violation threshold for the cap-inequality report (absorbs
 #: quadrature noise at the support endpoint where both sides vanish).
 CAP_VIOLATION_TOL = 1e-10
+
+
+def cone_kernel(dim: int) -> Kernel:
+    """The unit-radius cone kernel, of density ``1 - rho`` in 1-d and
+    ``3/pi (1 - rho)`` in 2-d: mass one in closed form."""
+    height = 1.0 if dim == 1 else 3.0 / math.pi
+    return Kernel(kind="cone", radius=1.0, dim=dim,
+                  profile=lambda rho: height * np.clip(1.0 - np.asarray(rho), 0.0, None))
+
+
+def weighted_stencil(profile, dim: int, dx: float) -> ConvolutionStencil:
+    """The unit indicator stencil's taps weighted by ``profile(|offset| dx)``
+    and renormalized to mass one: a radial stencil of unequal weights."""
+    base = build_kernel("indicator_ball", 1.0, dim, dx)[1]
+    weights = profile(np.linalg.norm(base.offsets, axis=1) * dx)
+    weights = weights / weights.sum()
+    dense = np.zeros_like(base.dense)
+    dense[tuple((base.offsets + base.reach).T)] = weights
+    return base._replace(weights=weights, dense=dense)
+
+
+def table_law(nodes, values) -> GrowthLaw:
+    """Piecewise-linear growth through ``(nodes, values)``, nodes from 0 to 1.
+
+    Its constants are exact for the interpolant: ``g(u)/u`` is monotone on
+    each segment, so the node ratios give ``r``."""
+    x, y = np.asarray(nodes, dtype=float), np.asarray(values, dtype=float)
+    sup, g1 = float(y.max()), float(y[-1])
+    return _verify(GrowthLaw(
+        kind="tabulated", params=(len(x),), r=float(np.min(y[1:] / x[1:])),
+        lipschitz=float(np.max(np.abs(np.diff(y)) / np.diff(x))), sup=sup, g1=g1,
+        monotone_cap=sup <= g1, fn=lambda u: np.interp(u, x, y)))
 
 
 def convolve_mask(stencil: ConvolutionStencil, mask: np.ndarray) -> np.ndarray:

@@ -420,6 +420,8 @@ GUARDS = {
     "dx-missing": ({"dx = 0.05\n": ""}, "simulate", "[kernel] dx is required"),
     "kernel-kind": ({"kind = indicator_ball": "kind = square"}, "simulate",
                     "[kernel] unknown kernel kind 'square'"),
+    "kernel-kind-custom": ({"kind = indicator_ball": "kind = custom_radial"}, "simulate",
+                           "[kernel] unknown kernel kind 'custom_radial'"),
     "speed-uncapped": ({"kind = linear\nrate = 1.0":
                         "kind = logistic\nrate = 1.0\ncapacity = 1.2"}, "speed",
                        "[growth] speed requires monotone_cap growth, g(u) <= g(1)"),
@@ -698,9 +700,8 @@ class TestArtifactFormat:
 
     def test_indicator_subcommands_run_without_scipy(self, tmp_path):
         # scipy is a test oracle only: every subcommand in 1-d and 2-d, and
-        # custom kernels with their front profiles and the cap-inequality
-        # harness, run while a None entry in sys.modules makes any scipy
-        # import raise
+        # the cone kernel's front profiles and the cap-inequality harness,
+        # run while a None entry in sys.modules makes any scipy import raise
         speed = BASE.replace("box_radius = 4.0", "box_radius = 14.0").replace(
             "t_end = 1.0", "t_end = 12.0") + "\n[study]\ntolerance = 0.08\n"
         converge = CORE.replace("t_end = 1.0", "t_end = 2.0").replace(
@@ -725,12 +726,11 @@ sys.modules["scipy"] = None
 import numpy as np
 import satspread as ss
 from satspread.cli import main
-from harnesses import check_cap_inequality
+from harnesses import check_cap_inequality, cone_kernel
 
 print([main(argv) for argv in {runs!r}])
-cone = lambda rho: np.clip(1.0 - rho, 0.0, None)
 for dim in (1, 2):
-    kernel, _ = ss.build_kernel("custom_radial", 1.0, dim, 0.05, profile=cone)
+    kernel = cone_kernel(dim)
     print(round(float(ss.front_profile(kernel)(0.0)), 12))
     try:
         print(check_cap_inequality(kernel, 0.5, [100.0]).least_nonviolating_radius)

@@ -12,7 +12,8 @@ import satspread as ss
 
 from conftest import seed_plateau
 from harnesses import (convolve_mask, direct_loop, gradient_tv_surrogate,
-                       local_production, obstacle_residual, rhs_singular, step)
+                       local_production, obstacle_residual, rhs_singular, step,
+                       weighted_stencil)
 from oracles import convolve_1d_plain
 
 
@@ -680,9 +681,8 @@ class TestRunningMaskConvolution:
     def compare(case, kernel_kind, linear_g):
         model, dim, box, t_end, growth = RUNNING_FIELD_CASES[case]
         growth = growth or linear_g
-        profile = (lambda r: np.clip(1.0 - r, 0.0, None)
-                   if kernel_kind == "custom_radial" else None)
-        _, st = ss.build_kernel(kernel_kind, 1.0, dim, 0.125, profile=profile)
+        st = (weighted_stencil(lambda r: np.clip(1.0 - r, 0.0, None), dim, 0.125)
+              if kernel_kind == "cone" else ss.build_kernel(kernel_kind, 1.0, dim, 0.125)[1])
         u0 = ss.grid_field(box, 0.125, dim, seed_plateau(0.5, 0.5))
         params = ss.ModelParams(model=model, dt=0.05, t_end=t_end)
         res = ss.run(u0, params, st, growth, snapshot_interval=0.5)
@@ -707,8 +707,8 @@ class TestRunningMaskConvolution:
         assert np.array_equal(res.saturation_time, sat_time)
 
     @pytest.mark.parametrize("case", ["1d-singular", "2d-singular", "2d-generalized"])
-    def test_custom_kernel_within_rounding(self, case, linear_g):
-        res, final, sat_time = self.compare(case, "custom_radial", linear_g)
+    def test_unequal_weights_within_rounding(self, case, linear_g):
+        res, final, sat_time = self.compare(case, "cone", linear_g)
         assert np.max(np.abs(res.final.values - final.values)) <= 1e-14
         assert np.array_equal(np.isfinite(res.saturation_time), np.isfinite(sat_time))
         finite = np.isfinite(sat_time)

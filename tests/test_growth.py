@@ -7,6 +7,8 @@ import pytest
 import satspread as ss
 from satspread.growth import _verify
 
+from harnesses import table_law
+
 
 class TestLinear:
     def test_certified_constants(self):
@@ -46,11 +48,9 @@ class TestLogistic:
         assert slopes.max() <= g.lipschitz * (1 + 1e-9)
 
 
-class TestTabulated:
+class TestTableLaw:
     def test_constants_from_table(self):
-        u = np.array([0.0, 0.25, 0.5, 1.0])
-        v = np.array([0.0, 0.3, 0.55, 1.0])
-        g = ss.tabulated_growth(u, v)
+        g = table_law([0.0, 0.25, 0.5, 1.0], [0.0, 0.3, 0.55, 1.0])
         assert g.g1 == 1.0
         assert g.sup == 1.0
         assert g.monotone_cap
@@ -58,30 +58,28 @@ class TestTabulated:
         assert g.lipschitz == pytest.approx(1.2)
         assert float(g(0.125)) == pytest.approx(0.15)
 
-    def test_bad_tables_rejected(self):
-        with pytest.raises(ss.GrowthError):
-            ss.tabulated_growth([0.0, 1.0], [0.1, 1.0])  # g(0) != 0
-        with pytest.raises(ss.GrowthError):
-            ss.tabulated_growth([0.1, 1.0], [0.0, 1.0])  # nodes not from 0
-        with pytest.raises(ss.GrowthError):
-            ss.tabulated_growth([0.0, 0.5, 1.0], [0.0, -0.1, 1.0])
-        with pytest.raises(ss.GrowthError):
-            # interior zero breaks the linear lower bound g(u) >= r u
-            ss.tabulated_growth([0.0, 0.5, 1.0], [0.0, 0.0, 1.0])
+
+def hand_law(fn, r: float = 1.0, lipschitz: float = 1.0) -> ss.GrowthLaw:
+    """The capped law ``fn`` with the given constants and ``sup = g1 = fn(1)``,
+    built without the factory checks."""
+    g1 = float(fn(1.0))
+    return ss.GrowthLaw(kind="hand", params=(), r=r, lipschitz=lipschitz, sup=g1,
+                        g1=g1, monotone_cap=True, fn=fn)
 
 
-def offset_linear_law(offset: float) -> ss.GrowthLaw:
-    """Unit linear law plus a constant, built without the factory checks."""
-    return ss.GrowthLaw(kind="linear", params=(1.0,), r=1.0, lipschitz=1.0,
-                        sup=1.0 + offset, g1=1.0 + offset, monotone_cap=True,
-                        fn=lambda u: 1.0 * u + offset)
-
-
-def test_growth_must_vanish_exactly_at_zero():
+@pytest.mark.parametrize("law,message", [
     # 1e-16 used to pass as "zero"; the stepping band needs g(0) == 0.0.
-    with pytest.raises(ss.GrowthError, match="vanish at zero density"):
-        _verify(offset_linear_law(1e-16))
-    assert _verify(offset_linear_law(0.0)).fn(0.0) == 0.0
+    (hand_law(lambda u: 1.0 * u + 1e-16), "vanish at zero density"),
+    (hand_law(lambda u: u * (u - 0.5)), "nonnegative"),
+    (hand_law(lambda u: u, r=0.0), "r must be positive"),
+    (hand_law(lambda u: u * u), "g\\(u\\) >= r\\*u fails"),
+    (hand_law(lambda u: 2.0 * u, r=2.0), "Lipschitz bound fails"),
+    (hand_law(lambda u: u * (1.5 - u), r=0.5, lipschitz=1.5),
+     "monotone_cap set but g exceeds g\\(1\\)"),
+], ids=["offset", "negative", "r-zero", "below-r-u", "lipschitz", "above-g1"])
+def test_verify_rejects_each_broken_constant(law, message):
+    with pytest.raises(ss.GrowthError, match=message):
+        _verify(law)
 
 
 class TestGain:
@@ -118,14 +116,15 @@ def test_scaling_rescales_all_constants():
     ss.linear_growth(1.3),
     ss.logistic_growth(1.0, 3.0),
     ss.logistic_growth(2.0, 1.2),
-    ss.tabulated_growth([0.0, 0.25, 0.5, 1.0], [0.0, 0.3, 0.55, 1.0]),
     ss.logistic_growth(0.7, 2.5).scaled(1.9),
-    ss.tabulated_growth([0.0, 0.4, 1.0], [0.0, 0.6, 0.9]).scaled(0.3),
-], ids=["linear", "logistic", "logistic-uncapped", "tabulated", "scaled",
-        "scaled-tabulated"])
+    table_law([0.0, 0.25, 0.5, 1.0], [0.0, 0.3, 0.55, 1.0]),
+    table_law([0.0, 0.4, 1.0], [0.0, 0.6, 0.9]).scaled(0.3),
+], ids=["linear", "logistic", "logistic-uncapped", "scaled", "table", "scaled-table"])
 def test_float_evaluation_equals_array_evaluation(law):
     rng = np.random.default_rng(7)
     u = np.concatenate([np.linspace(0.0, 1.0, 10001), rng.uniform(0.0, 1.0, 10000)])
     on_array = law(u)
     on_floats = np.array([law.fn(x) for x in u.tolist()])
     assert np.array_equal(on_floats, on_array)
+    # the shooter's g(1) branch and the stepping band's spill read g1 for fn(1)
+    assert law.fn(1.0) == law.g1

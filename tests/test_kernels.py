@@ -11,7 +11,8 @@ import satspread as ss
 from satspread.analysis import _dilate_one_cell
 from satspread.kernels import _fast_length, _stencil_spectrum
 
-from harnesses import ball_convolution_on_ray, check_cap_inequality, convolve_mask
+from harnesses import (ball_convolution_on_ray, check_cap_inequality, cone_kernel,
+                       convolve_mask, weighted_stencil)
 from oracles import (CONE_1D_H_HALF, CONE_2D_H_HALF, H2D_INDICATOR_HALF,
                      brute_convolve, convolve_1d_plain, convolve_dense_plain,
                      convolve_field_direct, h1d_indicator, h2d_indicator, quad_ball_on_ray,
@@ -20,6 +21,14 @@ from oracles import (CONE_1D_H_HALF, CONE_2D_H_HALF, H2D_INDICATOR_HALF,
 
 def cone_profile(rho):
     return np.clip(1.0 - np.asarray(rho), 0.0, None)
+
+
+@functools.lru_cache(maxsize=None)
+def cached_stencil(kind, dim, dx):
+    """The unit indicator stencil, or the cone's stencil of unequal weights."""
+    if kind == "cone":
+        return weighted_stencil(cone_profile, dim, dx)
+    return ss.build_kernel(kind, 1.0, dim, dx)[1]
 
 
 class TestBuildKernel:
@@ -36,12 +45,8 @@ class TestBuildKernel:
         # After normalization the center weight is cell_area / (discrete ball
         # area); the Riemann area matches pi ell^2 to O(dx).
         assert abs(w0 * np.pi / 0.05 ** 2 - 1.0) <= 2 * 0.05
+        assert np.all(stencil.weights == w0)
         assert abs(stencil.weights.sum() - 1.0) <= 1e-12
-
-    def test_negative_profile_rejected(self):
-        with pytest.raises(ss.KernelError, match="negative"):
-            ss.build_kernel("custom_radial", 1.0, 1, 0.05,
-                            profile=lambda rho: 0.5 - np.asarray(rho))
 
     def test_coarse_spacing_rejected(self):
         with pytest.raises(ss.KernelError, match="coarse"):
@@ -57,32 +62,15 @@ class TestBuildKernel:
                 ss.build_kernel("indicator_ball", 1.0, 1, bad)
         with pytest.raises(ss.KernelError):
             ss.build_kernel("indicator_ball", 1.0, 3, 0.05)
-        with pytest.raises(ss.KernelError):
-            ss.build_kernel("mystery", 1.0, 1, 0.05)
-        with pytest.raises(ss.KernelError):
-            ss.build_kernel("custom_radial", 1.0, 1, 0.05)
-
-    @pytest.mark.parametrize("dim", [1, 2])
-    def test_custom_cone_unit_mass(self, dim):
-        _, stencil = ss.build_kernel("custom_radial", 1.0, dim, 0.05,
-                                     profile=cone_profile)
-        assert abs(stencil.weights.sum() - 1.0) <= 1e-12
-        assert np.all(stencil.weights >= 0.0)
+        for kind in ("mystery", "custom_radial"):
+            with pytest.raises(ss.KernelError, match=f"unknown kernel kind '{kind}'"):
+                ss.build_kernel(kind, 1.0, 1, 0.05)
 
     @pytest.mark.parametrize("dim", [1, 2])
     def test_offsets_stay_within_support(self, dim):
         _, stencil = ss.build_kernel("indicator_ball", 1.0, dim, 0.05)
         magnitudes = np.linalg.norm(stencil.offsets, axis=1) * 0.05
         assert magnitudes.max() <= 1.0 + 0.05
-
-    def test_symmetric_offsets_share_exact_weights(self):
-        _, stencil = ss.build_kernel("custom_radial", 1.0, 2, 0.1,
-                                     profile=cone_profile)
-        table = {}
-        for off, w in zip(stencil.offsets, stencil.weights):
-            key = tuple(sorted(abs(int(o)) for o in off))
-            table.setdefault(key, set()).add(float(w))
-        assert all(len(group) == 1 for group in table.values())
 
 
 class TestConvolve:
@@ -140,8 +128,7 @@ class TestConvolve:
 
     @pytest.mark.parametrize("cells", [1, 5, 16, 17, 18, 40])
     def test_box_shorter_than_the_stencil(self, cells):
-        _, stencil = ss.build_kernel("custom_radial", 1.0, 1, 0.125,
-                                     profile=cone_profile)
+        stencil = cached_stencil("cone", 1, 0.125)
         taps = stencil.dense.shape[0]
         assert taps == 17
         field = np.random.default_rng(cells).uniform(size=cells)
@@ -171,10 +158,10 @@ class TestConvolveDense:
             assert np.all(got[direct == 0.0] == 0.0)
         return out
 
-    @pytest.mark.parametrize("kind", ["indicator_ball", "custom_radial"])
+    @pytest.mark.parametrize("kind", ["indicator_ball", "cone"])
     @pytest.mark.parametrize("shape", [(65, 65), (33, 21), (9, 9), (5, 40)])
     def test_two_dimensional_fields_within_rounding(self, kind, shape):
-        _, stencil = ss.build_kernel(kind, 1.0, 2, 0.125, profile=cone_profile)
+        stencil = cached_stencil(kind, 2, 0.125)
         assert stencil.dense.shape == (17, 17)
         rng = np.random.default_rng(shape[0] * shape[1])
         edge = sparse_field(rng, shape)
@@ -185,12 +172,12 @@ class TestConvolveDense:
         self.against_direct(stencil, rng.uniform(size=shape), sparse_field(rng, shape),
                             edge, spike)
 
-    @pytest.mark.parametrize("kind", ["indicator_ball", "custom_radial"])
+    @pytest.mark.parametrize("kind", ["indicator_ball", "cone"])
     def test_translated_support_gives_the_same_bits(self, kind):
         """A field moved into a larger box, with unequal zero margins, gives
         the bits it gives in its own box at its own cells and 0.0 elsewhere:
         only the support's box is transformed."""
-        _, stencil = ss.build_kernel(kind, 1.0, 2, 0.125, profile=cone_profile)
+        stencil = cached_stencil(kind, 2, 0.125)
         r = stencil.reach
         rng = np.random.default_rng(12)
         own = np.zeros((2 * r + 7, 2 * r + 5))
@@ -207,7 +194,7 @@ class TestConvolveDense:
         assert not embedded.view(np.int64).any()  # +0.0 off the window
 
     def test_supports_in_opposite_corners(self):
-        _, stencil = ss.build_kernel("custom_radial", 1.0, 2, 0.125, profile=cone_profile)
+        stencil = cached_stencil("cone", 2, 0.125)
         rng = np.random.default_rng(13)
         low, high = np.zeros((65, 65)), np.zeros((65, 65))
         low[:6, :9] = rng.uniform(size=(6, 9))
@@ -228,7 +215,7 @@ class TestConvolveDense:
         self.against_direct(stencil, sum(corners))
 
     def test_support_touching_all_four_edges(self):
-        _, stencil = ss.build_kernel("custom_radial", 1.0, 2, 0.125, profile=cone_profile)
+        stencil = cached_stencil("cone", 2, 0.125)
         rng = np.random.default_rng(14)
         field = np.zeros((40, 29))
         field[0, 3] = field[-1, 25] = field[30, 0] = field[7, -1] = 1.0
@@ -257,10 +244,10 @@ class TestConvolveDense:
         assert np.all(ss.kernels.convolve_dense(stencil, zero) == 0.0)
         assert np.all(ss.kernels.convolve_dense(stencil, other, zero)[1] == 0.0)
 
-    @pytest.mark.parametrize("kind", ["indicator_ball", "custom_radial"])
+    @pytest.mark.parametrize("kind", ["indicator_ball", "cone"])
     @pytest.mark.parametrize("cells", [9, 129])
     def test_one_dimensional_fields_bit_identical(self, kind, cells):
-        _, stencil = ss.build_kernel(kind, 1.0, 1, 0.125, profile=cone_profile)
+        stencil = cached_stencil(kind, 1, 0.125)
         rng = np.random.default_rng(cells)
         fields = [rng.uniform(size=cells), sparse_field(rng, cells)]
         out = ss.kernels.convolve_dense(stencil, *fields)
@@ -296,7 +283,7 @@ class TestStencilSpectrum:
     """The cached stencil transform of the 2-d ``convolve_dense``."""
 
     def test_cold_and_warm_cache_give_the_same_bits(self):
-        _, stencil = ss.build_kernel("custom_radial", 1.0, 2, 0.125, profile=cone_profile)
+        stencil = cached_stencil("cone", 2, 0.125)
         field = np.random.default_rng(5).uniform(size=(33, 21))
         _stencil_spectrum.cache_clear()
         cold = ss.kernels.convolve_dense(stencil, field)
@@ -305,8 +292,7 @@ class TestStencilSpectrum:
         assert np.array_equal(cold.view(np.int64), warm.view(np.int64))
 
     def test_stencils_of_one_shape_never_share_a_spectrum(self):
-        stencils = [ss.build_kernel(kind, 1.0, 2, 0.125, profile=cone_profile)[1]
-                    for kind in ("indicator_ball", "custom_radial")]
+        stencils = [cached_stencil(kind, 2, 0.125) for kind in ("indicator_ball", "cone")]
         assert stencils[0].dense.shape == stencils[1].dense.shape
         field = np.random.default_rng(6).uniform(size=(33, 33))
         for first, second in (stencils, stencils[::-1]):
@@ -358,9 +344,8 @@ class TestAddToMaskConvolution:
         assert np.array_equal(running, direct)
 
     @pytest.mark.parametrize("dim,shape", [(1, (301,)), (2, (41, 37))])
-    def test_custom_kernel(self, dim, shape):
-        _, stencil = ss.build_kernel("custom_radial", 1.0, dim, 0.1,
-                                     profile=cone_profile)
+    def test_unequal_weights(self, dim, shape):
+        stencil = cached_stencil("cone", dim, 0.1)
         running, direct = self.grow(stencil, shape, seed=5)
         assert np.max(np.abs(running - direct)) <= 1e-14
 
@@ -386,9 +371,9 @@ def growing_masks(draw, dim):
     where the stencil is clipped, plus random cells at a drawn density.
     """
     kind = "indicator_ball" if dim == 2 else draw(
-        st.sampled_from(["indicator_ball", "custom_radial"]))
+        st.sampled_from(["indicator_ball", "cone"]))
     dx = draw(st.sampled_from([0.25, 0.125] if dim == 2 else [0.25, 0.1, 0.05]))
-    _, stencil = ss.build_kernel(kind, 1.0, dim, dx, profile=cone_profile)
+    stencil = cached_stencil(kind, dim, dx)
     r = stencil.reach
     sizes = st.one_of(st.sampled_from([2 * r, 2 * r + 1]), st.integers(1, 4 * r + 2))
     shape = tuple(draw(sizes) for _ in range(dim))
@@ -416,9 +401,9 @@ def sparse_growth_1d(draw):
     Up to four cells join per batch, so most new cells lie clear of the box
     edges, where the update adds the whole stencil.
     """
-    kind = draw(st.sampled_from(["indicator_ball", "custom_radial"]))
+    kind = draw(st.sampled_from(["indicator_ball", "cone"]))
     dx = draw(st.sampled_from([0.25, 0.1, 0.05]))
-    _, stencil = ss.build_kernel(kind, 1.0, 1, dx, profile=cone_profile)
+    stencil = cached_stencil(kind, 1, dx)
     n = draw(st.integers(4 * stencil.reach + 1, 12 * stencil.reach))
     masks = []
     for cells in draw(st.lists(st.lists(st.integers(0, n - 1), max_size=4),
@@ -464,17 +449,12 @@ class TestAddToMaskConvolutionProperty:
         self.check(*case)
 
 
-@functools.lru_cache(maxsize=None)
-def cached_stencil(kind, dim, dx):
-    return ss.build_kernel(kind, 1.0, dim, dx, profile=cone_profile)[1]
-
-
 @st.composite
 def stencil_fields(draw, dim):
     """An indicator or cone stencil and a field on a box of 1 to 6*reach cells
     per axis (strips, and boxes smaller than the stencil, drawn often): a
     random mask, a dense cubed-uniform field or a signed normal field."""
-    kind = draw(st.sampled_from(["indicator_ball", "custom_radial"]))
+    kind = draw(st.sampled_from(["indicator_ball", "cone"]))
     stencil = cached_stencil(kind, dim, draw(st.sampled_from([0.25, 0.125, 0.1])))
     r = stencil.reach
     sizes = st.one_of(st.just(1), st.integers(1, 2 * r), st.integers(1, 6 * r))
@@ -528,9 +508,8 @@ class TestSupportBox:
 def hollow_stencil(dx):
     """A 2-d radial kernel that vanishes on the annulus 0.3 <= rho <= 0.7, so
     some taps inside its reach are exactly 0."""
-    return ss.build_kernel(
-        "custom_radial", 1.0, 2, dx,
-        profile=lambda rho: np.clip(np.abs(rho - 0.5) - 0.2, 0.0, None) ** 4)[1]
+    return weighted_stencil(lambda rho: np.clip(np.abs(rho - 0.5) - 0.2, 0.0, None) ** 4,
+                            2, dx)
 
 
 @st.composite
@@ -645,20 +624,18 @@ class TestFrontProfile:
         assert abs(riemann_h2d(0.5, cells_per_ell=1500) - H2D_INDICATOR_HALF) <= 5e-4
 
     def test_cone_kernels_match_analytic_values(self):
-        k1, _ = ss.build_kernel("custom_radial", 1.0, 1, 0.05, profile=cone_profile)
-        p1 = ss.front_profile(k1)
+        p1 = ss.front_profile(cone_kernel(1))
         assert abs(p1(0.5) - CONE_1D_H_HALF) <= 1e-8
         assert abs(p1(0.0) - 0.5) <= 1e-8
-        k2, _ = ss.build_kernel("custom_radial", 1.0, 2, 0.05, profile=cone_profile)
-        p2 = ss.front_profile(k2)
+        p2 = ss.front_profile(cone_kernel(2))
         assert abs(p2(0.5) - CONE_2D_H_HALF) <= 1e-6
         assert abs(p2(0.0) - 0.5) <= 1e-6
 
-    @pytest.mark.parametrize("dim,kind,profile", [
-        (1, "indicator_ball", None), (2, "indicator_ball", None),
-        (1, "custom_radial", cone_profile), (2, "custom_radial", cone_profile)])
-    def test_monotone_and_bounded(self, dim, kind, profile):
-        kernel, _ = ss.build_kernel(kind, 1.0, dim, 0.05, profile=profile)
+    @pytest.mark.parametrize("kind", ["indicator_ball", "cone"])
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_monotone_and_bounded(self, dim, kind):
+        kernel = (cone_kernel(dim) if kind == "cone"
+                  else ss.build_kernel(kind, 1.0, dim, 0.05)[0])
         prof = ss.front_profile(kernel)
         assert np.all(np.diff(prof.samples) <= 0.0)
         assert prof.samples.min() >= 0.0 and prof.samples.max() <= 1.0
@@ -690,7 +667,7 @@ class TestQuadratureOracles:
 
     @pytest.mark.parametrize("dim", [1, 2])
     def test_cone_profile_and_mass_match_quad(self, dim):
-        kernel, _ = ss.build_kernel("custom_radial", 1.0, dim, 0.05, profile=cone_profile)
+        kernel = cone_kernel(dim)
         assert abs(quad_kernel_mass(kernel) - 1.0) <= 1e-12
         prof = ss.front_profile(kernel)
         half = prof.s >= 0.0
@@ -698,11 +675,10 @@ class TestQuadratureOracles:
         expected = [quad_front_profile(kernel, x) for x in s]
         assert np.max(np.abs(h - expected)) <= 1e-12
 
-    @pytest.mark.parametrize("kind,profile", [("indicator_ball", None),
-                                              ("custom_radial", cone_profile)])
+    @pytest.mark.parametrize("kernel", [ss.build_kernel("indicator_ball", 1.0, 2, 0.1)[0],
+                                        cone_kernel(2)], ids=["indicator_ball", "cone"])
     @pytest.mark.parametrize("R", [0.3, 0.5, 2.0, 8.0])
-    def test_ball_convolution_on_ray_matches_quad(self, kind, profile, R):
-        kernel, _ = ss.build_kernel(kind, 1.0, 2, 0.1, profile=profile)
+    def test_ball_convolution_on_ray_matches_quad(self, kernel, R):
         s = np.linspace(0.0, 1.0, 41)
         expected = [quad_ball_on_ray(kernel, R, x) for x in s]
         assert np.max(np.abs(ball_convolution_on_ray(kernel, R, s) - expected)) <= 1e-11

@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 import satspread as ss
 
 from conftest import growth_laws, sagging_growth, seed_plateau
-from harnesses import direct_loop
+from harnesses import direct_loop, table_law, weighted_stencil
 from oracles import support_confinement_per_snapshot
 
 DX = 0.125
@@ -18,9 +18,8 @@ BOXES = {1: (0.5, 0.875, 1.5, 2.5, 4.0), 2: (0.875, 1.25, 2.0)}
 STENCILS = {dim: ss.build_kernel("indicator_ball", 1.0, dim, DX)[1] for dim in (1, 2)}
 #: A radial kernel that vanishes on the annulus 0.3 <= rho <= 0.7: some taps
 #: inside the stencil's reach are exactly 0.
-HOLLOW = {dim: ss.build_kernel(
-    "custom_radial", 1.0, dim, DX,
-    profile=lambda rho: np.clip(np.abs(rho - 0.5) - 0.2, 0.0, None) ** 4)[1]
+HOLLOW = {dim: weighted_stencil(
+    lambda rho: np.clip(np.abs(rho - 0.5) - 0.2, 0.0, None) ** 4, dim, DX)
     for dim in (1, 2)}
 
 
@@ -227,7 +226,7 @@ def tabulated_cases(draw):
     nodes = [0.0, *sorted(draw(st.sets(st.floats(0.05, 0.95), max_size=4))), 1.0]
     g1 = draw(st.floats(0.2, 3.0))
     inner = [draw(st.floats(0.01, 1.0)) * g1 for _ in nodes[1:-1]]
-    growth = ss.tabulated_growth(nodes, [0.0, *inner, g1])
+    growth = table_law(nodes, [0.0, *inner, g1])
     assert growth.monotone_cap
     model = draw(st.sampled_from(["singular", "generalized_singular"]))
     if model == "generalized_singular":

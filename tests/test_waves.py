@@ -9,7 +9,7 @@ import satspread as ss
 from satspread import waves
 
 from conftest import growth_laws
-from harnesses import monotone_in_c_check
+from harnesses import monotone_in_c_check, table_law
 from oracles import (C_STAR_LINEAR_1D, c_star_quadrature_root, find_c_star_bisection,
                      shoot_profile_direct)
 
@@ -18,7 +18,7 @@ LAWS = {
     "linear": ss.linear_growth(1.0),
     "logistic-2": ss.logistic_growth(1.0, 2.0),
     "logistic-3.7": ss.logistic_growth(0.8, 3.7),
-    "tabulated": ss.tabulated_growth([0.0, 0.3, 0.6, 1.0], [0.0, 0.5, 0.8, 1.0]),
+    "tabulated": table_law([0.0, 0.3, 0.6, 1.0], [0.0, 0.5, 0.8, 1.0]),
     "scaled": ss.logistic_growth(1.0, 3.0).scaled(1.7),
 }
 
@@ -307,15 +307,14 @@ class TestBisectionReplay:
                               ode_step=REPLAY_STEP) == plain
         assert (steps.count(REPLAY_STEP), steps.count(coarse)) == (13, 2)
 
-    @pytest.mark.parametrize("shift,fine_shots", [(5 * waves.DEFAULT_SPEED_TOL, 7), (0.05, 19)],
+    @pytest.mark.parametrize("shift", [5 * waves.DEFAULT_SPEED_TOL, 0.05],
                              ids=["near-miss", "far-miss"])
-    def test_coarse_miss_takes_plain_bisections_result(self, linear_g, monkeypatch, shift,
-                                                       fine_shots):
+    def test_coarse_miss_takes_plain_bisections_result(self, linear_g, monkeypatch, shift):
         """Coarse shots moved ``shift`` right of the root: the walked cell
-        fails its certificate.  Five cells off, the secant through its two
-        fine shots finds the root's cell (two more shots); 0.05 off, three
-        cells miss and regula falsi runs on the fine shots.  Either way the
-        result is plain bisection's."""
+        fails its certificate at its lower end, five cells off as 0.05 off.
+        Regula falsi then runs on the fine shots: 14 fine shots with the
+        bounds, the missed cell's lower end, 8 locate shots, the certified
+        cell's ends and the wave.  The result is plain bisection's."""
         profile = COARSE_PROFILES[1]
         coarse = waves._coarse_step(profile, REPLAY_STEP)
         shoot = waves.shoot_profile
@@ -332,7 +331,7 @@ class TestBisectionReplay:
         counting_shots(monkeypatch, steps)
         assert search_outcome(ss.find_c_star, linear_g, profile,
                               ode_step=REPLAY_STEP) == plain
-        assert (steps.count(REPLAY_STEP), steps.count(coarse)) == (fine_shots, 10)
+        assert (steps.count(REPLAY_STEP), steps.count(coarse)) == (14, 10)
 
     @pytest.mark.parametrize("profiles", [PROFILES, COARSE_PROFILES],
                              ids=["fine-locate", "coarse-locate"])
