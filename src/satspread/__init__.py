@@ -21,8 +21,8 @@ from .dynamics import (GridField, ModelParams, RunResult, grid_field, run,
 from .errors import BracketError, InvariantViolation, ScientificError
 from .growth import GrowthError, GrowthLaw, linear_growth, logistic_growth
 from .kernels import (ConvolutionStencil, FrontKernelProfile, Kernel, KernelError,
-                      QuadratureError, add_to_mask_convolution, build_kernel,
-                      convolve_field, front_profile)
+                      add_to_mask_convolution, build_kernel, convolve_field,
+                      front_profile)
 from .waves import (MinimalSpeedResult, WaveProfile, find_c_star, sample_wave,
                     shoot_profile)
 

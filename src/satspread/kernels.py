@@ -7,8 +7,6 @@ import numpy as np
 
 #: Discrete stencil mass must match 1 to this after renormalization.
 STENCIL_MASS_TOL = 1e-12
-#: Largest gap allowed between the coarse and fine rules of ``_quad``.
-FRONT_QUAD_TOL = 1e-8
 #: FFT convolution outputs at most this many machine epsilons times the
 #: field's largest output are set to 0 (the rounding noise seen there, where
 #: the direct sum is exactly 0, stays below 3 epsilons of that maximum).
@@ -19,22 +17,15 @@ class KernelError(ValueError):
     """Kernel specification violates the model assumptions."""
 
 
-class QuadratureError(RuntimeError):
-    """The two rules of ``_quad`` differ by more than ``FRONT_QUAD_TOL``, or by NaN."""
-
-    def __init__(self, message: str, achieved: float):
-        super().__init__(f"{message} (achieved error {achieved:.3e})")
-        self.achieved = achieved
-
-
 class Kernel(NamedTuple):
     """Radially symmetric dispersal weight supported in a ball of radius ``radius``.
 
     ``profile`` maps radial distance to the continuum density, whose integral
     over space is one.  ``build_kernel`` makes the indicator ball, of height
-    one over the ball's volume; ``front_profile`` integrates the profile of
-    any other kind.  The stencil's weights are normalized apart, to discrete
-    mass one; the two normalizations differ by the midpoint quadrature error.
+    one over the ball's volume, whose ``front_profile`` is closed-form; the
+    tests' oracles read ``profile`` of it and of other kinds.  The stencil's
+    weights are normalized apart, to discrete mass one; the two
+    normalizations differ by the midpoint quadrature error.
     """
 
     kind: str
@@ -83,34 +74,6 @@ def ball_volume(ell: float, dim: int) -> float:
     return 2.0 * ell if dim == 1 else math.pi * ell * ell
 
 
-def _quad(f, a, b, what: str):
-    """Integrals of ``f`` over [a, b], elementwise over the broadcast a and b.
-
-    Composite Gauss-Legendre in t on x = a + (b - a)(1 - cos(pi t))/2, taken
-    as a + (b - a) sin(pi t/2)**2 to keep x - a exact near a.  The map is flat
-    at t = 0 and 1, so square-root behaviour of ``f`` at either end becomes
-    smooth in t.  Rules of 16 and 32 panels of 20 nodes share one call
-    of ``f`` on all nodes; the finer values are returned (0 where b <= a), or
-    ``QuadratureError`` reports the largest gap between the two rules.
-    """
-    # Imported here (about 5 ms): no stepping or CLI start-up path integrates.
-    from numpy.polynomial.legendre import leggauss
-
-    xi, w = leggauss(20)
-    t = np.concatenate([((np.arange(p)[:, None] + (xi + 1.0) / 2.0) / p).ravel()
-                        for p in (16, 32)])
-    w = np.concatenate([np.tile(w, p) / (2.0 * p) for p in (16, 32)])
-    a = np.asarray(a, dtype=float)[..., None]
-    width = np.maximum(np.asarray(b, dtype=float)[..., None] - a, 0.0)
-    terms = (f(a + width * np.sin(np.pi / 2.0 * t) ** 2)
-             * (width * np.pi / 2.0) * (np.sin(np.pi * t) * w))
-    coarse, fine = terms[..., :16 * 20].sum(axis=-1), terms[..., 16 * 20:].sum(axis=-1)
-    gap = float(np.max(np.abs(fine - coarse)))
-    if not gap <= FRONT_QUAD_TOL:
-        raise QuadratureError(f"quadrature for {what} did not converge", gap)
-    return fine
-
-
 def build_kernel(kind: str, ell: float, dim: int, grid_spacing: float,
                  ) -> tuple[Kernel, ConvolutionStencil]:
     """Build the normalized indicator kernel and its midpoint convolution stencil.
@@ -143,9 +106,9 @@ def build_kernel(kind: str, ell: float, dim: int, grid_spacing: float,
     def profile(rho, _h=height, _ell=ell):
         return np.where(np.asarray(rho) <= _ell, _h, 0.0)
 
-    # Midpoint stencil on offsets with |offset|*dx <= ell (tolerant at the rim,
-    # where a radius just past ell keeps a zero weight).
-    m = int(math.floor(ell / grid_spacing * (1 + 1e-12)))
+    # Midpoint stencil on the offsets the profile weighs, |offset|*dx <= ell,
+    # sought in a box one cell wider than ell/dx; ``reach`` is the farthest.
+    m = int(ell / grid_spacing) + 1
     axis = np.arange(-m, m + 1)
     if dim == 1:
         offsets = axis.reshape(-1, 1)
@@ -154,12 +117,13 @@ def build_kernel(kind: str, ell: float, dim: int, grid_spacing: float,
         ox, oy = np.meshgrid(axis, axis, indexing="ij")
         offsets = np.stack([ox.ravel(), oy.ravel()], axis=1)
         radii = np.hypot(offsets[:, 0], offsets[:, 1]) * grid_spacing
-    inside = radii <= ell * (1 + 1e-12)
+    inside = radii <= ell
     offsets, radii = offsets[inside], radii[inside]
 
     raw_weights = profile(radii) * grid_spacing ** dim
     weights = raw_weights / raw_weights.sum()
 
+    m = int(offsets.max())
     dense = np.zeros((2 * m + 1,) * dim)
     dense[tuple((offsets + m).T)] = weights
 
@@ -323,13 +287,15 @@ def add_to_mask_convolution(stencil: ConvolutionStencil, conv: np.ndarray,
 
 def front_profile(kernel: Kernel, sample_spacing: float | None = None,
                   ) -> FrontKernelProfile:
-    """Mass of the kernel ahead of a planar saturated half-space.
+    """Mass of the indicator kernel ahead of a planar saturated half-space.
 
-    h(s) = (ell - s)/(2 ell) for 1-d indicator kernels; otherwise ``_quad``
-    integrates K (1-d) or the polar reduction K(rho) rho 2 acos(s/rho) (2-d)
-    over [s, ell] at all samples at once.  Values for negative signed distance
-    follow from the reflection identity h(-s) = 1 - h(s).
+    h(s) = (ell - s)/(2 ell) in 1-d and, with sigma = s/ell,
+    (acos sigma - sigma sqrt(1 - sigma^2))/pi in 2-d: the normalized area of
+    the disk beyond a chord at distance s.  Values for negative signed
+    distance follow from the reflection identity h(-s) = 1 - h(s).
     """
+    if kernel.kind != "indicator_ball":
+        raise KernelError(f"no front profile for kernel kind {kernel.kind!r}")
     ell = kernel.radius
     if sample_spacing is None:
         sample_spacing = ell / 200
@@ -338,21 +304,17 @@ def front_profile(kernel: Kernel, sample_spacing: float | None = None,
     n_half = int(math.ceil(ell / sample_spacing - 1e-12))
     s_half = np.linspace(0.0, ell, n_half + 1)
 
-    if kernel.dim == 1 and kernel.kind == "indicator_ball":
+    if kernel.dim == 1:
         h_half = (ell - s_half) / (2.0 * ell)
     else:
-        h_half = _quad(kernel.profile if kernel.dim == 1 else lambda rho: (
-            kernel.profile(rho) * rho * 2.0 * np.arccos(s_half[:, None] / rho)),
-            s_half, ell, "front profile")
-        if abs(h_half[0] - 0.5) > 1e-6:
-            raise QuadratureError("front profile value at 0 is off 1/2",
-                                  abs(h_half[0] - 0.5))
+        sigma = s_half / ell
+        h_half = (np.arccos(sigma) - sigma * np.sqrt(1.0 - sigma * sigma)) / np.pi
 
     h_half[-1] = 0.0
     s_full = np.concatenate([-s_half[1:][::-1], s_half])
     h_full = np.concatenate([1.0 - h_half[1:][::-1], h_half])
     h_full = np.clip(h_full, 0.0, 1.0)
-    # Quadrature wiggle is below FRONT_QUAD_TOL; a running minimum makes the
-    # monotonicity invariant hold exactly.
+    # A running minimum makes the monotonicity invariant hold exactly, in
+    # spite of rounding.
     h_full = np.minimum.accumulate(h_full)
     return FrontKernelProfile(ell=ell, s=s_full, samples=h_full)

@@ -2,7 +2,8 @@
 subcommand runs: the full-grid Euler step that ``run`` is held to, and the
 checks of order, the wave envelopes, the cap inequality and the obstacle form;
 plus the cone kernel, the unequal-weight stencil and the table growth law that
-the tests run beside the indicator kernel and the configurable laws.
+the tests run beside the indicator kernel and the configurable laws, and the
+Gauss-Legendre rule that integrates the front profile of any radial kernel.
 They need numpy and the package only, never scipy.
 """
 import math
@@ -14,13 +15,84 @@ from satspread.dynamics import (GridField, ModelParams, RunResult, _check_steppi
                                 _euler_steps, discrete_lipschitz, saturated_mask)
 from satspread.growth import GrowthLaw, _verify
 from satspread.kernels import (ConvolutionStencil, FrontKernelProfile, Kernel,
-                               KernelError, _quad, build_kernel, convolve_dense,
+                               KernelError, build_kernel, convolve_dense,
                                convolve_field, front_profile)
 from satspread.waves import WaveProfile, sample_wave, shoot_profile
 
 #: Positive-violation threshold for the cap-inequality report (absorbs
 #: quadrature noise at the support endpoint where both sides vanish).
 CAP_VIOLATION_TOL = 1e-10
+#: Largest gap allowed between the coarse and fine rules of ``legendre_quad``.
+FRONT_QUAD_TOL = 1e-8
+
+
+class QuadratureError(RuntimeError):
+    """The two rules of ``legendre_quad`` differ by more than ``FRONT_QUAD_TOL``, or by NaN."""
+
+    def __init__(self, message: str, achieved: float):
+        super().__init__(f"{message} (achieved error {achieved:.3e})")
+        self.achieved = achieved
+
+
+def legendre_quad(f, a, b, what: str):
+    """Integrals of ``f`` over [a, b], elementwise over the broadcast a and b.
+
+    Composite Gauss-Legendre in t on x = a + (b - a)(1 - cos(pi t))/2, taken
+    as a + (b - a) sin(pi t/2)**2 to keep x - a exact near a.  The map is flat
+    at t = 0 and 1, so square-root behaviour of ``f`` at either end becomes
+    smooth in t.  Rules of 16 and 32 panels of 20 nodes share one call
+    of ``f`` on all nodes; the finer values are returned (0 where b <= a), or
+    ``QuadratureError`` reports the largest gap between the two rules.
+    """
+    # Imported here: the tests see that no subcommand loads numpy.polynomial.
+    from numpy.polynomial.legendre import leggauss
+
+    xi, w = leggauss(20)
+    t = np.concatenate([((np.arange(p)[:, None] + (xi + 1.0) / 2.0) / p).ravel()
+                        for p in (16, 32)])
+    w = np.concatenate([np.tile(w, p) / (2.0 * p) for p in (16, 32)])
+    a = np.asarray(a, dtype=float)[..., None]
+    width = np.maximum(np.asarray(b, dtype=float)[..., None] - a, 0.0)
+    terms = (f(a + width * np.sin(np.pi / 2.0 * t) ** 2)
+             * (width * np.pi / 2.0) * (np.sin(np.pi * t) * w))
+    coarse, fine = terms[..., :16 * 20].sum(axis=-1), terms[..., 16 * 20:].sum(axis=-1)
+    gap = float(np.max(np.abs(fine - coarse)))
+    if not gap <= FRONT_QUAD_TOL:
+        raise QuadratureError(f"quadrature for {what} did not converge", gap)
+    return fine
+
+
+def quad_front_profile(kernel: Kernel, sample_spacing: float | None = None,
+                       ) -> FrontKernelProfile:
+    """``front_profile`` of any radial kernel, on the same samples.
+
+    ``legendre_quad`` integrates K (1-d) or the polar reduction
+    K(rho) rho 2 acos(s/rho) (2-d) over [s, ell] at all samples at once;
+    the reflection, the clip and the running minimum are ``front_profile``'s.
+    """
+    ell = kernel.radius
+    if sample_spacing is None:
+        sample_spacing = ell / 200
+    if not 0 < sample_spacing <= ell / 50:
+        raise KernelError("sample_spacing must lie in (0, ell/50]")
+    n_half = int(math.ceil(ell / sample_spacing - 1e-12))
+    s_half = np.linspace(0.0, ell, n_half + 1)
+
+    h_half = legendre_quad(kernel.profile if kernel.dim == 1 else lambda rho: (
+        kernel.profile(rho) * rho * 2.0 * np.arccos(s_half[:, None] / rho)),
+        s_half, ell, "front profile")
+    if abs(h_half[0] - 0.5) > 1e-6:
+        raise QuadratureError("front profile value at 0 is off 1/2",
+                              abs(h_half[0] - 0.5))
+
+    h_half[-1] = 0.0
+    s_full = np.concatenate([-s_half[1:][::-1], s_half])
+    h_full = np.concatenate([1.0 - h_half[1:][::-1], h_half])
+    h_full = np.clip(h_full, 0.0, 1.0)
+    # Quadrature wiggle is below FRONT_QUAD_TOL; a running minimum makes the
+    # monotonicity invariant hold exactly.
+    h_full = np.minimum.accumulate(h_full)
+    return FrontKernelProfile(ell=ell, s=s_full, samples=h_full)
 
 
 def cone_kernel(dim: int) -> Kernel:
@@ -193,7 +265,7 @@ def ball_convolution_on_ray(kernel: Kernel, ball_radius: float,
 
     Needs a finite R > 0 and R + s > 0 for every s.  The circle of radius rho
     around x lies in B_R for rho <= -s and crosses its boundary for |s| < rho
-    < 2R + s; ``_quad`` integrates on exactly these ranges, cut at ell.
+    < 2R + s; ``legendre_quad`` integrates on exactly these ranges, cut at ell.
     """
     if kernel.dim != 2:
         raise KernelError("ball convolution ray is defined for dim 2")
@@ -206,9 +278,10 @@ def ball_convolution_on_ray(kernel: Kernel, ball_radius: float,
         cos_lim = (x1 * x1 + rho * rho - R * R) / (2.0 * x1 * rho)
         return kernel.profile(rho) * rho * 2.0 * np.arccos(np.clip(cos_lim, -1.0, 1.0))
 
-    return (_quad(crossing, np.abs(s), np.minimum(2.0 * R + s, ell), "cap inequality")
-            + _quad(lambda rho: kernel.profile(rho) * rho * 2.0 * math.pi,
-                    0.0, np.minimum(-s, ell), "cap inequality"))
+    return (legendre_quad(crossing, np.abs(s), np.minimum(2.0 * R + s, ell),
+                          "cap inequality")
+            + legendre_quad(lambda rho: kernel.profile(rho) * rho * 2.0 * math.pi,
+                            0.0, np.minimum(-s, ell), "cap inequality"))
 
 
 class CapInequalityReport(NamedTuple):
@@ -225,6 +298,8 @@ def check_cap_inequality(kernel: Kernel, delta: float,
                          n_samples: int = 81) -> CapInequalityReport:
     """Evaluate (1-delta)*h(|x|-R) <= K*1_{B_R}(x) along a radial ray.
 
+    ``legendre_quad`` integrates both sides, so any radial 2-d kernel serves.
+
     For each R the report holds the maximum of the left side minus the right
     side over |x| in [R, R+ell]; a value above the tolerance is a violation.
     Every R must be positive and finite.
@@ -237,7 +312,7 @@ def check_cap_inequality(kernel: Kernel, delta: float,
     if any(b <= a for a, b in zip(radii, radii[1:])):
         raise KernelError("R_list must be strictly increasing")
 
-    profile = front_profile(kernel)
+    profile = quad_front_profile(kernel)
     s_vals = np.linspace(0.0, kernel.radius, n_samples)
     lhs = (1.0 - delta) * profile(s_vals)
     worst = []

@@ -83,7 +83,7 @@ def quad_kernel_mass(kernel) -> float:
                                  0.0, kernel.radius)
 
 
-def quad_front_profile(kernel, s: float) -> float:
+def quad_front_value(kernel, s: float) -> float:
     """Front profile h(s), 0 <= s <= ell, by per-point adaptive quadrature."""
     if kernel.dim == 1:
         return _quad(lambda z: float(kernel.profile(z)), s, kernel.radius)
@@ -106,6 +106,29 @@ def quad_ball_on_ray(kernel, R: float, s: float) -> float:
         return float(kernel.profile(rho)) * rho * 2.0 * math.acos(max(cos_lim, -1.0))
 
     return _quad(arc, s, kernel.radius, points=(2.0 * R + s,))
+
+
+def rim_tolerant_stencil(ell: float, dim: int, dx: float):
+    """(offsets, weights, dense) of the indicator stencil as built before its
+    zero-weight rim taps were dropped: every offset with |offset| dx <= ell
+    (1 + 1e-12), weighted 1/volume where |offset| dx <= ell, renormalized."""
+    m = int(math.floor(ell / dx * (1 + 1e-12)))
+    axis = np.arange(-m, m + 1)
+    if dim == 1:
+        offsets = axis.reshape(-1, 1)
+        radii = np.abs(axis) * dx
+    else:
+        ox, oy = np.meshgrid(axis, axis, indexing="ij")
+        offsets = np.stack([ox.ravel(), oy.ravel()], axis=1)
+        radii = np.hypot(offsets[:, 0], offsets[:, 1]) * dx
+    inside = radii <= ell * (1 + 1e-12)
+    offsets, radii = offsets[inside], radii[inside]
+    volume = 2.0 * ell if dim == 1 else math.pi * ell * ell
+    raw = np.where(radii <= ell, 1.0 / volume, 0.0) * dx ** dim
+    weights = raw / raw.sum()
+    dense = np.zeros((2 * m + 1,) * dim)
+    dense[tuple((offsets + m).T)] = weights
+    return offsets, weights, dense
 
 
 def riemann_h2d(s: float, ell: float = 1.0, cells_per_ell: int = 2000) -> float:

@@ -664,8 +664,7 @@ class TestArtifactFormat:
 
     def test_cli_import_leaves_out_quadrature(self):
         # no stepping or start-up path integrates, so no scipy module gets
-        # loaded, nor the quadrature rule's numpy.polynomial (which numpy 2
-        # loads on first use only)
+        # loaded, nor numpy.polynomial (which numpy 2 loads on first use only)
         src = str(Path(ss.__file__).resolve().parents[1])
         code = (f"import sys; sys.path.insert(0, {src!r}); import numpy; "
                 "bare = 'numpy.polynomial' in sys.modules; import satspread.cli; "
@@ -701,7 +700,9 @@ class TestArtifactFormat:
     def test_indicator_subcommands_run_without_scipy(self, tmp_path):
         # scipy is a test oracle only: every subcommand in 1-d and 2-d, and
         # the cone kernel's front profiles and the cap-inequality harness,
-        # run while a None entry in sys.modules makes any scipy import raise
+        # run while a None entry in sys.modules makes any scipy import raise;
+        # and no subcommand integrates, so none loads numpy.polynomial, the
+        # harnesses' quadrature rule (wave and speed read the closed-form h)
         speed = BASE.replace("box_radius = 4.0", "box_radius = 14.0").replace(
             "t_end = 1.0", "t_end = 12.0") + "\n[study]\ntolerance = 0.08\n"
         converge = CORE.replace("t_end = 1.0", "t_end = 2.0").replace(
@@ -724,14 +725,16 @@ import sys
 sys.path[:0] = [{src!r}, {str(Path(__file__).parent)!r}]
 sys.modules["scipy"] = None
 import numpy as np
+bare = "numpy.polynomial" in sys.modules
 import satspread as ss
 from satspread.cli import main
-from harnesses import check_cap_inequality, cone_kernel
+from harnesses import check_cap_inequality, cone_kernel, quad_front_profile
 
 print([main(argv) for argv in {runs!r}])
+print("numpy.polynomial" in sys.modules and not bare)
 for dim in (1, 2):
     kernel = cone_kernel(dim)
-    print(round(float(ss.front_profile(kernel)(0.0)), 12))
+    print(round(float(quad_front_profile(kernel)(0.0)), 12))
     try:
         print(check_cap_inequality(kernel, 0.5, [100.0]).least_nonviolating_radius)
     except ss.KernelError as exc:
@@ -740,7 +743,7 @@ for dim in (1, 2):
         done = subprocess.run([sys.executable, "-c", code], capture_output=True,
                               text=True, check=True)
         assert done.stdout.splitlines() == [
-            "[0, 0, 0, 0, 0, 0, 0, 0, 0, 0]", "0.5",
+            "[0, 0, 0, 0, 0, 0, 0, 0, 0, 0]", "False", "0.5",
             "cap inequality check is for dim 2 kernels", "0.5", "100.0"], done.stderr
 
 

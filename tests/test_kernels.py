@@ -11,12 +11,14 @@ import satspread as ss
 from satspread.analysis import _dilate_one_cell
 from satspread.kernels import _fast_length, _stencil_spectrum
 
-from harnesses import (ball_convolution_on_ray, check_cap_inequality, cone_kernel,
-                       convolve_mask, weighted_stencil)
+from harnesses import (QuadratureError, ball_convolution_on_ray, check_cap_inequality,
+                       cone_kernel, convolve_mask, legendre_quad, quad_front_profile,
+                       weighted_stencil)
 from oracles import (CONE_1D_H_HALF, CONE_2D_H_HALF, H2D_INDICATOR_HALF,
                      brute_convolve, convolve_1d_plain, convolve_dense_plain,
                      convolve_field_direct, h1d_indicator, h2d_indicator, quad_ball_on_ray,
-                     quad_front_profile, quad_kernel_mass, riemann_h2d)
+                     quad_front_value, quad_kernel_mass, riemann_h2d,
+                     rim_tolerant_stencil)
 
 
 def cone_profile(rho):
@@ -71,6 +73,36 @@ class TestBuildKernel:
         _, stencil = ss.build_kernel("indicator_ball", 1.0, dim, 0.05)
         magnitudes = np.linalg.norm(stencil.offsets, axis=1) * 0.05
         assert magnitudes.max() <= 1.0 + 0.05
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_rim_offsets_just_past_the_radius_are_dropped(self, dim):
+        # 6 * 0.05 = 0.30000000000000004 > 0.3: the kernel gives offset 6 weight 0
+        offsets, weights, _ = rim_tolerant_stencil(0.3, dim, 0.05)
+        assert np.count_nonzero(weights == 0.0) == 2 * dim
+        _, stencil = ss.build_kernel("indicator_ball", 0.3, dim, 0.05)
+        assert np.array_equal(stencil.offsets, offsets[weights > 0.0])
+        assert np.all(stencil.weights > 0.0) and stencil.reach == 5
+        assert len(stencil.weights) == (11 if dim == 1 else 109)
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    @pytest.mark.parametrize("ell", [0.3, 0.7, 0.8, 1.0, 1.3, 1.7, 2.5, 3.0])
+    def test_no_stencil_keeps_a_zero_tap(self, ell, dim):
+        for dx in ([ell / k for k in range(4, 101)]
+                   + [1.0 / k for k in range(4, 101) if 1.0 / k <= ell / 4]):
+            _, stencil = ss.build_kernel("indicator_ball", ell, dim, dx)
+            assert np.all(stencil.weights > 0.0), dx
+            assert stencil.reach == np.abs(stencil.offsets).max(), dx
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    @pytest.mark.parametrize("dx", [0.1, 0.0125, 0.125])
+    def test_stencils_without_zero_taps_keep_their_bits(self, dim, dx):
+        # the unit-radius stencils that the benchmark workloads build
+        offsets, weights, dense = rim_tolerant_stencil(1.0, dim, dx)
+        assert np.all(weights > 0.0)
+        _, stencil = ss.build_kernel("indicator_ball", 1.0, dim, dx)
+        assert np.array_equal(stencil.offsets, offsets)
+        assert np.array_equal(stencil.weights.view(np.uint64), weights.view(np.uint64))
+        assert np.array_equal(stencil.dense.view(np.uint64), dense.view(np.uint64))
 
 
 class TestConvolve:
@@ -624,19 +656,18 @@ class TestFrontProfile:
         assert abs(riemann_h2d(0.5, cells_per_ell=1500) - H2D_INDICATOR_HALF) <= 5e-4
 
     def test_cone_kernels_match_analytic_values(self):
-        p1 = ss.front_profile(cone_kernel(1))
+        p1 = quad_front_profile(cone_kernel(1))
         assert abs(p1(0.5) - CONE_1D_H_HALF) <= 1e-8
         assert abs(p1(0.0) - 0.5) <= 1e-8
-        p2 = ss.front_profile(cone_kernel(2))
+        p2 = quad_front_profile(cone_kernel(2))
         assert abs(p2(0.5) - CONE_2D_H_HALF) <= 1e-6
         assert abs(p2(0.0) - 0.5) <= 1e-6
 
     @pytest.mark.parametrize("kind", ["indicator_ball", "cone"])
     @pytest.mark.parametrize("dim", [1, 2])
     def test_monotone_and_bounded(self, dim, kind):
-        kernel = (cone_kernel(dim) if kind == "cone"
-                  else ss.build_kernel(kind, 1.0, dim, 0.05)[0])
-        prof = ss.front_profile(kernel)
+        prof = (quad_front_profile(cone_kernel(dim)) if kind == "cone"
+                else ss.front_profile(ss.build_kernel(kind, 1.0, dim, 0.05)[0]))
         assert np.all(np.diff(prof.samples) <= 0.0)
         assert prof.samples.min() >= 0.0 and prof.samples.max() <= 1.0
         assert prof.samples[-1] == 0.0 and prof.samples[0] == 1.0
@@ -646,33 +677,48 @@ class TestFrontProfile:
         with pytest.raises(ss.KernelError, match="sample_spacing"):
             ss.front_profile(kernel, sample_spacing=0.1)
 
-    def test_quadrature_failure_reports_achieved_error(self):
-        from satspread.kernels import _quad
-        with pytest.raises(ss.QuadratureError) as info:
-            _quad(lambda z: np.cos(3e7 * z * z), 0.0, 1.0, "oscillatory test")
-        assert info.value.achieved > 1e-8
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_other_kernel_kinds_rejected(self, dim):
+        with pytest.raises(ss.KernelError, match="kernel kind 'cone'"):
+            ss.front_profile(cone_kernel(dim))
 
     def test_integral_over_support_exact_for_linear_profile(self, front_profile_1d):
         assert front_profile_1d.integral_zero_to_ell() == pytest.approx(0.25, abs=1e-12)
 
 
 class TestQuadratureOracles:
-    """The numpy quadrature rule against closed forms and per-point
-    ``scipy.integrate.quad``."""
+    """The closed-form 2-d front profile and the numpy quadrature rule of the
+    harnesses against each other and per-point ``scipy.integrate.quad``."""
 
-    def test_d2_indicator_matches_closed_form(self):
-        kernel, _ = ss.build_kernel("indicator_ball", 1.0, 2, 0.05)
-        prof = ss.front_profile(kernel)
-        assert np.max(np.abs(prof.samples - h2d_indicator(prof.s))) <= 1e-14
+    @pytest.mark.parametrize("ell", [0.3, 0.8, 1.0, 2.5])
+    def test_d2_indicator_closed_form_matches_the_rule(self, ell):
+        kernel, _ = ss.build_kernel("indicator_ball", ell, 2, ell / 4)
+        for spacing in (ell / 60, ell / 200):
+            prof = ss.front_profile(kernel, spacing)
+            rule = quad_front_profile(kernel, spacing)
+            assert np.array_equal(prof.s, rule.s)
+            assert np.max(np.abs(prof.samples - rule.samples)) <= 1e-15
+            half = prof.s >= 0.0
+            s, h = prof.s[half][::5], prof.samples[half][::5]
+            expected = [quad_front_value(kernel, x) for x in s]
+            assert np.max(np.abs(h - expected)) <= 1e-11
+            for law in (ss.linear_growth(1.0), ss.logistic_growth(1.0, 2.0)):
+                assert abs(ss.find_c_star(law, prof).c_star
+                           - ss.find_c_star(law, rule).c_star) <= 1e-12
+
+    def test_quadrature_failure_reports_achieved_error(self):
+        with pytest.raises(QuadratureError) as info:
+            legendre_quad(lambda z: np.cos(3e7 * z * z), 0.0, 1.0, "oscillatory test")
+        assert info.value.achieved > 1e-8
 
     @pytest.mark.parametrize("dim", [1, 2])
     def test_cone_profile_and_mass_match_quad(self, dim):
         kernel = cone_kernel(dim)
         assert abs(quad_kernel_mass(kernel) - 1.0) <= 1e-12
-        prof = ss.front_profile(kernel)
+        prof = quad_front_profile(kernel)
         half = prof.s >= 0.0
         s, h = prof.s[half][::5], prof.samples[half][::5]
-        expected = [quad_front_profile(kernel, x) for x in s]
+        expected = [quad_front_value(kernel, x) for x in s]
         assert np.max(np.abs(h - expected)) <= 1e-12
 
     @pytest.mark.parametrize("kernel", [ss.build_kernel("indicator_ball", 1.0, 2, 0.1)[0],
